@@ -1,9 +1,11 @@
 """Continuous adjoint gradients for every dynamics formulation.
 
 The backward pass integrates one joint system from ``t1`` down to ``t0``:
-the forward state (recomputed in reverse, so memory stays constant in
-trajectory length), the state cotangent, and a running parameter-gradient
-accumulator.  For state ``z' = g(z, theta, t)`` the cotangent obeys
+the forward state, the state cotangent, and a running parameter-gradient
+accumulator.  The forward state is either recomputed in reverse inside the
+joint system, so memory stays constant in trajectory length, or read from
+the dense output the forward solve recorded, so nothing is integrated
+twice.  For state ``z' = g(z, theta, t)`` the cotangent obeys
 ``a' = -a^T dg/dz`` and the accumulator ``q' = -a^T dg/dtheta``; starting
 from ``a(t1) = dL/dz(t1)`` and ``q(t1) = 0``, the solve lands on
 ``a(t0) = dL/dz(t0)`` and ``q(t0) = dL/dtheta``.
@@ -25,7 +27,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import dynamics as dyn
 from . import field_net as fn
@@ -152,7 +153,7 @@ def make_adjoint_rhs(
 
     Default layout is ``[forward state, cotangent, parameter accumulator]``.
     When ``forward_of_t`` is given (store mode) the forward blocks are read
-    from that interpolant instead and the layout drops to
+    from that function of time instead and the layout drops to
     ``[cotangent, accumulator]``.
     """
     if variant not in ("exact", "literal"):
@@ -173,7 +174,7 @@ def make_adjoint_rhs(
     else:
 
         def rhs(t, joint):
-            st = dyn.unpack(np.asarray(forward_of_t(t), dtype=float), spec, d, batch)
+            st = dyn.unpack(forward_of_t(t), spec, d, batch)
             ast = dyn.unpack(joint[:bd], spec, d, batch)
             _, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
             return np.concatenate([dyn.pack(dast), dth])
@@ -204,7 +205,8 @@ def backward(
     ----------
     forward : SolveResult
         Successful forward solve whose first sample is the initial state
-        and whose last sample is the terminal state.
+        and whose last sample is the terminal state.  Store mode also needs
+        it to have been made with ``record_steps=True``.
     loss_grad : array_like
         ``dL/dz(t1)`` over the flat packed state (zeros in the blocks the
         loss ignores).
@@ -215,13 +217,16 @@ def backward(
         ``"exact"`` (default) or ``"literal"``; see the module docstring.
     mode : str
         ``"recompute"`` (default) re-integrates the forward state inside
-        the joint system.  ``"store"`` re-runs the forward solve once,
-        keeps its accepted steps, and reads the forward state from a cubic
-        spline during the backward sweep; its evaluations count toward
-        ``backward_nfe``.
+        the joint system.  ``"store"`` reads the forward state from the
+        forward solve's own recorded steps and 4th-order dense output
+        (:meth:`SolveResult.dense_state`), so ``backward_nfe`` counts the
+        reverse solve alone.
 
     Raises
     ------
+    ValueError
+        If the forward solve failed, or store mode is asked of a forward
+        solve that recorded no steps.
     BackwardSolveError
         If the joint solve fails.
     ReconstructionDivergence
@@ -233,6 +238,8 @@ def backward(
         raise ValueError("forward solve must have succeeded")
     if forward.ts.size < 1:
         raise ValueError("forward result carries no samples")
+    if mode == "store" and forward.step_coeffs is None:
+        raise ValueError("store mode needs a forward solve made with record_steps=True")
     t0 = float(forward.ts[0])
     t1 = float(forward.ts[-1])
     y0 = forward.states[0]
@@ -256,18 +263,9 @@ def backward(
         cfg = IntegratorConfig()
     counters = {"v_clamps": 0}
     bd = batch * spec.state_dim(d)
-    extra_nfe = 0
 
     if mode == "store":
-        fwd_rhs = dyn.make_node_rhs(spec, field, d, batch)
-        stored = solve_dopri45(fwd_rhs, y0, t0, t1, cfg, record_steps=True)
-        if stored.status is not SolveStatus.SUCCESS:
-            raise BackwardSolveError(stored.status)
-        extra_nfe = stored.nfe
-        knots = np.concatenate([[t0], stored.step_ts])
-        values = np.vstack([y0, stored.step_states])
-        spline = CubicSpline(knots, values, axis=0)
-        rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters, forward_of_t=spline)
+        rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters, forward_of_t=forward.dense_state)
         joint0 = np.concatenate([loss_grad, np.zeros(n_par)])
     else:
         rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters)
@@ -302,7 +300,7 @@ def backward(
     return AdjointRun(
         grad_params=grad_theta,
         grad_initial_state=dyn.unpack(a0, spec, d, batch),
-        backward_nfe=res.nfe + extra_nfe,
+        backward_nfe=res.nfe,
         forward_state_reconstruction_error=recon_err,
         v_underflow_clamps=counters["v_clamps"],
     )

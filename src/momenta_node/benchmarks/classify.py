@@ -127,8 +127,9 @@ class TrainConfig:
     atol: float = 1e-6
     n_points: int = 256
     dataset: str = "spirals"
-    # Spline-stored forward states keep the backward sweep honest when a
-    # trained field is too stiff to re-integrate in reverse.
+    # Reading the forward solve's own recorded dense output keeps the
+    # backward sweep honest when a trained field is too stiff to
+    # re-integrate in reverse, and costs no extra forward evaluations.
     adjoint_mode: str = "store"
 
     def validate(self):
@@ -138,6 +139,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}; expected one of: {', '.join(DATASETS)}")
 
@@ -219,13 +222,17 @@ class ODEClassifier:
             i += nb
 
     # -- forward / backward ------------------------------------------
-    def forward(self, x: np.ndarray):
-        """Solve the flow for a batch; returns (terminal h block, solve result)."""
+    def forward(self, x: np.ndarray, record_steps: bool = False):
+        """Solve the flow for a batch; returns (terminal h block, solve result).
+
+        ``record_steps`` keeps the accepted steps and their dense output,
+        which the store-mode adjoint reads instead of solving again.
+        """
         h0 = self.embed.apply(x)
         y0 = initial_state(self.spec, h0)
         rhs = make_node_rhs(self.spec, self.field, self.d, batch=x.shape[0])
         res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg,
-                            sample_times=(0.0, self.t1))
+                            sample_times=(0.0, self.t1), record_steps=record_steps)
         if not res.ok:
             raise TrainingDiverged(f"forward solve failed: {res.status.value}")
         terminal = unpack(res.y_final, self.spec, self.d, batch=x.shape[0])
@@ -233,19 +240,11 @@ class ODEClassifier:
 
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
         """Cross-entropy plus the full flat gradient; returns nfe counters too."""
-        batch = x.shape[0]
-        h0 = self.embed.apply(x)
-        y0 = initial_state(self.spec, h0)
-        rhs = make_node_rhs(self.spec, self.field, self.d, batch=batch)
-        res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg,
-                            sample_times=(0.0, self.t1))
-        if not res.ok:
-            raise TrainingDiverged(f"forward solve failed: {res.status.value}")
-        terminal = unpack(res.y_final, self.spec, self.d, batch=batch)
-        logits = self.readout.apply(terminal.h)
+        h_T, res = self.forward(x, record_steps=self.adjoint_mode == "store")
+        logits = self.readout.apply(h_T)
         loss, dlogits, _ = _softmax_ce(logits, labels)
 
-        grad_h_T, grad_readout = self.readout.vjp(terminal.h, dlogits)
+        grad_h_T, grad_readout = self.readout.vjp(h_T, dlogits)
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
                        cfg=self.solver_cfg, mode=self.adjoint_mode)
         a_h0 = np.atleast_2d(run.grad_initial_state.h)[:, : self.d]

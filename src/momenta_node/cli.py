@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,12 +84,56 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _write_json(path: Path, payload) -> str:
+    """Write ``payload`` as strict JSON (RFC 8259) and return the text.
+
+    A non-finite float is written as ``null``; the record around it says
+    why (a flow's ``status``, for instance).
+    """
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
+    return text
+
+
 def _emit_resolved(out_dir: Path, command: str, resolved: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, **resolved}
-    with open(out_dir / "config.resolved.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "config.resolved.json", {"command": command, **resolved})
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# What each kind of numeric parameter must be, and the test for it.
+_RULES = {
+    "count": ("a positive integer", lambda v: _is_int(v) and v > 0),
+    "seed": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
+    "positive": ("a finite number above 0", lambda v: _is_real(v) and v > 0),
+    "nonnegative": ("a finite number at least 0", lambda v: _is_real(v) and v >= 0),
+}
+
+
+def _check_numbers(cfg: dict, rules: dict) -> None:
+    """Raise ConfigError unless every ``cfg[key]`` obeys ``_RULES[rules[key]]``."""
+    for key, rule in rules.items():
+        what, ok = _RULES[rule]
+        if not ok(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
 
 
 def _parse_x0(text: str) -> tuple:
@@ -150,9 +195,7 @@ def cmd_trajectory(args) -> int:
             for name, run in exp.runs.items()
         },
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     # Default title keeps the SVG a pure function of the CSV contents, so
     # `plot --kind trajectory` reproduces this file byte for byte.
     series = {name: (run.ts, run.xs) for name, run in exp.runs.items()}
@@ -178,6 +221,8 @@ def cmd_stability(args) -> int:
         "out": "out/stability",
     }
     cfg = _resolve(defaults, args)
+    _check_numbers(cfg, {"t1": "positive", "d": "count", "seed": "seed",
+                         "rtol": "positive", "atol": "positive"})
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "stability", cfg)
 
@@ -220,9 +265,7 @@ def cmd_stability(args) -> int:
         "d": result.d,
         "seed": result.seed,
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     series = {name: (result.grid, curve) for name, curve in result.log10_norms.items()}
     doc = svg.render_stability_svg(series, result.blowup_at)
     (out_dir / "stability.svg").write_text(doc)
@@ -306,6 +349,9 @@ def cmd_gradcheck(args) -> int:
         spec = model_spec(cfg["model"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
+    _check_numbers(cfg, {"seed": "seed", "tol": "nonnegative", "d": "count", "t1": "positive",
+                         "delta": "positive", "solver_tol": "positive"})
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "gradcheck", cfg)
 
@@ -317,9 +363,7 @@ def cmd_gradcheck(args) -> int:
         delta=float(cfg["delta"]),
         solver_tol=float(cfg["solver_tol"]),
     )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    (out_dir / "gradcheck_report.json").write_text(text + "\n")
+    print(_write_json(out_dir / "gradcheck_report.json", report))
     if report["max_rel_err"] < float(cfg["tol"]):
         return EXIT_OK
     print(

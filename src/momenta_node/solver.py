@@ -112,8 +112,13 @@ class SolveResult:
     requested times on success, a prefix of them on failure).  ``t_final``
     and ``y_final`` are the last accepted step regardless of sampling, and
     mark the blow-up time when ``status`` is ``NON_FINITE_STATE``.
-    ``step_ts``/``step_states`` are populated only when the solve was asked
-    to record its accepted steps.
+    The ``step_*`` arrays are populated only when the solve was asked to
+    record its accepted steps: per accepted step, its end time and state
+    (``step_ts``/``step_states``), its start time and state
+    (``step_starts``/``step_start_states``), its signed size
+    (``step_sizes``), and its dense-output coefficients ``K^T P``
+    (``step_coeffs``, shape ``(steps, n, 4)``); :meth:`dense_state` reads
+    the solution between them.
     """
 
     ts: np.ndarray
@@ -126,10 +131,47 @@ class SolveResult:
     y_final: np.ndarray
     step_ts: np.ndarray | None = None
     step_states: np.ndarray | None = None
+    step_starts: np.ndarray | None = None
+    step_start_states: np.ndarray | None = None
+    step_sizes: np.ndarray | None = None
+    step_coeffs: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
         return self.status is SolveStatus.SUCCESS
+
+    def dense_state(self, t: float) -> np.ndarray:
+        """State at ``t`` from the recorded steps' 4th-order dense output.
+
+        ``t`` selects the accepted step whose end it does not pass (the
+        first or last step for a ``t`` just outside the solved interval).
+        A ``t`` equal to a step's end returns that step's state exactly;
+        any other ``t`` returns what ``sample_times=[t]`` would have emitted.
+
+        Raises
+        ------
+        ValueError
+            If the solve did not record its steps, or accepted none.
+        """
+        if self.step_coeffs is None or self.step_ts.size == 0:
+            raise ValueError("the solve recorded no accepted steps")
+        direction = 1.0 if self.step_sizes[0] > 0.0 else -1.0
+        i = min(int(np.searchsorted(direction * self.step_ts, direction * t)), self.step_ts.size - 1)
+        if t == self.step_ts[i]:
+            return self.step_states[i].copy()
+        h = self.step_sizes[i]
+        return dense_output(self.step_start_states[i], h, self.step_coeffs[i], (t - self.step_starts[i]) / h)
+
+
+def dense_output(y: np.ndarray, h: float, Q: np.ndarray, theta: float) -> np.ndarray:
+    """Dormand-Prince 4th-order dense output at fraction ``theta`` of a step.
+
+    ``y`` is the step's start state, ``h`` its signed size and ``Q`` its
+    coefficients ``K^T P`` (shape ``(n, 4)``).
+    """
+    th2 = theta * theta
+    th3 = th2 * theta
+    return y + h * (Q @ np.array([theta, th2, th3, th3 * theta]))
 
 
 def _check_inputs(y0, t0, t1, sample_times):
@@ -190,7 +232,10 @@ def solve_dopri45(
         Sampling never alters step placement; a sample that coincides with
         an accepted step endpoint reproduces that step's solution exactly.
     record_steps : bool, optional
-        Also return every accepted step endpoint and state.
+        Also return, for every accepted step, its start and end times and
+        states, its signed size and its dense-output coefficients, so that
+        :meth:`SolveResult.dense_state` can evaluate the solution anywhere
+        in the interval without another solve.
 
     Returns
     -------
@@ -207,8 +252,7 @@ def solve_dopri45(
 
     out_ts: list[float] = []
     out_ys: list[np.ndarray] = []
-    step_ts: list[float] = []
-    step_ys: list[np.ndarray] = []
+    steps: list[tuple] = []
     si = 0
     if si < samples.size and samples[si] == t0:
         out_ts.append(t0)
@@ -220,7 +264,6 @@ def solve_dopri45(
     K = np.empty((7, n))
     accepted = 0
     rejected = 0
-    theta_pow = np.empty(4)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = _call_rhs(rhs, t, y, n)
@@ -262,27 +305,20 @@ def solve_dopri45(
 
             if err <= 1.0:
                 accepted += 1
-                if si < samples.size:
-                    Q = None
-                    while si < samples.size and direction * (samples[si] - t_new) <= 0.0:
-                        s = samples[si]
-                        if s == t_new:
-                            ys = y_new.copy()
-                        else:
-                            if Q is None:
-                                Q = K.T @ _P
-                            th = (s - t) / hs
-                            theta_pow[0] = th
-                            theta_pow[1] = th * th
-                            theta_pow[2] = theta_pow[1] * th
-                            theta_pow[3] = theta_pow[2] * th
-                            ys = y + hs * (Q @ theta_pow)
-                        out_ts.append(s)
-                        out_ys.append(ys)
-                        si += 1
+                Q = K.T @ _P if record_steps else None
+                while si < samples.size and direction * (samples[si] - t_new) <= 0.0:
+                    s = samples[si]
+                    if s == t_new:
+                        ys = y_new.copy()
+                    else:
+                        if Q is None:
+                            Q = K.T @ _P
+                        ys = dense_output(y, hs, Q, (s - t) / hs)
+                    out_ts.append(s)
+                    out_ys.append(ys)
+                    si += 1
                 if record_steps:
-                    step_ts.append(t_new)
-                    step_ys.append(y_new.copy())
+                    steps.append((t, hs, y, Q, t_new, y_new.copy()))
                 t = t_new
                 y = y_new
                 k1 = K[6].copy()
@@ -297,7 +333,7 @@ def solve_dopri45(
             else:
                 h = min(max(cfg.safety * h_att * err ** -0.2, cfg.h_min), cfg.h_max)
 
-    return SolveResult(
+    res = SolveResult(
         ts=np.array(out_ts),
         states=np.array(out_ys).reshape(len(out_ys), n),
         nfe=nfe,
@@ -306,9 +342,17 @@ def solve_dopri45(
         status=status,
         t_final=t,
         y_final=y,
-        step_ts=np.array(step_ts) if record_steps else None,
-        step_states=np.array(step_ys).reshape(len(step_ys), n) if record_steps else None,
     )
+    if record_steps:
+        m = len(steps)
+        starts, sizes, start_ys, coeffs, ends, end_ys = zip(*steps) if m else ([],) * 6
+        res.step_starts = np.array(starts)
+        res.step_sizes = np.array(sizes)
+        res.step_start_states = np.array(start_ys).reshape(m, n)
+        res.step_coeffs = np.array(coeffs).reshape(m, n, 4)
+        res.step_ts = np.array(ends)
+        res.step_states = np.array(end_ys).reshape(m, n)
+    return res
 
 
 def solve_rk4(
@@ -355,7 +399,7 @@ def solve_rk4(
             k4 = _call_rhs(rhs, t_new, y + h * k3, n)
             nfe += 4
             y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y_new)):
+            if not np.isfinite(y_new).all():
                 status = SolveStatus.NON_FINITE_STATE
                 break
             while si < samples.size and direction * (samples[si] - t_new) <= 0.0:

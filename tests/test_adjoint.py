@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from momenta_node import adjoint
 from momenta_node import dynamics as dyn
 from momenta_node.adjoint import (
     AdjointRun,
@@ -27,11 +28,11 @@ def zero_field(state_dim, out_dim, time_conditioned=True):
     return FieldNet([np.zeros((out_dim, inw))], [np.zeros(out_dim)], time_conditioned=time_conditioned)
 
 
-def run_forward(spec, field, h0, t1, cfg):
+def run_forward(spec, field, h0, t1, cfg, record_steps=False):
     d = field.out_dim - spec.aug_width
     rhs = dyn.make_node_rhs(spec, field, d)
     y0 = dyn.initial_state(spec, np.asarray(h0, dtype=float))
-    return solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=[0.0, t1])
+    return solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=[0.0, t1], record_steps=record_steps)
 
 
 def test_zero_cotangent_gives_zero_gradients():
@@ -174,17 +175,43 @@ def test_store_mode_agrees_with_recompute():
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     field = init_field(2, (6,), 2, seed=5)
     cfg = IntegratorConfig(rtol=1e-9, atol=1e-9, h_min=1e-14)
-    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg)
+    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg, record_steps=True)
     lg = loss_grad_from_h(spec, np.array([1.0, 0.5]))
     rec = backward(fwd, lg, spec, field, cfg, mode="recompute")
     sto = backward(fwd, lg, spec, field, cfg, mode="store")
-    # Store mode reads the forward state from a cubic spline over accepted
-    # steps, so agreement is limited by interpolation error, not solver tol.
+    # Store mode reads the forward state from the forward solve's 4th-order
+    # dense output, so agreement is limited by interpolation error.
     np.testing.assert_allclose(sto.grad_params, rec.grad_params, rtol=1e-4, atol=1e-7)
     np.testing.assert_allclose(
         dyn.pack(sto.grad_initial_state), dyn.pack(rec.grad_initial_state), rtol=1e-4, atol=1e-7
     )
     assert sto.forward_state_reconstruction_error == 0.0
+
+
+def test_store_mode_solves_only_in_reverse(monkeypatch):
+    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL)
+    field = init_field(2, (6,), 2, seed=3)
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6)
+    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg, record_steps=True)
+    solves = []
+
+    def spy(rhs, y0, t0, t1, *args, **kwargs):
+        res = solve_dopri45(rhs, y0, t0, t1, *args, **kwargs)
+        solves.append((t0, t1, res.nfe))
+        return res
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", spy)
+    run = backward(fwd, np.ones(4), spec, field, cfg, mode="store")
+    assert [(t0, t1) for t0, t1, _ in solves] == [(1.0, 0.0)]
+    assert run.backward_nfe == solves[0][2]
+
+
+def test_store_mode_needs_recorded_steps():
+    spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
+    field = init_field(2, (4,), 2, seed=1)
+    fwd = run_forward(spec, field, [1.0, 1.0], 1.0, tight())
+    with pytest.raises(ValueError, match="record_steps"):
+        backward(fwd, np.ones(2), spec, field, tight(), mode="store")
 
 
 def test_reconstruction_divergence_guard():

@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +63,28 @@ def test_trajectory_rerun_byte_identical(tmp_path):
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
     assert (a / "trajectory.svg").read_bytes() == (b / "trajectory.svg").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def strict_json(path):
+    """Parse ``path`` as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_trajectory_summary_is_strict_json_when_a_flow_diverges(tmp_path):
+    # From Beale's standard start, plain gradient flow overflows within its
+    # first RK4 steps at the default step, so any horizon shows it.
+    out = tmp_path / "beale"
+    assert run_cli("trajectory", "--landscape", "beale", "--T", "1.0", "--out", str(out)) == 0
+    flows = strict_json(out / "summary.json")["flows"]
+    assert flows["ode"]["status"] != "success"
+    assert flows["ode"]["final_distance_to_min"] is None
+    for name, flow in flows.items():
+        if flow["status"] == "success":
+            assert math.isfinite(flow["final_distance_to_min"]), name
+    strict_json(out / "config.resolved.json")
 
 
 def test_trajectory_bad_inputs_exit_2(tmp_path, capsys):
@@ -202,6 +229,52 @@ def test_gradcheck_unattainable_tolerance_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+# --------------------------------------------------- numeric parameter checks
+
+# Each numeric key of a command and the values it must refuse with exit 2
+# before computing anything.  Two zeros are valid and stay out: seed 0 is
+# the default, and gradcheck's tol 0 is a gate no gradient passes (exit 1).
+NUMERIC_KEYS = {
+    "stability": ("t1", "d", "seed", "rtol", "atol"),
+    "gradcheck": ("seed", "tol", "d", "t1", "delta", "solver_tol"),
+}
+BAD_VALUES = {"wrong_type": "x", "zero": 0, "negative": -1, "nan": math.nan, "inf": math.inf}
+VALID = {("seed", "zero"), ("tol", "zero")}
+BAD_CASES = [
+    (cmd, key, kind)
+    for cmd, keys in NUMERIC_KEYS.items()
+    for key in keys
+    for kind in BAD_VALUES
+    if (key, kind) not in VALID
+]
+
+
+@pytest.mark.parametrize("cmd,key,kind", BAD_CASES, ids=["-".join(c) for c in BAD_CASES])
+def test_bad_numeric_parameter_in_config_exits_2(tmp_path, capsys, cmd, key, kind):
+    cfg_path = tmp_path / "cfg.json"
+    # json writes NaN and Infinity, which the config loader accepts.
+    cfg_path.write_text(json.dumps({key: BAD_VALUES[kind]}))
+    out = tmp_path / "out"
+    assert run_cli(cmd, "--config", str(cfg_path), "--out", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--t1", "-1"),
+    ("stability", "--d", "0"),
+    ("stability", "--seed", "-1"),
+    ("stability", "--rtol", "nan"),
+    ("gradcheck", "--d", "0"),
+    ("gradcheck", "--seed", "-1"),
+    ("gradcheck", "--delta", "inf"),
+    ("train", "--seed", "-1"),
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------------ plot
 
 def test_plot_round_trip_matches_original_bytes(tmp_path):
@@ -245,3 +318,21 @@ def test_plot_kind_mismatch_and_empty_body_exit_2(tmp_path, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert run_cli("frobnicate") == 2
     capsys.readouterr()
+
+
+def test_cli_and_plot_never_import_scipy(tmp_path):
+    # scipy is a test dependency only; importing it costs every command
+    # about half a second of start-up.
+    csv_path = tmp_path / "tr.csv"
+    csv_path.write_text("# minimizer,1.0,1.0\nt,x,y,dynamics\n0.0,0.0,0.0,ode\n1.0,0.5,0.25,ode\n")
+    script = (
+        "import sys\n"
+        "from momenta_node import cli\n"
+        f"code = cli.main(['plot', '--in', {str(csv_path)!r}, '--kind', 'trajectory', "
+        f"'--out', {str(tmp_path / 'tr.svg')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split("\n")[-2] == "0 []"

@@ -127,6 +127,31 @@ def test_dense_sample_at_step_endpoint_is_bit_exact():
     assert np.array_equal(again.states[0], first.step_states[idx])
 
 
+@pytest.mark.parametrize("t0,t1", [(0.0, 3.0), (3.0, 0.0)], ids=["forward", "reverse"])
+def test_recorded_dense_output_repeats_the_solver_bit_for_bit(t0, t1):
+    rhs = lambda t, y: np.array([y[1], -np.sin(y[0]) - 0.1 * y[1] + np.cos(t)])
+    y0 = np.array([1.0, -0.5])
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6)
+    rec = solve_dopri45(rhs, y0, t0, t1, cfg, record_steps=True)
+    assert rec.ok and rec.step_ts.size >= 4
+    ts = np.linspace(t0, t1, 53)
+    sampled = solve_dopri45(rhs, y0, t0, t1, cfg, sample_times=ts)
+    # Recording changes neither the steps nor their count.
+    assert (sampled.nfe, sampled.accepted_steps) == (rec.nfe, rec.accepted_steps)
+    for t, y in zip(sampled.ts, sampled.states):
+        assert np.array_equal(rec.dense_state(t), y)
+    for t, y in zip(rec.step_ts, rec.step_states):
+        assert np.array_equal(rec.dense_state(t), y)
+    assert np.array_equal(rec.step_start_states[0], y0)
+    np.testing.assert_array_equal(rec.step_start_states[1:], rec.step_states[:-1])
+
+
+def test_dense_state_needs_recorded_steps():
+    res = solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        res.dense_state(0.5)
+
+
 def test_dense_interpolant_accuracy_between_steps():
     cfg = IntegratorConfig(rtol=1e-7, atol=1e-7)
     ts = np.linspace(0.0, 1.0, 37)
