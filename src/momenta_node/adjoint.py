@@ -41,6 +41,14 @@ class BackwardSolveError(RuntimeError):
         self.status = status
 
 
+class ForwardSolveError(RuntimeError):
+    """A forward integration that a gradient check needs did not reach t1."""
+
+    def __init__(self, status: SolveStatus):
+        super().__init__(f"forward solve failed with status {status.value}")
+        self.status = status
+
+
 class ReconstructionDivergence(RuntimeError):
     """Reverse-recomputed state drifted too far from the stored initial state."""
 
@@ -310,7 +318,7 @@ def _solve_loss(spec, field, y0, t1, c, cfg):
     rhs = dyn.make_node_rhs(spec, field, field.out_dim - spec.aug_width)
     res = solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=[0.0, t1])
     if res.status is not SolveStatus.SUCCESS:
-        raise RuntimeError(f"gradcheck forward solve failed: {res.status.value}")
+        raise ForwardSolveError(res.status)
     return float(c @ res.states[-1]), res
 
 

@@ -141,6 +141,10 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        for name in ("rtol", "atol"):
+            tol = getattr(self, name)
+            if not 0.0 < tol < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}; expected one of: {', '.join(DATASETS)}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,9 +19,10 @@ import numpy as np
 # A diverging flow can push intermediates past the float range, and the
 # result must then be inf (which the solvers detect), not an exception.  The
 # objectives use numpy scalars, which yield inf.  The gradients run on every
-# RHS evaluation and use plain Python floats, several times faster and with
-# bit-identical results; of their operations only ``**`` can raise
-# OverflowError, so cubes go through ``_cube``.
+# RHS evaluation, take any indexable point and return a pair of plain
+# Python floats, several times faster than numpy and bit-identical to it;
+# of their operations only ``**`` can raise OverflowError, so cubes go
+# through ``_cube``.
 
 
 def _cube(y: float) -> float:
@@ -37,14 +38,9 @@ def rosenbrock_eval(p: np.ndarray) -> float:
         return float((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2)
 
 
-def rosenbrock_grad(p: np.ndarray) -> np.ndarray:
+def rosenbrock_grad(p: Sequence[float]) -> tuple[float, float]:
     x, y = float(p[0]), float(p[1])
-    return np.array(
-        [
-            -2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
-            200.0 * (y - x * x),
-        ]
-    )
+    return -2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x)
 
 
 def beale_eval(p: np.ndarray) -> float:
@@ -56,7 +52,7 @@ def beale_eval(p: np.ndarray) -> float:
         return float(t1 * t1 + t2 * t2 + t3 * t3)
 
 
-def beale_grad(p: np.ndarray) -> np.ndarray:
+def beale_grad(p: Sequence[float]) -> tuple[float, float]:
     x, y = float(p[0]), float(p[1])
     y3 = _cube(y)
     t1 = 1.5 - x + x * y
@@ -64,7 +60,7 @@ def beale_grad(p: np.ndarray) -> np.ndarray:
     t3 = 2.625 - x + x * y3
     gx = 2.0 * t1 * (y - 1.0) + 2.0 * t2 * (y * y - 1.0) + 2.0 * t3 * (y3 - 1.0)
     gy = 2.0 * t1 * x + 4.0 * t2 * x * y + 6.0 * t3 * x * y * y
-    return np.array([gx, gy])
+    return gx, gy
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ class Landscape:
 
     name: str
     eval: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[Sequence[float]], tuple[float, float]]
     minimizer: np.ndarray
     domain: tuple[tuple[float, float], tuple[float, float]]
     default_start: np.ndarray

@@ -106,8 +106,10 @@ def run_trajectory_experiment(
         raise ValueError("x0 must be a 2-vector")
     if not land.contains(x0):
         raise ValueError(f"x0 {x0.tolist()} lies outside the {land.name} domain {land.domain}")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be finite and positive")
+    if method == "rk4" and not 0.0 < step < np.inf:
+        raise ValueError("step must be finite and positive")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     adam = DEFAULT_FLOW_ADAM if adam is None else adam

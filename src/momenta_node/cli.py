@@ -11,7 +11,8 @@ optional ``--config`` JSON file, then explicit flags (flags win), echoes
 the result to ``<out>/config.resolved.json`` before computing anything,
 and writes only files under its output directory.  Exit codes are a
 stable contract: 0 success, 1 verification failure, 2 usage or config
-error, 3 every flow's solver failed, 4 training diverged.
+error, 3 a solver failed (every flow of ``trajectory``, or a solve that
+``gradcheck`` needs), 4 training diverged.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from momenta_node import csv_formats, svg
-from momenta_node.adjoint import gradcheck
+from momenta_node.adjoint import BackwardSolveError, ForwardSolveError, gradcheck
 from momenta_node.benchmarks.classify import TrainConfig, run_classification
 from momenta_node.benchmarks.landscapes import LANDSCAPES
 from momenta_node.benchmarks.stability import (
@@ -164,6 +165,7 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(
             f"unknown landscape {cfg['landscape']!r}; expected one of: {', '.join(LANDSCAPES)}"
         )
+    _check_numbers(cfg, {"T": "positive", "step": "positive", "rtol": "positive", "atol": "positive"})
     if isinstance(cfg["x0"], str):
         cfg["x0"] = _parse_x0(cfg["x0"])
     out_dir = Path(cfg["out"])
@@ -223,6 +225,8 @@ def cmd_stability(args) -> int:
     cfg = _resolve(defaults, args)
     _check_numbers(cfg, {"t1": "positive", "d": "count", "seed": "seed",
                          "rtol": "positive", "atol": "positive"})
+    if not isinstance(cfg["models"], str):
+        raise ConfigError(f"--models expects 'all' or a comma-separated list, got {cfg['models']!r}")
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "stability", cfg)
 
@@ -355,14 +359,18 @@ def cmd_gradcheck(args) -> int:
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "gradcheck", cfg)
 
-    report = gradcheck(
-        spec,
-        d=int(cfg["d"]),
-        seed=int(cfg["seed"]),
-        t1=float(cfg["t1"]),
-        delta=float(cfg["delta"]),
-        solver_tol=float(cfg["solver_tol"]),
-    )
+    try:
+        report = gradcheck(
+            spec,
+            d=int(cfg["d"]),
+            seed=int(cfg["seed"]),
+            t1=float(cfg["t1"]),
+            delta=float(cfg["delta"]),
+            solver_tol=float(cfg["solver_tol"]),
+        )
+    except (ForwardSolveError, BackwardSolveError) as exc:
+        print(f"gradient check could not solve: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
     print(_write_json(out_dir / "gradcheck_report.json", report))
     if report["max_rel_err"] < float(cfg["tol"]):
         return EXIT_OK

@@ -27,7 +27,8 @@ packs as ``[h, m, v]``.
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from math import sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -248,7 +249,7 @@ def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
 # Right-hand sides.  Every function takes and returns block arrays that may
 # have a leading batch axis.
 
-GradFn = Callable[[np.ndarray], np.ndarray]
+GradFn = Callable[[Sequence[float]], Sequence[float]]
 
 
 def vanilla_rhs(t: float, state: PackedState, field: fn.FieldNet) -> PackedState:
@@ -376,18 +377,36 @@ def make_node_rhs(
     return rhs
 
 
+def _neg_over_root(m, s) -> list:
+    """``-m / sqrt(s)`` elementwise, as numpy computes it.
+
+    The flows' float path falls back to this where Python raises instead:
+    ``math.sqrt`` of a negative (numpy gives NaN) and division by zero
+    (numpy gives a signed inf, or NaN for 0/0).
+    """
+    with np.errstate(all="ignore"):
+        return (-np.asarray(m, dtype=float) / np.sqrt(np.asarray(s, dtype=float))).tolist()
+
+
 def make_flow_rhs(
     flow: str,
     grad_f: GradFn,
     gamma: float = 0.9,
     adam: AdamParams | None = None,
     warm_start: bool = True,
-) -> tuple[Callable[[float, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[Callable[[float, Sequence[float]], list], Callable[[np.ndarray], np.ndarray]]:
     """Pure-optimization flow over an objective gradient.
 
     ``flow`` is one of ``"ode"`` (plain gradient flow), ``"hbode"``
     (damped momentum flow, fixed ``gamma``), or ``"adamode"``.  Returns
     ``(rhs, init)`` where ``init`` maps a start point to the flat state.
+
+    ``rhs`` computes on plain floats: it takes any sequence of floats (the
+    list :func:`~momenta_node.solver.solve_rk4` passes, or an ndarray) and
+    returns a list, bit for bit what :func:`gradient_flow_rhs`,
+    :func:`hb_ode_rhs` and :func:`adam_ode_rhs` compute on arrays, NaN and
+    inf included.  ``grad_f`` receives the position block as a sequence of
+    the same kind and returns one float per coordinate.
 
     With ``warm_start`` the adaptive flow seeds its moment estimates
     from the start-point gradient (m = grad, v = grad**2), matching what
@@ -398,24 +417,37 @@ def make_flow_rhs(
     moves a converged state.
     """
     if flow == "ode":
-        return (lambda t, y: gradient_flow_rhs(t, y, grad_f)), (lambda x0: np.asarray(x0, float).copy())
-    if flow == "hbode":
 
         def rhs(t, y):
-            d = y.size // 2
-            st = PackedState(h=y[:d], m=y[d:])
-            out = hb_ode_rhs(t, st, grad_f, gamma)
-            return np.concatenate([out.h, out.m])
+            return [-g for g in grad_f(y)]
+
+        return rhs, (lambda x0: np.asarray(x0, float).copy())
+    if flow == "hbode":
+        neg_gamma = -gamma
+
+        def rhs(t, y):
+            d = len(y) // 2
+            m = y[d:]
+            return [*m, *[neg_gamma * mi - g for mi, g in zip(m, grad_f(y[:d]))]]
 
         return rhs, (lambda x0: np.concatenate([np.asarray(x0, float), np.zeros(len(x0))]))
     if flow == "adamode":
         p = adam or AdamParams()
+        eps, rate_m, rate_v = p.epsilon, 1.0 - p.alpha, 1.0 - p.beta
 
         def rhs(t, y):
-            d = y.size // 3
-            st = PackedState(h=y[:d], m=y[d : 2 * d], v=y[2 * d :])
-            out = adam_ode_rhs(t, st, grad_f, p)
-            return np.concatenate([out.h, out.m, out.v])
+            d = len(y) // 3
+            m, v = y[d : 2 * d], y[2 * d :]
+            g = grad_f(y[:d])
+            try:
+                dx = [-mi / sqrt(vi + eps) for mi, vi in zip(m, v)]
+            except (ValueError, ZeroDivisionError):
+                dx = _neg_over_root(m, [vi + eps for vi in v])
+            return [
+                *dx,
+                *[rate_m * (gi - mi) for gi, mi in zip(g, m)],
+                *[rate_v * (gi * gi - vi) for gi, vi in zip(g, v)],
+            ]
 
         def init(x0):
             x0 = np.asarray(x0, dtype=float)

@@ -7,7 +7,8 @@ Two integrators are provided:
   output used to sample the solution at caller-requested times without
   constraining step placement.
 * :func:`solve_rk4` -- fixed-step classical RK4 with the standard cubic
-  continuous extension, used as an independent cross-check.
+  continuous extension, stepped on plain Python floats; it drives the
+  optimization flows of the trajectory experiment.
 
 Both count every right-hand-side evaluation (accepted and rejected
 attempts alike) and report non-finite states as a solve status instead of
@@ -15,6 +16,7 @@ raising, so finite-time blow-up is observable data rather than a crash.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -368,6 +370,14 @@ def solve_rk4(
     Uses exactly ``4 * n_steps`` RHS evaluations.  Samples between grid
     nodes come from the cubic continuous extension of the four stages;
     samples at grid nodes reproduce the node states exactly.
+
+    The loop steps plain Python floats: ``rhs`` receives the state as a
+    list of ``n`` floats and may return any sequence of ``n`` floats (an
+    ndarray included).  The small states this solver serves cost far less
+    that way than as numpy arrays, and every operation is the IEEE one the
+    array form would do, in the same order.  A stage value that is not
+    finite is not an error; the step that produces a non-finite state ends
+    the solve with ``NON_FINITE_STATE``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -375,15 +385,21 @@ def solve_rk4(
     n = y0.size
     nodes = np.linspace(t0, t1, n_steps + 1)
 
+    def stage(t, y):
+        k = rhs(t, y)
+        if len(k) != n:
+            raise ValueError(f"rhs returned {len(k)} values, expected {n}")
+        return k
+
+    y = y0.tolist()
     out_ts: list[float] = []
-    out_ys: list[np.ndarray] = []
+    out_ys: list[list] = []
     si = 0
     if si < samples.size and samples[si] == t0:
         out_ts.append(t0)
-        out_ys.append(y0.copy())
+        out_ys.append(y)
         si += 1
 
-    y = y0.copy()
     nfe = 0
     status = SolveStatus.SUCCESS
     t_final = float(t0)
@@ -393,25 +409,28 @@ def solve_rk4(
             t = float(nodes[i])
             t_new = float(nodes[i + 1])
             h = t_new - t
-            k1 = _call_rhs(rhs, t, y, n)
-            k2 = _call_rhs(rhs, t + h / 2.0, y + (h / 2.0) * k1, n)
-            k3 = _call_rhs(rhs, t + h / 2.0, y + (h / 2.0) * k2, n)
-            k4 = _call_rhs(rhs, t_new, y + h * k3, n)
+            hh = h / 2.0
+            k1 = stage(t, y)
+            k2 = stage(t + hh, [a + hh * b for a, b in zip(y, k1)])
+            k3 = stage(t + hh, [a + hh * b for a, b in zip(y, k2)])
+            k4 = stage(t_new, [a + h * b for a, b in zip(y, k3)])
             nfe += 4
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y_new).all():
+            h6 = h / 6.0
+            y_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, y_new)):
                 status = SolveStatus.NON_FINITE_STATE
                 break
             while si < samples.size and direction * (samples[si] - t_new) <= 0.0:
                 s = samples[si]
                 if s == t_new:
-                    ys = y_new.copy()
+                    ys = y_new
                 else:
+                    # ``th`` is a numpy scalar, so its powers are numpy's.
                     th = (s - t) / h
-                    b1 = th - 1.5 * th**2 + (2.0 / 3.0) * th**3
-                    b23 = th**2 - (2.0 / 3.0) * th**3
-                    b4 = -0.5 * th**2 + (2.0 / 3.0) * th**3
-                    ys = y + h * (b1 * k1 + b23 * (k2 + k3) + b4 * k4)
+                    b1 = float(th - 1.5 * th**2 + (2.0 / 3.0) * th**3)
+                    b23 = float(th**2 - (2.0 / 3.0) * th**3)
+                    b4 = float(-0.5 * th**2 + (2.0 / 3.0) * th**3)
+                    ys = [a + h * (b1 * c1 + b23 * (c2 + c3) + b4 * c4) for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)]
                 out_ts.append(s)
                 out_ys.append(ys)
                 si += 1
@@ -421,11 +440,11 @@ def solve_rk4(
 
     return SolveResult(
         ts=np.array(out_ts),
-        states=np.array(out_ys).reshape(len(out_ys), n),
+        states=np.array(out_ys, dtype=float).reshape(len(out_ys), n),
         nfe=nfe,
         accepted_steps=completed,
         rejected_steps=0,
         status=status,
         t_final=t_final,
-        y_final=y,
+        y_final=np.array(y, dtype=float),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -71,6 +72,31 @@ def strict_json(path):
         raise ValueError(f"non-finite JSON number {token}")
 
     return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+# sha256 of the outputs of `trajectory --landscape L --T 5`, as the
+# array-valued RK4 and flow right-hand sides wrote them; the float path
+# must reproduce every byte.
+PINNED_T5 = {
+    "rosenbrock": {
+        "trajectory.csv": "0b963e67d0483f7e17f36d420269fa243a59f439a0e37f9381ab66eea9e068cc",
+        "summary.json": "f34183720315c43952da92d2b57091221000d3a9fc9262fa4f181973f9575ed0",
+        "trajectory.svg": "1bba488422e11f94791c75bd64dda7b1d8927c3d0835a45a78d383cd345b4481",
+    },
+    "beale": {
+        "trajectory.csv": "3035651d64f6b7a407a61fa827b84aace06ca452a6bf01300695c94e4a28fe3c",
+        "summary.json": "c64edab449a7740ea0c14faed143cd508f4c6d65c598d930d173672c1da358d1",
+        "trajectory.svg": "35b1828d69495829ab3cc42303ac7e6dc6c3004a51fdae5ee1540976e72edf72",
+    },
+}
+
+
+@pytest.mark.parametrize("landscape", sorted(PINNED_T5))
+def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
+    out = tmp_path / landscape
+    assert run_cli("trajectory", "--landscape", landscape, "--T", "5", "--out", str(out)) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_T5[landscape]}
+    assert got == PINNED_T5[landscape]
 
 
 def test_trajectory_summary_is_strict_json_when_a_flow_diverges(tmp_path):
@@ -235,6 +261,7 @@ def test_gradcheck_unattainable_tolerance_exits_1(tmp_path, capsys):
 # before computing anything.  Two zeros are valid and stay out: seed 0 is
 # the default, and gradcheck's tol 0 is a gate no gradient passes (exit 1).
 NUMERIC_KEYS = {
+    "trajectory": ("T", "step", "rtol", "atol"),
     "stability": ("t1", "d", "seed", "rtol", "atol"),
     "gradcheck": ("seed", "tol", "d", "t1", "delta", "solver_tol"),
 }
@@ -269,10 +296,33 @@ def test_bad_numeric_parameter_in_config_exits_2(tmp_path, capsys, cmd, key, kin
     ("gradcheck", "--seed", "-1"),
     ("gradcheck", "--delta", "inf"),
     ("train", "--seed", "-1"),
+    ("train", "--rtol", "0"),
+    ("train", "--atol", "0"),
+    ("trajectory", "--step", "-1"),
+    ("trajectory", "--step", "0"),
+    ("trajectory", "--step", "inf"),
+    ("trajectory", "--T", "inf"),
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_numeric_stability_models_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"models": 5}))
+    out = tmp_path / "out"
+    assert run_cli("stability", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert "--models" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gradcheck_failed_forward_solve_exits_3(tmp_path, capsys):
+    # A tolerance this tight drives the step below its floor at once.
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--solver-tol", "1e-300", "--out", str(out)) == 3
+    assert "step_underflow" in capsys.readouterr().err
+    assert not (out / "gradcheck_report.json").exists()
 
 
 # ------------------------------------------------------------------------ plot

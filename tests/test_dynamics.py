@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from momenta_node import dynamics as dyn
+from momenta_node.benchmarks.landscapes import get_landscape
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45
 
@@ -231,9 +234,70 @@ def test_flow_builders():
         rhs, init = dyn.make_flow_rhs(flow, grad)
         y0 = init(np.array([1.0, -1.0]))
         assert y0.shape == (dim,)
-        assert rhs(0.0, y0).shape == (dim,)
+        out = rhs(0.0, y0)
+        assert len(out) == dim
+        assert all(isinstance(v, float) for v in out)
     with pytest.raises(ValueError):
         dyn.make_flow_rhs("sgd", grad)
+
+
+def _array_flow_rhs(flow, grad, gamma, p):
+    """A flow through the array right-hand sides, on flat ndarrays."""
+
+    def rhs(t, y):
+        if flow == "ode":
+            return dyn.gradient_flow_rhs(t, y, grad)
+        if flow == "hbode":
+            d = y.size // 2
+            return dyn.pack(dyn.hb_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d:]), grad, gamma))
+        d = y.size // 3
+        return dyn.pack(dyn.adam_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d : 2 * d], v=y[2 * d :]), grad, p))
+
+    return rhs
+
+
+def _flow_states(rng, flow, eps):
+    """Random flat 2-d flow states, with the values the float path must treat
+    as numpy does: zeros of both signs, huge and subnormal numbers, inf, NaN,
+    and second moments at and below -eps."""
+    special = [0.0, -0.0, 5e-324, 1.0, -2.5, 1e155, -1e155, 1e200, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    n = {"ode": 2, "hbode": 4, "adamode": 6}[flow]
+    states = []
+    for _ in range(1500):
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        pick = rng.random(n) < 0.25
+        y[pick] = rng.choice(special, size=int(pick.sum()))
+        states.append(y)
+    if flow == "adamode":
+        for m in (0.0, -0.0, 1.5, -1.5, np.nan, np.inf):
+            for v in (-eps, -eps * (1.0 + 1e-15), -1.0, -np.inf, np.nan):
+                states.append(np.array([0.5, -0.5, m, -m, v, v]))
+    return states
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("landscape", ["rosenbrock", "beale"])
+@pytest.mark.parametrize("flow", ["ode", "hbode", "adamode"])
+def test_float_flow_rhs_matches_array_rhs_bit_for_bit(flow, landscape):
+    grad = get_landscape(landscape).grad
+    gamma = 1.28
+    p = dyn.AdamParams(alpha=0.05, beta=0.05, epsilon=1e-2)
+    rhs, _ = dyn.make_flow_rhs(flow, grad, gamma=gamma, adam=p)
+    ref = _array_flow_rhs(flow, grad, gamma, p)
+    rng = np.random.default_rng(7)
+    for y in _flow_states(rng, flow, p.epsilon):
+        with np.errstate(all="ignore"):
+            want = ref(0.0, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rhs(0.0, y.tolist())
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(_bits(got), _bits(want)), (y, got, want)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_bits(rhs(0.0, y)), _bits(want)), y
 
 
 def test_gradient_flow_descends():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,72 @@ def test_precondition_errors():
         IntegratorConfig(h_init=1e-3, h_min=1e-2).validate()
     with pytest.raises(ValueError):
         solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 0)
+
+
+def _damped_duffing(t, y):
+    return [y[1], math.sin(t) - 0.1 * y[1] - y[0] * y[0] * y[0]]
+
+
+def _array_rk4(rhs, y0, nodes, samples):
+    """Classical RK4 and its cubic extension on ndarrays, operation for
+    operation as :func:`solve_rk4` orders them; samples start after t0."""
+    f = lambda t, y: np.array(rhs(t, y), dtype=float)
+    y = np.array(y0, dtype=float)
+    out, si = [], 0
+    for t, t_new in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
+        h = t_new - t
+        k1 = f(t, y)
+        k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
+        k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
+        k4 = f(t_new, y + h * k3)
+        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        while si < samples.size and samples[si] <= t_new:
+            th = (samples[si] - t) / h
+            b1 = th - 1.5 * th**2 + (2.0 / 3.0) * th**3
+            b23 = th**2 - (2.0 / 3.0) * th**3
+            b4 = -0.5 * th**2 + (2.0 / 3.0) * th**3
+            out.append(y_new if samples[si] == t_new else y + h * (b1 * k1 + b23 * (k2 + k3) + b4 * k4))
+            si += 1
+        y = y_new
+    return np.array(out), y
+
+
+def test_rk4_float_loop_matches_array_rk4_bit_for_bit():
+    samples = np.linspace(0.0, 3.0, 47)
+    res = solve_rk4(_damped_duffing, np.array([0.5, 0.0]), 0.0, 3.0, 60, sample_times=samples)
+    states, y_final = _array_rk4(_damped_duffing, [0.5, 0.0], np.linspace(0.0, 3.0, 61), samples[1:])
+    assert res.ok
+    assert np.array_equal(res.states[1:].view(np.uint64), states.view(np.uint64))
+    assert np.array_equal(res.y_final.view(np.uint64), y_final.view(np.uint64))
+
+
+def test_rk4_hands_the_rhs_a_list_of_floats():
+    seen = []
+
+    def rhs(t, y):
+        seen.append(type(y) is list and all(type(v) is float for v in y))
+        return (-y[0], 1.0)
+
+    res = solve_rk4(rhs, np.array([1.0, 0.0]), 0.0, 1.0, 5)
+    assert res.ok and res.nfe == len(seen) == 20 and all(seen)
+    assert isinstance(res.y_final, np.ndarray) and res.y_final.shape == (2,)
+
+
+def test_rk4_rejects_an_rhs_of_the_wrong_length():
+    with pytest.raises(ValueError, match="returned 3 values, expected 2"):
+        solve_rk4(lambda t, y: [0.0, 0.0, 0.0], np.zeros(2), 0.0, 1.0, 4)
+
+
+def test_rk4_non_finite_state_on_overflow():
+    # y' = y^2 from y(0) = 1 blows up at t = 1 (the discrete map a little
+    # later); plain-float products overflow to inf without raising, and the
+    # step that makes the state non-finite ends the solve after its four
+    # evaluations.
+    res = solve_rk4(lambda t, y: [y[0] * y[0]], np.ones(1), 0.0, 2.0, 40, sample_times=[0.5, 2.0])
+    assert res.status is SolveStatus.NON_FINITE_STATE
+    assert res.nfe == 4 * (res.accepted_steps + 1)
+    assert np.isfinite(res.y_final).all() and 1.0 < res.t_final < 2.0
+    assert res.ts.tolist() == [0.5]
 
 
 def test_rk4_against_dopri_cross_check():
