@@ -89,57 +89,46 @@ def param_count(spec: dyn.DynamicsSpec, field: fn.FieldNet) -> int:
 def _adjoint_core(spec, field, t, st, ast, variant, counters):
     """Time derivatives of (forward blocks, cotangent blocks, parameter accumulator)."""
     kind = spec.kind
+    root = None
+    if kind == dyn.ADAM:
+        # Reverse recomputation can push v below zero; the divisor then
+        # sees it clamped at zero, and the clamp is counted.
+        v = st.v
+        if np.any(v < 0.0):
+            counters["v_clamps"] += 1
+            v = np.maximum(v, 0.0)
+        root = np.sqrt(v + spec.adam.epsilon)
+    dst, f, cache = dyn.derivative(spec, field, t, st, root)
+
     if kind in (dyn.VANILLA, dyn.AUGMENTED):
-        f, cache = fn.eval_cached(field, st.h, t)
         g_h, g_th = fn.vjp_from_cache(field, cache, ast.h)
-        return dyn.PackedState(h=f), dyn.PackedState(h=-g_h), -g_th
+        return dst, dyn.PackedState(h=-g_h), -g_th
 
     if kind == dyn.SECOND_ORDER:
-        hm = np.concatenate([st.h, st.m], axis=-1)
-        f, cache = fn.eval_cached(field, hm, t)
         g_in, g_th = fn.vjp_from_cache(field, cache, ast.m)
         w = st.h.shape[-1]
         g_h, g_m = g_in[..., :w], g_in[..., w:]
-        dst = dyn.PackedState(h=st.m.copy(), m=f)
-        dast = dyn.PackedState(h=-g_h, m=-ast.h - g_m)
-        return dst, dast, -g_th
+        return dst, dyn.PackedState(h=-g_h, m=-ast.h - g_m), -g_th
 
     if kind in (dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL):
         gamma = spec.hb.gamma
-        f, cache = fn.eval_cached(field, st.h, t)
         g_h, g_th = fn.vjp_from_cache(field, cache, ast.m)
         if kind == dyn.HEAVY_BALL:
-            dh = -st.m
             dash_m = ast.h + gamma * ast.m
         else:
-            b = spec.saturation_bound
-            dh = -np.clip(st.m, -b, b)
-            mask = (np.abs(st.m) < b).astype(float)
+            mask = (np.abs(st.m) < spec.saturation_bound).astype(float)
             dash_m = mask * ast.h + gamma * ast.m
-        dst = dyn.PackedState(h=dh, m=-gamma * st.m + f)
-        dast = dyn.PackedState(h=-g_h, m=dash_m)
         # d(gamma)/d(theta) = gamma (1 - gamma); the damping enters as -gamma m.
         d_damp = gamma * (1.0 - gamma) * float(np.sum(ast.m * st.m))
-        return dst, dast, np.concatenate([-g_th, [d_damp]])
+        return dst, dyn.PackedState(h=-g_h, m=dash_m), np.concatenate([-g_th, [d_damp]])
 
     # Adaptive-moment dynamics.
     p = spec.adam
-    f, cache = fn.eval_cached(field, st.h, t)
-    v = st.v
-    if np.any(v < 0.0):
-        counters["v_clamps"] += 1
-        v = np.maximum(v, 0.0)
-    root = np.sqrt(v + p.epsilon)
     if variant == "exact":
         c = (1.0 - p.alpha) * ast.m - (1.0 - p.beta) * (2.0 * f * ast.v)
     else:
         c = ast.m - ast.v
     g_h, g_th = fn.vjp_from_cache(field, cache, c)
-    dst = dyn.PackedState(
-        h=-st.m / root,
-        m=(1.0 - p.alpha) * (-f - st.m),
-        v=(1.0 - p.beta) * (f * f - st.v),
-    )
     dast = dyn.PackedState(
         h=g_h,
         m=ast.h / root + (1.0 - p.alpha) * ast.m,

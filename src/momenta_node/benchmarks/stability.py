@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from momenta_node.dynamics import (
 )
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
-from momenta_node.threads import thread_cap
 
 
 class SeriesFormatError(ValueError):
@@ -64,8 +62,6 @@ class StabilityProbe:
 
     ``times``/``inputs``/``outputs`` describe the generator signal; the
     first few output values seed the models' initial hidden state.
-    ``norm_samples`` is filled by :func:`run_stability_probe` with
-    log10 hidden-norm curves per model, all on the same grid.
     """
 
     times: np.ndarray
@@ -73,8 +69,6 @@ class StabilityProbe:
     outputs: np.ndarray
     t1: float = 64.0
     n_grid: int = 129
-    norm_samples: dict[str, np.ndarray] = field(default_factory=dict)
-    blowup_at: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -287,8 +281,7 @@ def run_stability_probe(
     h0 = probe.outputs[:d]
     widths = fair_hidden_widths(models, d, base_hidden)
 
-    def run_one(item):
-        name, spec = item
+    def run_one(name, spec):
         fld = _scaled_field(spec, d, widths[name], activation, seed, gain)
         rhs = make_node_rhs(spec, fld, d)
         y0 = initial_state(spec, h0)
@@ -312,15 +305,9 @@ def run_stability_probe(
         with np.errstate(divide="ignore"):
             log_curve = np.log10(np.maximum(curve, 1e-300))
         blow = None if res.ok else float(res.t_final)
-        return name, log_curve, blow, res.status
+        return log_curve, blow, res.status
 
-    results = {}
-    with ThreadPoolExecutor(max_workers=thread_cap(len(models))) as pool:
-        for name, log_curve, blow, status in pool.map(run_one, models.items()):
-            results[name] = (log_curve, blow, status)
-
-    probe.norm_samples = {name: r[0] for name, r in results.items()}
-    probe.blowup_at = {name: r[1] for name, r in results.items() if r[1] is not None}
+    results = {name: run_one(name, spec) for name, spec in models.items()}
     return StabilityResult(
         grid=grid,
         log10_norms={name: r[0] for name, r in results.items()},

@@ -39,6 +39,8 @@ DEFAULT_GAMMA = 1.28
 DEFAULT_FLOW_ADAM = AdamParams(alpha=0.05, beta=0.05, epsilon=1e-2)
 DEFAULT_HORIZON = 200.0
 DEFAULT_STEP = 6.25e-4
+# The most RK4 steps one flow may take; the grid of 10M nodes takes 80 MB.
+MAX_RK4_STEPS = 10_000_000
 ENTRY_RADIUS = 0.1
 
 
@@ -92,8 +94,8 @@ def run_trajectory_experiment(
 
     ``method`` selects fixed-step RK4 (``step`` sets the grid) or the
     adaptive solver (``cfg`` sets tolerances).  Raises ValueError for an
-    unknown landscape or dynamics name, or an x0 outside the landscape's
-    domain.
+    unknown landscape or dynamics name, an x0 outside the landscape's
+    domain, or an RK4 step that makes more than ``MAX_RK4_STEPS`` steps.
     """
     land = get_landscape(landscape) if isinstance(landscape, str) else landscape
     for name in dynamics_list:
@@ -108,8 +110,13 @@ def run_trajectory_experiment(
         raise ValueError(f"x0 {x0.tolist()} lies outside the {land.name} domain {land.domain}")
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be finite and positive")
-    if method == "rk4" and not 0.0 < step < np.inf:
-        raise ValueError("step must be finite and positive")
+    if method == "rk4":
+        if not 0.0 < step < np.inf:
+            raise ValueError("step must be finite and positive")
+        # Refused before solve_rk4 allocates its grid of one node per step.
+        if t_end / step > MAX_RK4_STEPS:
+            raise ValueError(f"t_end / step asks for more than {MAX_RK4_STEPS} RK4 steps")
+        n_steps = max(1, int(round(t_end / step)))
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     adam = DEFAULT_FLOW_ADAM if adam is None else adam
@@ -121,7 +128,6 @@ def run_trajectory_experiment(
         rhs, init = make_flow_rhs(name, land.grad, gamma=gamma, adam=adam, warm_start=warm_start)
         y0 = init(x0)
         if method == "rk4":
-            n_steps = max(1, int(round(t_end / step)))
             res = solve_rk4(rhs, y0, 0.0, t_end, n_steps, sample_times=sample_times)
         else:
             res = solve_dopri45(rhs, y0, 0.0, t_end, cfg, sample_times=sample_times)

@@ -123,7 +123,7 @@ def _is_real(v):
 # What each kind of numeric parameter must be, and the test for it.
 _RULES = {
     "count": ("a positive integer", lambda v: _is_int(v) and v > 0),
-    "seed": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
+    "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     "positive": ("a finite number above 0", lambda v: _is_real(v) and v > 0),
     "nonnegative": ("a finite number at least 0", lambda v: _is_real(v) and v >= 0),
 }
@@ -135,6 +135,13 @@ def _check_numbers(cfg: dict, rules: dict) -> None:
         what, ok = _RULES[rule]
         if not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+
+
+def _check_strings(cfg: dict, keys) -> None:
+    """Raise ConfigError unless every ``cfg[key]`` is a string."""
+    for key in keys:
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
 
 
 def _parse_x0(text: str) -> tuple:
@@ -161,6 +168,7 @@ def cmd_trajectory(args) -> int:
         "out": "out/trajectory",
     }
     cfg = _resolve(defaults, args)
+    _check_strings(cfg, ("landscape", "method", "out"))
     if cfg["landscape"] not in LANDSCAPES:
         raise ConfigError(
             f"unknown landscape {cfg['landscape']!r}; expected one of: {', '.join(LANDSCAPES)}"
@@ -168,6 +176,10 @@ def cmd_trajectory(args) -> int:
     _check_numbers(cfg, {"T": "positive", "step": "positive", "rtol": "positive", "atol": "positive"})
     if isinstance(cfg["x0"], str):
         cfg["x0"] = _parse_x0(cfg["x0"])
+    elif cfg["x0"] is not None and not (
+        isinstance(cfg["x0"], list) and len(cfg["x0"]) == 2 and all(map(_is_real, cfg["x0"]))
+    ):
+        raise ConfigError(f"x0 must be 'a,b' or a list of two numbers, got {cfg['x0']!r}")
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "trajectory", {**cfg, "x0": list(cfg["x0"]) if cfg["x0"] else None})
 
@@ -223,15 +235,14 @@ def cmd_stability(args) -> int:
         "out": "out/stability",
     }
     cfg = _resolve(defaults, args)
-    _check_numbers(cfg, {"t1": "positive", "d": "count", "seed": "seed",
+    _check_numbers(cfg, {"t1": "positive", "d": "count", "seed": "natural",
                          "rtol": "positive", "atol": "positive"})
     if not isinstance(cfg["models"], str):
         raise ConfigError(f"--models expects 'all' or a comma-separated list, got {cfg['models']!r}")
+    _check_strings(cfg, ("probe", "out"))
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "stability", cfg)
 
-    if not isinstance(cfg["probe"], str):
-        raise ConfigError(f"--probe expects 'synthetic' or 'csv:PATH', got {cfg['probe']!r}")
     if cfg["probe"] == "synthetic":
         probe = duffing_probe(seed=int(cfg["seed"]), t1=float(cfg["t1"]))
     elif cfg["probe"].startswith("csv:"):
@@ -253,13 +264,16 @@ def cmd_stability(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    result = run_stability_probe(
-        probe,
-        models=models,
-        d=int(cfg["d"]),
-        seed=int(cfg["seed"]),
-        cfg=IntegratorConfig(rtol=float(cfg["rtol"]), atol=float(cfg["atol"]), max_steps=200_000),
-    )
+    try:
+        result = run_stability_probe(
+            probe,
+            models=models,
+            d=int(cfg["d"]),
+            seed=int(cfg["seed"]),
+            cfg=IntegratorConfig(rtol=float(cfg["rtol"]), atol=float(cfg["atol"]), max_steps=200_000),
+        )
+    except ValueError as exc:  # d wider than the probe series, or no parameter-fair widths
+        raise ConfigError(str(exc)) from exc
     csv_formats.write_stability_csv(out_dir / "stability.csv", result)
     summary = {
         "statuses": result.statuses,
@@ -290,14 +304,11 @@ def cmd_train(args) -> int:
         "out": "out/train",
     }
     cfg = _resolve(defaults, args)
+    _check_strings(cfg, ("dataset", "model", "out"))
+    _check_numbers(cfg, {"epochs": "natural", "lr": "positive", "batch": "count", "seed": "natural",
+                         "rtol": "positive", "atol": "positive"})
     try:
         spec = model_spec(cfg["model"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "train", cfg)
-
-    try:
         train_cfg = TrainConfig(
             epochs=int(cfg["epochs"]),
             lr=float(cfg["lr"]),
@@ -310,6 +321,8 @@ def cmd_train(args) -> int:
         train_cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out_dir = Path(cfg["out"])
+    _emit_resolved(out_dir, "train", cfg)
 
     run = run_classification(spec, train_cfg)
     csv_formats.write_efficacy_csv(out_dir / "efficacy.csv", run.records)
@@ -349,12 +362,13 @@ def cmd_gradcheck(args) -> int:
         "out": "out/gradcheck",
     }
     cfg = _resolve(defaults, args)
+    _check_strings(cfg, ("model", "out"))
     try:
         spec = model_spec(cfg["model"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
-    _check_numbers(cfg, {"seed": "seed", "tol": "nonnegative", "d": "count", "t1": "positive",
+    _check_numbers(cfg, {"seed": "natural", "tol": "nonnegative", "d": "count", "t1": "positive",
                          "delta": "positive", "solver_tol": "positive"})
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir, "gradcheck", cfg)
@@ -387,6 +401,7 @@ def cmd_plot(args) -> int:
     for key in ("in", "kind", "out"):
         if cfg[key] is None:
             raise ConfigError(f"plot requires --{key}")
+    _check_strings(cfg, ("in", "kind", "out"))
     if cfg["kind"] not in ("trajectory", "stability", "efficacy"):
         raise ConfigError(f"--kind must be trajectory, stability, or efficacy, got {cfg['kind']!r}")
     out_path = Path(cfg["out"])

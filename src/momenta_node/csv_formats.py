@@ -49,6 +49,46 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _parse_table(path, header, n_numeric):
+    """Read one CSV table: ``(comments, rows)``; raises CsvFormatError.
+
+    Blank lines are skipped.  ``comments`` holds ``(lineno, fields)`` for
+    each ``#`` line, its text split on commas.  The first other line must
+    equal ``header`` and at least one row must follow; every row needs
+    ``len(header)`` fields whose first ``n_numeric`` parse as floats.
+    ``rows`` holds ``(numbers, rest)`` per row.
+    """
+    comments, rows, found = [], [], None
+    with open(path, newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                comments.append((lineno, line[1:].strip().split(",")))
+                continue
+            row = next(csv.reader([line]))
+            if found is None:
+                found = row
+                if found != header:
+                    raise CsvFormatError(
+                        f"expected header {','.join(header)!r}, got {','.join(found)!r} (line {lineno})"
+                    )
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(f"expected {len(header)} fields, got {len(row)} (line {lineno})")
+            try:
+                numbers = [float(value) for value in row[:n_numeric]]
+            except ValueError as exc:
+                raise CsvFormatError(f"non-numeric value (line {lineno})") from exc
+            rows.append((numbers, row[n_numeric:]))
+    if found is None:
+        raise CsvFormatError("no header row found")
+    if not rows:
+        raise CsvFormatError("no data rows")
+    return comments, rows
+
+
 # ----------------------------------------------------------------- trajectory
 
 def write_trajectory_csv(path, experiment) -> None:
@@ -65,41 +105,20 @@ def write_trajectory_csv(path, experiment) -> None:
 
 def read_trajectory_csv(path):
     """Returns ``(minimizer, {dynamics: (ts, xs)})``; raises CsvFormatError."""
+    comments, rows = _parse_table(path, TRAJECTORY_HEADER, 3)
     minimizer = None
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split(",")
-                if parts[0].strip() == "minimizer":
-                    if len(parts) != 3:
-                        raise CsvFormatError(f"malformed minimizer comment (line {lineno})")
-                    minimizer = np.array([float(parts[1]), float(parts[2])])
-                continue
-            rows.append((lineno, next(csv.reader([line]))))
-    if not rows:
-        raise CsvFormatError("no header row found")
-    lineno, header = rows[0]
-    if header != TRAJECTORY_HEADER:
-        raise CsvFormatError(
-            f"expected header {','.join(TRAJECTORY_HEADER)!r}, got {','.join(header)!r} (line {lineno})"
-        )
-    if len(rows) == 1:
-        raise CsvFormatError("no data rows")
+    for lineno, parts in comments:
+        if parts[0].strip() == "minimizer":
+            try:
+                mx, my = (float(v) for v in parts[1:])
+            except ValueError:
+                raise CsvFormatError(f"malformed minimizer comment (line {lineno})") from None
+            minimizer = np.array([mx, my])
     if minimizer is None:
         raise CsvFormatError("missing '# minimizer' comment")
     series: dict[str, list] = {}
-    for lineno, row in rows[1:]:
-        if len(row) != 4:
-            raise CsvFormatError(f"expected 4 fields, got {len(row)} (line {lineno})")
-        try:
-            t, x, y = float(row[0]), float(row[1]), float(row[2])
-        except ValueError as exc:
-            raise CsvFormatError(f"non-numeric value (line {lineno})") from exc
-        series.setdefault(row[3], []).append((t, x, y))
+    for numbers, (name,) in rows:
+        series.setdefault(name, []).append(numbers)
     out = {}
     for name, pts in series.items():
         arr = np.asarray(pts)
@@ -124,39 +143,18 @@ def write_stability_csv(path, result) -> None:
 
 def read_stability_csv(path):
     """Returns ``({model: (ts, log10_norms)}, {model: blowup_t})``."""
-    rows = []
+    comments, rows = _parse_table(path, STABILITY_HEADER, 2)
     blowups = {}
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split(",")
-                if parts[0].strip() == "blowup_at":
-                    if len(parts) != 3:
-                        raise CsvFormatError(f"malformed blowup_at comment (line {lineno})")
-                    blowups[parts[2]] = float(parts[1])
-                continue
-            rows.append((lineno, next(csv.reader([line]))))
-    if not rows:
-        raise CsvFormatError("no header row found")
-    lineno, header = rows[0]
-    if header != STABILITY_HEADER:
-        raise CsvFormatError(
-            f"expected header {','.join(STABILITY_HEADER)!r}, got {','.join(header)!r} (line {lineno})"
-        )
-    if len(rows) == 1:
-        raise CsvFormatError("no data rows")
+    for lineno, parts in comments:
+        if parts[0].strip() == "blowup_at":
+            try:
+                _, t_blow, name = parts
+                blowups[name] = float(t_blow)
+            except ValueError:
+                raise CsvFormatError(f"malformed blowup_at comment (line {lineno})") from None
     series: dict[str, list] = {}
-    for lineno, row in rows[1:]:
-        if len(row) != 3:
-            raise CsvFormatError(f"expected 3 fields, got {len(row)} (line {lineno})")
-        try:
-            t, v = float(row[0]), float(row[1])
-        except ValueError as exc:
-            raise CsvFormatError(f"non-numeric value (line {lineno})") from exc
-        series.setdefault(row[2], []).append((t, v))
+    for numbers, (name,) in rows:
+        series.setdefault(name, []).append(numbers)
     out = {name: (np.asarray(p)[:, 0], np.asarray(p)[:, 1]) for name, p in series.items()}
     return out, blowups
 
@@ -184,36 +182,11 @@ def write_efficacy_csv(path, records) -> None:
 
 def read_efficacy_csv(path):
     """Returns a dict of column arrays keyed by the header names."""
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, next(csv.reader([line]))))
-    if not rows:
-        raise CsvFormatError("no header row found")
-    lineno, header = rows[0]
-    if header != EFFICACY_HEADER:
-        raise CsvFormatError(
-            f"expected header {','.join(EFFICACY_HEADER)!r}, got {','.join(header)!r} (line {lineno})"
-        )
-    if len(rows) == 1:
-        raise CsvFormatError("no data rows")
-    cols = {name: [] for name in EFFICACY_HEADER}
-    for lineno, row in rows[1:]:
-        if len(row) != len(EFFICACY_HEADER):
-            raise CsvFormatError(
-                f"expected {len(EFFICACY_HEADER)} fields, got {len(row)} (line {lineno})"
-            )
-        try:
-            for name, value in zip(EFFICACY_HEADER, row):
-                cols[name].append(float(value))
-        except ValueError as exc:
-            raise CsvFormatError(f"non-numeric value (line {lineno})") from exc
+    _, rows = _parse_table(path, EFFICACY_HEADER, len(EFFICACY_HEADER))
+    table = np.asarray([numbers for numbers, _ in rows])
     out = {}
-    for name, values in cols.items():
-        arr = np.asarray(values)
+    for i, name in enumerate(EFFICACY_HEADER):
+        arr = table[:, i]
         if name in ("epoch", "forward_nfe", "backward_nfe"):
             arr = arr.astype(int)
         out[name] = arr

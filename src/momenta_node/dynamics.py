@@ -252,49 +252,38 @@ def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
 GradFn = Callable[[Sequence[float]], Sequence[float]]
 
 
-def vanilla_rhs(t: float, state: PackedState, field: fn.FieldNet) -> PackedState:
-    return PackedState(h=fn.forward(field, state.h, t))
+def derivative(spec: DynamicsSpec, field: fn.FieldNet, t: float, state: PackedState, root=None):
+    """One formulation's forward equations: ``(dstate, f, cache)``.
 
-
-def augmented_rhs(t: float, state: PackedState, field: fn.FieldNet, aug_width: int) -> PackedState:
-    if field.state_dim != state.h.shape[-1]:
-        raise ValueError("field width does not match the augmented state")
-    if aug_width < 1:
-        raise ValueError("aug_width must be >= 1")
-    return PackedState(h=fn.forward(field, state.h, t))
-
-
-def sonode_rhs(t: float, state: PackedState, field: fn.FieldNet) -> PackedState:
-    hm = np.concatenate([state.h, state.m], axis=-1)
-    return PackedState(h=state.m.copy(), m=fn.forward(field, hm, t))
-
-
-def hb_node_rhs(t: float, state: PackedState, field: fn.FieldNet, hb: HeavyBallParams) -> PackedState:
-    gamma = hb.gamma
-    f = fn.forward(field, state.h, t)
-    return PackedState(h=-state.m, m=-gamma * state.m + f)
-
-
-def ghb_node_rhs(
-    t: float,
-    state: PackedState,
-    field: fn.FieldNet,
-    hb: HeavyBallParams,
-    bound: float,
-) -> PackedState:
-    gamma = hb.gamma
-    f = fn.forward(field, state.h, t)
-    return PackedState(h=-np.clip(state.m, -bound, bound), m=-gamma * state.m + f)
-
-
-def adam_node_rhs(t: float, state: PackedState, field: fn.FieldNet, p: AdamParams) -> PackedState:
-    f = fn.forward(field, state.h, t)
-    root = np.sqrt(state.v + p.epsilon)
-    return PackedState(
+    ``dstate`` holds the block time derivatives; ``f`` and ``cache`` are
+    the field's value and its :func:`~momenta_node.field_net.eval_cached`
+    cache, which the adjoint hands to ``vjp_from_cache``.  ``root``
+    replaces the adaptive-moment divisor ``sqrt(v + eps)``; the adjoint
+    passes one built from a clamped ``v`` (see
+    :func:`momenta_node.adjoint.make_adjoint_rhs`), while ``dv/dt`` keeps
+    the state's own ``v``.
+    """
+    kind = spec.kind
+    if kind == SECOND_ORDER:
+        f, cache = fn.eval_cached(field, np.concatenate([state.h, state.m], axis=-1), t)
+        return PackedState(h=state.m.copy(), m=f), f, cache
+    f, cache = fn.eval_cached(field, state.h, t)
+    if kind in (VANILLA, AUGMENTED):
+        return PackedState(h=f), f, cache
+    if kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL):
+        m = state.m
+        if kind == GENERALIZED_HEAVY_BALL:
+            m = np.clip(m, -spec.saturation_bound, spec.saturation_bound)
+        return PackedState(h=-m, m=-spec.hb.gamma * state.m + f), f, cache
+    p = spec.adam
+    if root is None:
+        root = np.sqrt(state.v + p.epsilon)
+    dstate = PackedState(
         h=-state.m / root,
         m=(1.0 - p.alpha) * (-f - state.m),
         v=(1.0 - p.beta) * (f * f - state.v),
     )
+    return dstate, f, cache
 
 
 def gradient_flow_rhs(t: float, x: np.ndarray, grad_f: GradFn) -> np.ndarray:
@@ -356,23 +345,8 @@ def make_node_rhs(
     if field.out_dim != w:
         raise ValueError(f"field emits {field.out_dim} outputs, dynamics need {w}")
 
-    kind = spec.kind
-
     def rhs(t, y):
-        state = unpack(y, spec, d, batch)
-        if kind == VANILLA:
-            out = vanilla_rhs(t, state, field)
-        elif kind == AUGMENTED:
-            out = augmented_rhs(t, state, field, spec.aug_width)
-        elif kind == SECOND_ORDER:
-            out = sonode_rhs(t, state, field)
-        elif kind == HEAVY_BALL:
-            out = hb_node_rhs(t, state, field, spec.hb)
-        elif kind == GENERALIZED_HEAVY_BALL:
-            out = ghb_node_rhs(t, state, field, spec.hb, spec.saturation_bound)
-        else:
-            out = adam_node_rhs(t, state, field, spec.adam)
-        return pack(out)
+        return pack(derivative(spec, field, t, unpack(y, spec, d, batch))[0])
 
     return rhs
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from momenta_node.benchmarks.stability import (
     run_stability_probe,
     write_series_csv,
 )
+from momenta_node.benchmarks import trajectories
 from momenta_node.benchmarks.trajectories import FLOWS, run_trajectory_experiment
 from momenta_node.csv_formats import (
     CsvFormatError,
@@ -118,6 +121,14 @@ def test_trajectory_input_validation():
         run_trajectory_experiment("rosenbrock", t_end=-1.0)
     with pytest.raises(ValueError):
         run_trajectory_experiment("rosenbrock", method="euler")
+
+
+def test_rk4_step_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(trajectories, "MAX_RK4_STEPS", 10)
+    exp = run_trajectory_experiment("rosenbrock", x0=(1.0, 1.0), t_end=1.0, step=0.1, n_samples=3)
+    assert all(res.nfe == 4 * 10 for res in exp.results.values())
+    with pytest.raises(ValueError, match="RK4 steps"):
+        run_trajectory_experiment("rosenbrock", x0=(1.0, 1.0), t_end=1.0, step=1.0 / 11.0, n_samples=3)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -236,6 +247,20 @@ def test_blowup_curve_carries_last_value():
     curve = res.log10_norms["sonode"]
     assert curve.size == probe.grid.size
     assert np.all(curve[-5:] == curve[-5])
+
+
+def test_stability_probe_leaves_its_input_unchanged():
+    probe = duffing_probe(seed=0)
+    before = copy.deepcopy(probe)
+    models = {"node": model_spec("node"), "sonode": model_spec("sonode")}
+    res = run_stability_probe(probe, models=models, seed=0, gain=16.0)
+    assert res.blowup_at  # the run has a blow-up to record somewhere
+    assert vars(probe).keys() == vars(before).keys()
+    for key, value in vars(before).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(probe, key), value)
+        else:
+            assert getattr(probe, key) == value, key
 
 
 def test_probe_shares_one_grid():

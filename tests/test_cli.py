@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from momenta_node import cli
+from momenta_node.benchmarks import trajectories
 from momenta_node.csv_formats import (
     EFFICACY_HEADER,
     STABILITY_HEADER,
@@ -258,21 +259,26 @@ def test_gradcheck_unattainable_tolerance_exits_1(tmp_path, capsys):
 # --------------------------------------------------- numeric parameter checks
 
 # Each numeric key of a command and the values it must refuse with exit 2
-# before computing anything.  Two zeros are valid and stay out: seed 0 is
-# the default, and gradcheck's tol 0 is a gate no gradient passes (exit 1).
+# before computing anything.  Three zeros are valid and stay out: seed 0 is
+# the default, train's epochs 0 records the untrained model, and
+# gradcheck's tol 0 is a gate no gradient passes (exit 1).  The integer
+# keys also refuse a fraction and a boolean.
 NUMERIC_KEYS = {
     "trajectory": ("T", "step", "rtol", "atol"),
     "stability": ("t1", "d", "seed", "rtol", "atol"),
     "gradcheck": ("seed", "tol", "d", "t1", "delta", "solver_tol"),
+    "train": ("epochs", "lr", "batch", "seed", "rtol", "atol"),
 }
-BAD_VALUES = {"wrong_type": "x", "zero": 0, "negative": -1, "nan": math.nan, "inf": math.inf}
-VALID = {("seed", "zero"), ("tol", "zero")}
+INTEGER_KEYS = {"d", "seed", "epochs", "batch"}
+BAD_VALUES = {"wrong_type": "x", "null": None, "zero": 0, "negative": -1, "nan": math.nan, "inf": math.inf,
+              "fraction": 1.5, "bool": True}
+VALID = {("seed", "zero"), ("epochs", "zero"), ("tol", "zero")}
 BAD_CASES = [
     (cmd, key, kind)
     for cmd, keys in NUMERIC_KEYS.items()
     for key in keys
     for kind in BAD_VALUES
-    if (key, kind) not in VALID
+    if (key, kind) not in VALID and (key in INTEGER_KEYS or kind not in ("fraction", "bool"))
 ]
 
 
@@ -292,12 +298,15 @@ def test_bad_numeric_parameter_in_config_exits_2(tmp_path, capsys, cmd, key, kin
     ("stability", "--d", "0"),
     ("stability", "--seed", "-1"),
     ("stability", "--rtol", "nan"),
+    ("stability", "--d", "300"),  # the probe series has 256 samples
     ("gradcheck", "--d", "0"),
     ("gradcheck", "--seed", "-1"),
     ("gradcheck", "--delta", "inf"),
     ("train", "--seed", "-1"),
     ("train", "--rtol", "0"),
     ("train", "--atol", "0"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
     ("trajectory", "--step", "-1"),
     ("trajectory", "--step", "0"),
     ("trajectory", "--step", "inf"),
@@ -315,6 +324,51 @@ def test_non_numeric_stability_models_exit_2(tmp_path, capsys):
     assert run_cli("stability", "--config", str(cfg_path), "--out", str(out)) == 2
     assert "--models" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Name and path keys given a value that is not a string, by config file.
+NON_STRINGS = [
+    ("trajectory", "landscape", []),
+    ("trajectory", "method", 5),
+    ("trajectory", "x0", 5),
+    ("trajectory", "out", 5),
+    ("stability", "probe", 5),
+    ("stability", "out", 5),
+    ("train", "model", []),
+    ("train", "dataset", []),
+    ("train", "out", 5),
+    ("gradcheck", "model", []),
+    ("gradcheck", "out", 5),
+    ("plot", "in", []),  # an integer here would be read as a file descriptor
+    ("plot", "kind", []),
+    ("plot", "out", 5),
+]
+
+
+@pytest.mark.parametrize("cmd,key,value", NON_STRINGS, ids=[f"{c}-{k}" for c, k, _ in NON_STRINGS])
+def test_non_string_parameter_in_config_exits_2(tmp_path, monkeypatch, capsys, cmd, key, value):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({key: value}))
+    flags = {"in": "missing.csv", "kind": "trajectory", "out": "plot/out.svg"} if cmd == "plot" else {"out": "out"}
+    argv = [cmd, "--config", "cfg.json"]
+    for flag, flag_value in flags.items():
+        if flag != key:
+            argv += [f"--{flag}", flag_value]
+    assert run_cli(*argv) == 2
+    assert key in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_trajectory_refuses_more_rk4_steps_than_the_cap(tmp_path, monkeypatch, capsys):
+    # 2e9 steps pass every other check; the cap must refuse them before
+    # the solver builds its grid of one node per step (16 GB here).
+    def solver_reached(*args, **kwargs):
+        raise AssertionError("the solver was reached")
+
+    monkeypatch.setattr(trajectories, "solve_rk4", solver_reached)
+    argv = ("trajectory", "--T", "200", "--step", "1e-7", "--out", str(tmp_path / "out"))
+    assert run_cli(*argv) == 2
+    assert "RK4 steps" in capsys.readouterr().err
 
 
 def test_gradcheck_failed_forward_solve_exits_3(tmp_path, capsys):
@@ -363,6 +417,19 @@ def test_plot_kind_mismatch_and_empty_body_exit_2(tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("trajectory", "# minimizer,a,1.0\nt,x,y,dynamics\n0.0,1.0,2.0,ode\n"),
+    ("trajectory", "# minimizer,1.0\nt,x,y,dynamics\n0.0,1.0,2.0,ode\n"),
+    ("stability", "t,log10_norm,model\n0.0,1.0,node\n# blowup_at,soon,node\n"),
+    ("stability", "t,log10_norm,model\n0.0,1.0,node\n# blowup_at,1.0\n"),
+], ids=["minimizer-value", "minimizer-count", "blowup-value", "blowup-count"])
+def test_plot_malformed_comment_exits_2(tmp_path, capsys, kind, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert run_cli("plot", "--in", str(path), "--kind", kind, "--out", str(tmp_path / "x.svg")) == 2
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -30,9 +30,9 @@ def test_adam_ode_rhs_hand_values():
 def test_adam_node_rhs_hand_values():
     # Constant field f = 1 via a bias-only affine layer.
     f = FieldNet([np.zeros((1, 2))], [np.ones(1)])
-    p = dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1.0)
+    spec = dyn.DynamicsSpec(kind=dyn.ADAM, adam=dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1.0))
     st = dyn.PackedState(h=np.array([5.0]), m=np.array([1.0]), v=np.array([3.0]))
-    out = dyn.adam_node_rhs(0.0, st, f, p)
+    out, _, _ = dyn.derivative(spec, f, 0.0, st)
     np.testing.assert_allclose(out.h, [-0.5])
     np.testing.assert_allclose(out.m, [-0.2])
     np.testing.assert_allclose(out.v, [-0.02])
@@ -43,9 +43,19 @@ def test_heavy_ball_gamma_from_theta():
     np.testing.assert_allclose(hb.gamma, 0.04742587317756678, rtol=1e-12)
     f = zero_field(1)
     st = dyn.PackedState(h=np.array([0.0]), m=np.array([2.0]))
-    out = dyn.hb_node_rhs(0.0, st, f, hb)
+    out, _, _ = dyn.derivative(dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb), f, 0.0, st)
     np.testing.assert_allclose(out.h, [-2.0])
     np.testing.assert_allclose(out.m, [-2.0 * hb.gamma])
+
+
+def test_generalized_heavy_ball_hand_values():
+    # Zero field: dh = -clip(m, -b, b) on both sides of the bound, dm = -gamma m.
+    hb = dyn.HeavyBallParams(theta=-3.0)
+    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb, saturation_bound=1.5)
+    st = dyn.PackedState(h=np.zeros(3), m=np.array([2.0, -3.0, 0.5]))
+    out, _, _ = dyn.derivative(spec, zero_field(3), 0.0, st)
+    np.testing.assert_allclose(out.h, [-1.5, 1.5, -0.5])
+    np.testing.assert_allclose(out.m, -hb.gamma * st.m)
 
 
 def test_heavy_ball_momentum_decay_closed_form():
