@@ -8,18 +8,4 @@ Core pieces: ``solver`` (explicit Runge-Kutta integrators), ``dynamics``
 ``cli`` (the ``momenta-node`` executable).
 """
 
-from momenta_node.dynamics import DynamicsSpec, make_flow_rhs, make_node_rhs
-from momenta_node.solver import IntegratorConfig, SolveResult, solve_dopri45, solve_rk4
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DynamicsSpec",
-    "make_flow_rhs",
-    "make_node_rhs",
-    "IntegratorConfig",
-    "SolveResult",
-    "solve_dopri45",
-    "solve_rk4",
-    "__version__",
-]

@@ -1,71 +1,3 @@
 """Desk-scale experiment suite: optimization-flow trajectories on classic
 test functions, a norm-growth stability probe across the model family, and
 a small classification task tracking accuracy per function evaluation."""
-
-from momenta_node.benchmarks.classify import (
-    DATASETS,
-    ClassificationRun,
-    EfficacyRecord,
-    TrainConfig,
-    TrainingDiverged,
-    run_classification,
-    two_moons,
-    two_spirals,
-)
-from momenta_node.benchmarks.landscapes import (
-    LANDSCAPES,
-    Landscape,
-    beale_eval,
-    beale_grad,
-    get_landscape,
-    rosenbrock_eval,
-    rosenbrock_grad,
-)
-from momenta_node.benchmarks.stability import (
-    MODEL_SPECS,
-    StabilityProbe,
-    StabilityResult,
-    duffing_probe,
-    fair_hidden_widths,
-    ingest_series_csv,
-    model_spec,
-    run_stability_probe,
-    write_series_csv,
-)
-from momenta_node.benchmarks.trajectories import (
-    FLOWS,
-    FlowTrajectory,
-    TrajectoryExperiment,
-    run_trajectory_experiment,
-)
-
-__all__ = [
-    "DATASETS",
-    "ClassificationRun",
-    "EfficacyRecord",
-    "TrainConfig",
-    "TrainingDiverged",
-    "run_classification",
-    "two_moons",
-    "two_spirals",
-    "LANDSCAPES",
-    "Landscape",
-    "beale_eval",
-    "beale_grad",
-    "get_landscape",
-    "rosenbrock_eval",
-    "rosenbrock_grad",
-    "MODEL_SPECS",
-    "StabilityProbe",
-    "StabilityResult",
-    "duffing_probe",
-    "fair_hidden_widths",
-    "ingest_series_csv",
-    "model_spec",
-    "run_stability_probe",
-    "write_series_csv",
-    "FLOWS",
-    "FlowTrajectory",
-    "TrajectoryExperiment",
-    "run_trajectory_experiment",
-]

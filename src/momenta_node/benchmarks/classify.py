@@ -13,7 +13,7 @@ raw data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from momenta_node.dynamics import (
     unpack,
 )
 from momenta_node.field_net import (
-    FieldNet,
     LinearStateMap,
     init_field,
     params_to_vec,
@@ -77,29 +76,30 @@ class TrainingDiverged(RuntimeError):
 
 
 class AdamOptimizer:
-    """Standard bias-corrected first-order optimizer over a flat vector.
+    """Standard bias-corrected first-order optimizer over a flat vector,
+    with the usual rates 0.9 and 0.999 and floor 1e-8.
 
     This is the training-loop optimizer, not the uncorrected recursion
     the continuous dynamics are derived from; the two deliberately
     coexist.
     """
 
-    def __init__(self, n: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, n: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = b1 * self.m + (1.0 - b1) * grad
+        self.v = b2 * self.v + (1.0 - b2) * grad * grad
+        m_hat = self.m / (1.0 - b1**self.t)
+        v_hat = self.v / (1.0 - b2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -127,10 +127,6 @@ class TrainConfig:
     atol: float = 1e-6
     n_points: int = 256
     dataset: str = "spirals"
-    # Reading the forward solve's own recorded dense output keeps the
-    # backward sweep honest when a trained field is too stiff to
-    # re-integrate in reverse, and costs no extra forward evaluations.
-    adjoint_mode: str = "store"
 
     def validate(self):
         if self.epochs < 0:
@@ -178,7 +174,6 @@ class ODEClassifier:
         self.d = cfg.d
         self.t1 = cfg.t1
         self.solver_cfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol, max_steps=40_000)
-        self.adjoint_mode = cfg.adjoint_mode
         rng = np.random.default_rng(cfg.seed)
         self.field = init_field(
             spec.field_in_dim(cfg.d),
@@ -243,14 +238,20 @@ class ODEClassifier:
         return terminal.h, res
 
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
-        """Cross-entropy plus the full flat gradient; returns nfe counters too."""
-        h_T, res = self.forward(x, record_steps=self.adjoint_mode == "store")
+        """Cross-entropy plus the full flat gradient; returns nfe counters too.
+
+        The adjoint runs in store mode: reading the forward solve's own
+        recorded dense output keeps the backward sweep honest when a
+        trained field is too stiff to re-integrate in reverse, and costs no
+        extra forward evaluations.
+        """
+        h_T, res = self.forward(x, record_steps=True)
         logits = self.readout.apply(h_T)
         loss, dlogits, _ = _softmax_ce(logits, labels)
 
         grad_h_T, grad_readout = self.readout.vjp(h_T, dlogits)
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
-                       cfg=self.solver_cfg, mode=self.adjoint_mode)
+                       cfg=self.solver_cfg, mode="store")
         a_h0 = np.atleast_2d(run.grad_initial_state.h)[:, : self.d]
         grad_x_unused, grad_embed = self.embed.vjp(x, a_h0)
         grad = np.concatenate([run.grad_params, grad_embed, grad_readout])

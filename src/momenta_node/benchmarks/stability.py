@@ -9,13 +9,13 @@ The probe records log10 of the hidden-block norm on a shared time grid
 and flags finite-time blow-ups.
 
 The driving signal is a forced Duffing oscillator by default; an
-external series can be supplied as CSV (`t,input,output`) and is
-validated and resampled onto a uniform grid.
+external series can be supplied instead (read from a `t,input,output`
+CSV by :func:`momenta_node.csv_formats.read_series_csv`) and is resampled
+onto a uniform grid.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -33,27 +33,13 @@ from momenta_node.dynamics import (
     make_node_rhs,
 )
 from momenta_node.field_net import FieldNet, init_field
-from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
+from momenta_node.solver import IntegratorConfig, solve_dopri45
 
 
-class SeriesFormatError(ValueError):
-    """Base class for series-CSV problems; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
-
-
-class MalformedRow(SeriesFormatError):
-    pass
-
-
-class NonMonotoneTime(SeriesFormatError):
-    pass
-
-
-class EmptySeries(SeriesFormatError):
-    pass
+# Samples of the shared time grid every model's norm curve is recorded on.
+N_GRID = 129
+# Step control of every probe solve; the CLI's tolerances replace rtol/atol.
+PROBE_SOLVER = IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=200_000)
 
 
 @dataclass
@@ -68,7 +54,6 @@ class StabilityProbe:
     inputs: np.ndarray
     outputs: np.ndarray
     t1: float = 64.0
-    n_grid: int = 129
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -82,12 +67,10 @@ class StabilityProbe:
             raise ValueError("probe series times must be strictly increasing")
         if self.t1 <= 0:
             raise ValueError("probe horizon t1 must be positive")
-        if self.n_grid < 2:
-            raise ValueError("need at least two grid points")
 
     @property
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t1, self.n_grid)
+        return np.linspace(0.0, self.t1, N_GRID)
 
 
 def duffing_probe(
@@ -95,7 +78,6 @@ def duffing_probe(
     n: int = 256,
     t_end: float = 16.0,
     t1: float = 64.0,
-    n_grid: int = 129,
 ) -> StabilityProbe:
     """Forced Duffing oscillator response, sampled on a uniform grid.
 
@@ -125,63 +107,24 @@ def duffing_probe(
         inputs=amp * np.cos(omega * ts + phase),
         outputs=states[:, 0],
         t1=t1,
-        n_grid=n_grid,
     )
 
 
-def write_series_csv(path, probe: StabilityProbe) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "input", "output"])
-        for t, u, y in zip(probe.times, probe.inputs, probe.outputs):
-            writer.writerow([repr(float(t)), repr(float(u)), repr(float(y))])
-
-
-def ingest_series_csv(path, t1: float = 64.0, n_grid: int = 129) -> StabilityProbe:
-    """Read a `t,input,output` series, validate it, and build a probe.
+def series_probe(times, inputs, outputs, t1: float) -> StabilityProbe:
+    """Build a probe from a measured series, as ``read_series_csv`` returns it.
 
     Non-uniform time stamps are resampled onto a uniform grid of the
     same length; already-uniform series pass through untouched so a
-    write/ingest round trip is exact.
+    write/read round trip is exact.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise EmptySeries("series file is empty", line=1)
-    header = [c.strip() for c in rows[0]]
-    if header != ["t", "input", "output"]:
-        raise MalformedRow(f"expected header 't,input,output', got {','.join(header)!r}", line=1)
-    body = rows[1:]
-    if not body:
-        raise EmptySeries("series has a header but no rows", line=2)
-
-    ts, us, ys = [], [], []
-    for i, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise MalformedRow(f"expected 3 fields, got {len(row)}", line=i)
-        try:
-            t, u, y = (float(c) for c in row)
-        except ValueError:
-            raise MalformedRow(f"non-numeric field in {row!r}", line=i) from None
-        if not (math.isfinite(t) and math.isfinite(u) and math.isfinite(y)):
-            raise MalformedRow(f"non-finite field in {row!r}", line=i)
-        if ts and t <= ts[-1]:
-            raise NonMonotoneTime(f"time {t!r} does not increase past {ts[-1]!r}", line=i)
-        ts.append(t)
-        us.append(u)
-        ys.append(y)
-
-    t_arr = np.array(ts)
-    u_arr = np.array(us)
-    y_arr = np.array(ys)
-    if t_arr.size >= 3:
-        dt = np.diff(t_arr)
+    if times.size >= 3:
+        dt = np.diff(times)
         if np.max(np.abs(dt - dt.mean())) > 1e-9 * max(dt.mean(), 1e-300):
-            uniform = np.linspace(t_arr[0], t_arr[-1], t_arr.size)
-            u_arr = np.interp(uniform, t_arr, u_arr)
-            y_arr = np.interp(uniform, t_arr, y_arr)
-            t_arr = uniform
-    return StabilityProbe(times=t_arr, inputs=u_arr, outputs=y_arr, t1=t1, n_grid=n_grid)
+            uniform = np.linspace(times[0], times[-1], times.size)
+            inputs = np.interp(uniform, times, inputs)
+            outputs = np.interp(uniform, times, outputs)
+            times = uniform
+    return StabilityProbe(times=times, inputs=inputs, outputs=outputs, t1=t1)
 
 
 MODEL_SPECS: dict[str, DynamicsSpec] = {
@@ -263,7 +206,7 @@ def run_stability_probe(
     activation: str = "relu",
     seed: int = 0,
     gain: float = 2.0,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = PROBE_SOLVER,
 ) -> StabilityResult:
     """Integrate every model from the same start and record norm growth.
 
@@ -276,7 +219,6 @@ def run_stability_probe(
         models = dict(MODEL_SPECS)
     if probe.outputs.size < d:
         raise ValueError(f"probe series has {probe.outputs.size} samples; need at least d={d}")
-    cfg = cfg or IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=200_000)
     grid = probe.grid
     h0 = probe.outputs[:d]
     widths = fair_hidden_widths(models, d, base_hidden)

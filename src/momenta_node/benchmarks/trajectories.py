@@ -41,6 +41,7 @@ DEFAULT_HORIZON = 200.0
 DEFAULT_STEP = 6.25e-4
 # The most RK4 steps one flow may take; the grid of 10M nodes takes 80 MB.
 MAX_RK4_STEPS = 10_000_000
+# Radius of the ball around the minimizer whose first entry is reported.
 ENTRY_RADIUS = 0.1
 
 
@@ -61,7 +62,6 @@ class TrajectoryExperiment:
     landscape: Landscape
     x0: np.ndarray
     t_end: float
-    entry_radius: float
     runs: dict[str, FlowTrajectory] = field(default_factory=dict)
     results: dict[str, SolveResult] = field(default_factory=dict)
 
@@ -81,8 +81,6 @@ def run_trajectory_experiment(
     n_samples: int = 2001,
     gamma: float = DEFAULT_GAMMA,
     adam: AdamParams | None = None,
-    entry_radius: float = ENTRY_RADIUS,
-    warm_start: bool = True,
 ) -> TrajectoryExperiment:
     """Race the requested flows and summarize proximity to the minimizer.
 
@@ -122,10 +120,10 @@ def run_trajectory_experiment(
     adam = DEFAULT_FLOW_ADAM if adam is None else adam
 
     sample_times = np.linspace(0.0, t_end, n_samples)
-    exp = TrajectoryExperiment(landscape=land, x0=x0, t_end=t_end, entry_radius=entry_radius)
+    exp = TrajectoryExperiment(landscape=land, x0=x0, t_end=t_end)
 
     for name in dynamics_list:
-        rhs, init = make_flow_rhs(name, land.grad, gamma=gamma, adam=adam, warm_start=warm_start)
+        rhs, init = make_flow_rhs(name, land.grad, gamma=gamma, adam=adam)
         y0 = init(x0)
         if method == "rk4":
             res = solve_rk4(rhs, y0, 0.0, t_end, n_steps, sample_times=sample_times)
@@ -136,7 +134,7 @@ def run_trajectory_experiment(
             dist = np.linalg.norm(xs - land.minimizer, axis=1)
             final_distance = float(np.linalg.norm(res.y_final[:2] - land.minimizer))
         finite = np.isfinite(dist)
-        hits = np.flatnonzero(finite & (dist <= entry_radius))
+        hits = np.flatnonzero(finite & (dist <= ENTRY_RADIUS))
         entry = float(res.ts[hits[0]]) if hits.size else None
         exp.results[name] = res
         exp.runs[name] = FlowTrajectory(

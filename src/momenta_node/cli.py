@@ -8,11 +8,12 @@ family), ``train`` (small classification run with efficacy tracking),
 
 Every command resolves its parameters from built-in defaults, then an
 optional ``--config`` JSON file, then explicit flags (flags win), echoes
-the result to ``<out>/config.resolved.json`` before computing anything,
-and writes only files under its output directory.  Exit codes are a
-stable contract: 0 success, 1 verification failure, 2 usage or config
-error, 3 a solver failed (every flow of ``trajectory``, or a solve that
-``gradcheck`` needs), 4 training diverged.
+the result to ``<out>/config.resolved.json`` once its inputs are checked,
+before any other output, and writes only files under its output
+directory.  Exit codes are a stable contract: 0 success, 1 verification
+failure, 2 usage or config error, 3 a solver failed (every flow of
+``trajectory``, or a solve that ``gradcheck`` needs), 4 training
+diverged.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from momenta_node import csv_formats, svg
 from momenta_node.adjoint import BackwardSolveError, ForwardSolveError, gradcheck
@@ -31,16 +31,15 @@ from momenta_node.benchmarks.classify import TrainConfig, run_classification
 from momenta_node.benchmarks.landscapes import LANDSCAPES
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
-    SeriesFormatError,
+    PROBE_SOLVER,
     duffing_probe,
-    ingest_series_csv,
     model_spec,
     run_stability_probe,
+    series_probe,
 )
 from momenta_node.benchmarks.trajectories import (
     DEFAULT_HORIZON,
     DEFAULT_STEP,
-    FLOWS,
     run_trajectory_experiment,
 )
 from momenta_node.solver import IntegratorConfig
@@ -180,9 +179,6 @@ def cmd_trajectory(args) -> int:
         isinstance(cfg["x0"], list) and len(cfg["x0"]) == 2 and all(map(_is_real, cfg["x0"]))
     ):
         raise ConfigError(f"x0 must be 'a,b' or a list of two numbers, got {cfg['x0']!r}")
-    out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "trajectory", {**cfg, "x0": list(cfg["x0"]) if cfg["x0"] else None})
-
     try:
         exp = run_trajectory_experiment(
             cfg["landscape"],
@@ -195,6 +191,8 @@ def cmd_trajectory(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    out_dir = Path(cfg["out"])
+    _emit_resolved(out_dir, "trajectory", {**cfg, "x0": list(cfg["x0"]) if cfg["x0"] else None})
     csv_formats.write_trajectory_csv(out_dir / "trajectory.csv", exp)
     summary = {
         "landscape": exp.landscape.name,
@@ -210,8 +208,8 @@ def cmd_trajectory(args) -> int:
         },
     }
     _write_json(out_dir / "summary.json", summary)
-    # Default title keeps the SVG a pure function of the CSV contents, so
-    # `plot --kind trajectory` reproduces this file byte for byte.
+    # The SVG is a pure function of the CSV contents, so `plot --kind
+    # trajectory` reproduces this file byte for byte.
     series = {name: (run.ts, run.xs) for name, run in exp.runs.items()}
     doc = svg.render_trajectory_svg(exp.landscape.minimizer, series)
     (out_dir / "trajectory.svg").write_text(doc)
@@ -230,8 +228,8 @@ def cmd_stability(args) -> int:
         "models": "all",
         "d": 4,
         "seed": 0,
-        "rtol": 1e-6,
-        "atol": 1e-6,
+        "rtol": PROBE_SOLVER.rtol,
+        "atol": PROBE_SOLVER.atol,
         "out": "out/stability",
     }
     cfg = _resolve(defaults, args)
@@ -240,15 +238,13 @@ def cmd_stability(args) -> int:
     if not isinstance(cfg["models"], str):
         raise ConfigError(f"--models expects 'all' or a comma-separated list, got {cfg['models']!r}")
     _check_strings(cfg, ("probe", "out"))
-    out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "stability", cfg)
 
     if cfg["probe"] == "synthetic":
         probe = duffing_probe(seed=int(cfg["seed"]), t1=float(cfg["t1"]))
     elif cfg["probe"].startswith("csv:"):
         try:
-            probe = ingest_series_csv(cfg["probe"][4:], t1=float(cfg["t1"]))
-        except (OSError, SeriesFormatError) as exc:
+            probe = series_probe(*csv_formats.read_series_csv(cfg["probe"][4:]), t1=float(cfg["t1"]))
+        except (OSError, csv_formats.CsvFormatError) as exc:
             raise ConfigError(f"bad probe series: {exc}") from exc
     else:
         raise ConfigError(f"--probe expects 'synthetic' or 'csv:PATH', got {cfg['probe']!r}")
@@ -270,10 +266,12 @@ def cmd_stability(args) -> int:
             models=models,
             d=int(cfg["d"]),
             seed=int(cfg["seed"]),
-            cfg=IntegratorConfig(rtol=float(cfg["rtol"]), atol=float(cfg["atol"]), max_steps=200_000),
+            cfg=replace(PROBE_SOLVER, rtol=float(cfg["rtol"]), atol=float(cfg["atol"])),
         )
     except ValueError as exc:  # d wider than the probe series, or no parameter-fair widths
         raise ConfigError(str(exc)) from exc
+    out_dir = Path(cfg["out"])
+    _emit_resolved(out_dir, "stability", cfg)
     csv_formats.write_stability_csv(out_dir / "stability.csv", result)
     summary = {
         "statuses": result.statuses,
@@ -404,9 +402,6 @@ def cmd_plot(args) -> int:
     _check_strings(cfg, ("in", "kind", "out"))
     if cfg["kind"] not in ("trajectory", "stability", "efficacy"):
         raise ConfigError(f"--kind must be trajectory, stability, or efficacy, got {cfg['kind']!r}")
-    out_path = Path(cfg["out"])
-    _emit_resolved(out_path.parent, "plot", cfg)
-
     try:
         if cfg["kind"] == "trajectory":
             minimizer, series = csv_formats.read_trajectory_csv(cfg["in"])
@@ -421,6 +416,8 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"cannot read {cfg['in']!r}: {exc}") from exc
     except csv_formats.CsvFormatError as exc:
         raise ConfigError(f"{cfg['in']}: {exc}") from exc
+    out_path = Path(cfg["out"])
+    _emit_resolved(out_path.parent, "plot", cfg)
     out_path.write_text(doc)
     print(f"wrote {out_path}")
     return EXIT_OK

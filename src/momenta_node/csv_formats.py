@@ -1,7 +1,8 @@
 """CSV schemas shared by the experiment runners, the CLI, and the plotter.
 
-Three formats, all plain comma-separated text with ``repr`` floats so a
-file round-trips bit-exactly and reruns are byte-identical:
+Four formats, all plain comma-separated text; the program writes the
+first three with ``repr`` floats so a file round-trips bit-exactly and
+reruns are byte-identical:
 
 * trajectory: one ``# minimizer,<x>,<y>`` comment, a ``t,x,y,dynamics``
   header, then every sampled point of every flow (flows concatenated).
@@ -11,19 +12,24 @@ file round-trips bit-exactly and reruns are byte-identical:
 * efficacy: comments defining the efficacy quotient, then an
   ``epoch,train_loss,test_accuracy,forward_nfe,backward_nfe,efficacy_fwd,efficacy_bwd``
   header with one row per recorded epoch.
+* series (stability probe input, read only): a ``t,input,output`` header,
+  then one row of finite values per sample, times strictly increasing.
 
-Readers validate headers and reject empty bodies so a mismatched file
-fails loudly instead of plotting garbage.
+All four readers share one table reader: blank lines are skipped, ``#``
+lines are comments, the header must match exactly, and an empty body is
+refused, so a mismatched file fails loudly instead of plotting garbage.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 TRAJECTORY_HEADER = ["t", "x", "y", "dynamics"]
 STABILITY_HEADER = ["t", "log10_norm", "model"]
+SERIES_HEADER = ["t", "input", "output"]
 EFFICACY_HEADER = [
     "epoch",
     "train_loss",
@@ -42,7 +48,12 @@ EFFICACY_COMMENT = (
 
 
 class CsvFormatError(ValueError):
-    """The file does not match the expected schema."""
+    """The file does not match the expected schema; ``line`` is the
+    1-based line at fault, or None when the file as a whole is."""
+
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"{message} (line {line})")
+        self.line = line
 
 
 def _fmt(x) -> str:
@@ -56,9 +67,11 @@ def _parse_table(path, header, n_numeric):
     each ``#`` line, its text split on commas.  The first other line must
     equal ``header`` and at least one row must follow; every row needs
     ``len(header)`` fields whose first ``n_numeric`` parse as floats.
-    ``rows`` holds ``(numbers, rest)`` per row.
+    ``rows`` holds ``(lineno, numbers, rest)`` per row.  A missing header
+    or body is reported at the line after the last.
     """
     comments, rows, found = [], [], None
+    lineno = 0
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -72,20 +85,20 @@ def _parse_table(path, header, n_numeric):
                 found = row
                 if found != header:
                     raise CsvFormatError(
-                        f"expected header {','.join(header)!r}, got {','.join(found)!r} (line {lineno})"
+                        f"expected header {','.join(header)!r}, got {','.join(found)!r}", lineno
                     )
                 continue
             if len(row) != len(header):
-                raise CsvFormatError(f"expected {len(header)} fields, got {len(row)} (line {lineno})")
+                raise CsvFormatError(f"expected {len(header)} fields, got {len(row)}", lineno)
             try:
                 numbers = [float(value) for value in row[:n_numeric]]
             except ValueError as exc:
-                raise CsvFormatError(f"non-numeric value (line {lineno})") from exc
-            rows.append((numbers, row[n_numeric:]))
+                raise CsvFormatError("non-numeric value", lineno) from exc
+            rows.append((lineno, numbers, row[n_numeric:]))
     if found is None:
-        raise CsvFormatError("no header row found")
+        raise CsvFormatError("no header row found", lineno + 1)
     if not rows:
-        raise CsvFormatError("no data rows")
+        raise CsvFormatError("no data rows", lineno + 1)
     return comments, rows
 
 
@@ -112,12 +125,12 @@ def read_trajectory_csv(path):
             try:
                 mx, my = (float(v) for v in parts[1:])
             except ValueError:
-                raise CsvFormatError(f"malformed minimizer comment (line {lineno})") from None
+                raise CsvFormatError("malformed minimizer comment", lineno) from None
             minimizer = np.array([mx, my])
     if minimizer is None:
-        raise CsvFormatError("missing '# minimizer' comment")
+        raise CsvFormatError("missing '# minimizer' comment", None)
     series: dict[str, list] = {}
-    for numbers, (name,) in rows:
+    for _, numbers, (name,) in rows:
         series.setdefault(name, []).append(numbers)
     out = {}
     for name, pts in series.items():
@@ -137,8 +150,7 @@ def write_stability_csv(path, result) -> None:
             for t, v in zip(result.grid, result.log10_norms[name]):
                 writer.writerow([_fmt(t), _fmt(v), name])
         for name, t_blow in result.blowup_at.items():
-            if t_blow is not None:
-                fh.write(f"# blowup_at,{_fmt(t_blow)},{name}\n")
+            fh.write(f"# blowup_at,{_fmt(t_blow)},{name}\n")
 
 
 def read_stability_csv(path):
@@ -151,9 +163,9 @@ def read_stability_csv(path):
                 _, t_blow, name = parts
                 blowups[name] = float(t_blow)
             except ValueError:
-                raise CsvFormatError(f"malformed blowup_at comment (line {lineno})") from None
+                raise CsvFormatError("malformed blowup_at comment", lineno) from None
     series: dict[str, list] = {}
-    for numbers, (name,) in rows:
+    for _, numbers, (name,) in rows:
         series.setdefault(name, []).append(numbers)
     out = {name: (np.asarray(p)[:, 0], np.asarray(p)[:, 1]) for name, p in series.items()}
     return out, blowups
@@ -183,7 +195,7 @@ def write_efficacy_csv(path, records) -> None:
 def read_efficacy_csv(path):
     """Returns a dict of column arrays keyed by the header names."""
     _, rows = _parse_table(path, EFFICACY_HEADER, len(EFFICACY_HEADER))
-    table = np.asarray([numbers for numbers, _ in rows])
+    table = np.asarray([numbers for _, numbers, _ in rows])
     out = {}
     for i, name in enumerate(EFFICACY_HEADER):
         arr = table[:, i]
@@ -191,3 +203,22 @@ def read_efficacy_csv(path):
             arr = arr.astype(int)
         out[name] = arr
     return out
+
+
+# --------------------------------------------------------------------- series
+
+def read_series_csv(path):
+    """Returns ``(ts, inputs, outputs)`` arrays; raises CsvFormatError.
+
+    Every value must be finite and the times strictly increasing.
+    """
+    _, rows = _parse_table(path, SERIES_HEADER, 3)
+    prev = None
+    for lineno, numbers, _ in rows:
+        if not all(map(math.isfinite, numbers)):
+            raise CsvFormatError("non-finite value", lineno)
+        if prev is not None and numbers[0] <= prev:
+            raise CsvFormatError(f"time {numbers[0]!r} does not increase past {prev!r}", lineno)
+        prev = numbers[0]
+    table = np.asarray([numbers for _, numbers, _ in rows])
+    return table[:, 0], table[:, 1], table[:, 2]

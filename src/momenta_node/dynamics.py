@@ -15,17 +15,16 @@ Six trainable formulations share a common packed-state convention
 * ``adam`` -- dh/dt = -m/sqrt(v + eps), dm/dt = (1-alpha)(-f(h, t) - m),
   dv/dt = (1-beta)(f(h, t)^2 - v)
 
-Pure-optimization counterparts driven by an explicit objective gradient
+Three pure-optimization flows driven by an explicit objective gradient
 (gradient flow, damped momentum flow, and the adaptive-moment flow where
-``m`` chases grad F instead of ``-f``) live here as well, together with
-the discrete adaptive-moment update they are the small-step limit of.
+``m`` chases grad F instead of ``-f``) live here as well, as plain-float
+right-hand sides for the fixed-step solver (:func:`make_flow_rhs`).
 
 All block arrays may carry a leading batch axis; the flat layout
 concatenates the blocks in order, each row-major, so a single sample
 packs as ``[h, m, v]``.
 """
 
-import json
 from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Sequence
@@ -80,7 +79,7 @@ class HeavyBallParams:
 
 @dataclass
 class DynamicsSpec:
-    """Serializable description of one formulation and its constants.
+    """One formulation and its constants.
 
     ``m0``/``v0`` are the scalar fills used when building initial states
     (momentum defaults to rest, second moment to one).
@@ -140,52 +139,6 @@ class DynamicsSpec:
         """State width the field consumes (time slot excluded)."""
         w = self.width(d)
         return 2 * w if self.kind == SECOND_ORDER else w
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "m0": self.m0, "v0": self.v0}
-        if self.kind == ADAM:
-            out.update(alpha=self.adam.alpha, beta=self.adam.beta, epsilon=self.adam.epsilon)
-        if self.kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL):
-            out["theta"] = self.hb.theta
-        if self.kind == AUGMENTED:
-            out["aug_width"] = self.aug_width
-        if self.kind == GENERALIZED_HEAVY_BALL:
-            out["saturation_bound"] = self.saturation_bound
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DynamicsSpec":
-        data = dict(data)
-        kind = data.pop("kind")
-        adam = None
-        if kind == ADAM:
-            adam = AdamParams(
-                alpha=data.pop("alpha", 0.9),
-                beta=data.pop("beta", 0.99),
-                epsilon=data.pop("epsilon", 1e-5),
-            )
-        hb = None
-        if kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL):
-            hb = HeavyBallParams(theta=data.pop("theta", -3.0))
-        spec = cls(
-            kind=kind,
-            adam=adam,
-            hb=hb,
-            aug_width=data.pop("aug_width", 1 if kind == AUGMENTED else 0),
-            saturation_bound=data.pop("saturation_bound", 1.0),
-            m0=data.pop("m0", 0.0),
-            v0=data.pop("v0", 1.0),
-        )
-        if data:
-            raise ValueError(f"unknown dynamics keys: {sorted(data)}")
-        return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "DynamicsSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -286,54 +239,6 @@ def derivative(spec: DynamicsSpec, field: fn.FieldNet, t: float, state: PackedSt
     return dstate, f, cache
 
 
-def gradient_flow_rhs(t: float, x: np.ndarray, grad_f: GradFn) -> np.ndarray:
-    return -np.asarray(grad_f(x), dtype=float)
-
-
-def hb_ode_rhs(t: float, state: PackedState, grad_f: GradFn, gamma: float) -> PackedState:
-    """Damped momentum descent flow: x' = m, m' = -gamma*m - grad F.
-
-    This is the small-step limit of the classical momentum recursion and
-    collapses to x'' + gamma*x' = -grad F, so the objective decreases
-    along trajectories (energy F + ||m||^2/2 dissipates at rate
-    gamma*||m||^2).
-    """
-    g = np.asarray(grad_f(state.h), dtype=float)
-    return PackedState(h=state.m, m=-gamma * state.m - g)
-
-
-def adam_ode_rhs(t: float, state: PackedState, grad_f: GradFn, p: AdamParams) -> PackedState:
-    g = np.asarray(grad_f(state.h), dtype=float)
-    root = np.sqrt(state.v + p.epsilon)
-    return PackedState(
-        h=-state.m / root,
-        m=(1.0 - p.alpha) * (g - state.m),
-        v=(1.0 - p.beta) * (g * g - state.v),
-    )
-
-
-def discrete_adam_step(
-    x: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    grad_f: GradFn,
-    s: float,
-    alpha: float = 0.9,
-    beta: float = 0.99,
-    epsilon: float = 1e-8,
-):
-    """One uncorrected adaptive-moment update with step size ``s``.
-
-    The position moves first; both moment estimates then blend in the
-    gradient taken at the new position.  Returns ``(x', m', v')``.
-    """
-    x_new = x - s * m / np.sqrt(v + epsilon)
-    g = np.asarray(grad_f(x_new), dtype=float)
-    m_new = alpha * m + (1.0 - alpha) * g
-    v_new = beta * v + (1.0 - beta) * g * g
-    return x_new, m_new, v_new
-
-
 def make_node_rhs(
     spec: DynamicsSpec, field: fn.FieldNet, d: int, batch: int = 1
 ) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -367,28 +272,27 @@ def make_flow_rhs(
     grad_f: GradFn,
     gamma: float = 0.9,
     adam: AdamParams | None = None,
-    warm_start: bool = True,
 ) -> tuple[Callable[[float, Sequence[float]], list], Callable[[np.ndarray], np.ndarray]]:
-    """Pure-optimization flow over an objective gradient.
+    """Pure-optimization flow over an objective gradient ``g = grad F``.
 
-    ``flow`` is one of ``"ode"`` (plain gradient flow), ``"hbode"``
-    (damped momentum flow, fixed ``gamma``), or ``"adamode"``.  Returns
+    ``flow`` is one of ``"ode"`` (x' = -g), ``"hbode"`` (x' = m,
+    m' = -gamma*m - g) or ``"adamode"`` (x' = -m/sqrt(v + eps),
+    m' = (1-alpha)(g - m), v' = (1-beta)(g*g - v)).  Returns
     ``(rhs, init)`` where ``init`` maps a start point to the flat state.
 
     ``rhs`` computes on plain floats: it takes any sequence of floats (the
     list :func:`~momenta_node.solver.solve_rk4` passes, or an ndarray) and
-    returns a list, bit for bit what :func:`gradient_flow_rhs`,
-    :func:`hb_ode_rhs` and :func:`adam_ode_rhs` compute on arrays, NaN and
-    inf included.  ``grad_f`` receives the position block as a sequence of
-    the same kind and returns one float per coordinate.
+    returns a list, bit for bit what the same equations give on numpy
+    arrays, NaN and inf included.  ``grad_f`` receives the position block
+    as a sequence of the same kind and returns one float per coordinate.
 
-    With ``warm_start`` the adaptive flow seeds its moment estimates
-    from the start-point gradient (m = grad, v = grad**2), matching what
-    a bias-corrected first step would produce.  A cold start (zeros and
-    ones) instead spends roughly 1/(1-beta) time units waiting for the
-    second moment to forget the large gradients near a typical far-away
-    start.  At a stationary point the warm start is zero, so it never
-    moves a converged state.
+    The adaptive flow starts warm: it seeds its moment estimates from the
+    start-point gradient (m = grad, v = grad**2), matching what a
+    bias-corrected first step would produce.  A cold start (zeros and
+    ones) would instead spend roughly 1/(1-beta) time units waiting for
+    the second moment to forget the large gradients near a typical
+    far-away start.  At a stationary point the warm start is zero, so it
+    never moves a converged state.
     """
     if flow == "ode":
 
@@ -425,10 +329,8 @@ def make_flow_rhs(
 
         def init(x0):
             x0 = np.asarray(x0, dtype=float)
-            if warm_start:
-                g0 = np.asarray(grad_f(x0), dtype=float)
-                return np.concatenate([x0, g0, g0 * g0])
-            return np.concatenate([x0, np.zeros(x0.size), np.ones(x0.size)])
+            g0 = np.asarray(grad_f(x0), dtype=float)
+            return np.concatenate([x0, g0, g0 * g0])
 
         return rhs, init
     raise ValueError(f"unknown flow {flow!r}; expected 'ode', 'hbode', or 'adamode'")

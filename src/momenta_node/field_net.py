@@ -144,10 +144,9 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     return out, (layer_in, pre, squeeze)
 
 
-def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, need_input=True, need_params=True):
+def vjp_from_cache(net: FieldNet, cache, a: np.ndarray):
     """Reverse sweep: returns ``(a^T df/dh, a^T df/dtheta)`` for cotangent ``a``.
 
-    Either output may be requested alone; the other comes back as None.
     The parameter contraction is summed over the batch and flattened in
     :func:`params_to_vec` order.
     """
@@ -158,46 +157,18 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, need_input=True, need_pa
         g = g.reshape(1, -1)
     if g.shape != (layer_in[0].shape[0], net.out_dim):
         raise ValueError("cotangent shape does not match the cached forward pass")
-    grads_W = [None] * len(net.weights) if need_params else None
-    grads_b = [None] * len(net.weights) if need_params else None
+    grads_W = [None] * len(net.weights)
+    grads_b = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
-        if need_params:
-            grads_W[l] = g.T @ layer_in[l]
-            grads_b[l] = g.sum(axis=0)
+        grads_W[l] = g.T @ layer_in[l]
+        grads_b[l] = g.sum(axis=0)
         g = g @ net.weights[l]
         if l > 0:
             g = g * dact(pre[l - 1])
-    grad_h = None
-    if need_input:
-        grad_h = g[:, : net.state_dim] if net.time_conditioned else g
-        if squeeze:
-            grad_h = grad_h[0]
-    grad_theta = None
-    if need_params:
-        grad_theta = np.concatenate(
-            [W.ravel() for W in grads_W] + [b for b in grads_b]
-        )
-    return grad_h, grad_theta
-
-
-def forward(net: FieldNet, h: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate ``f(h, t)``."""
-    out, _ = eval_cached(net, h, t)
-    return out
-
-
-def vjp_input(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
-    """Contraction ``a^T df/dh`` at ``(h, t)``; time slot dropped."""
-    _, cache = eval_cached(net, h, t)
-    grad_h, _ = vjp_from_cache(net, cache, a, need_input=True, need_params=False)
-    return grad_h
-
-
-def vjp_params(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
-    """Contraction ``a^T df/dtheta`` at ``(h, t)`` as a flat vector."""
-    _, cache = eval_cached(net, h, t)
-    _, grad_theta = vjp_from_cache(net, cache, a, need_input=False, need_params=True)
-    return grad_theta
+    grad_h = g[:, : net.state_dim] if net.time_conditioned else g
+    if squeeze:
+        grad_h = grad_h[0]
+    return grad_h, np.concatenate([W.ravel() for W in grads_W] + grads_b)
 
 
 def params_to_vec(net: FieldNet) -> np.ndarray:
@@ -224,28 +195,22 @@ def vec_to_params(net: FieldNet, vec: np.ndarray) -> FieldNet:
 
 @dataclass
 class LinearStateMap:
-    """Optional learned map from the initial state to an auxiliary block.
+    """Learned affine map ``W h + b`` between the data and the hidden state.
 
-    ``apply`` computes ``W h + b`` (squared elementwise when
-    ``square_output`` is set, which keeps the image non-negative).  Used
-    for learned initial momentum or second-moment blocks; off by default
-    everywhere.
+    The classifier uses one as its embed (data to initial hidden block)
+    and one as its readout (terminal hidden block to logits).
     """
 
     W: np.ndarray
     b: np.ndarray
-    square_output: bool = False
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        y = h @ self.W.T + self.b
-        return y * y if self.square_output else y
+        return h @ self.W.T + self.b
 
     def vjp(self, h: np.ndarray, a: np.ndarray):
         """Returns ``(a^T dout/dh, flat a^T dout/dparams)`` summed over any batch."""
         h2 = h.reshape(1, -1) if h.ndim == 1 else h
         a2 = a.reshape(1, -1) if a.ndim == 1 else a
-        if self.square_output:
-            a2 = 2.0 * (h2 @ self.W.T + self.b) * a2
         grad_h = a2 @ self.W
         grad_W = a2.T @ h2
         grad_b = a2.sum(axis=0)

@@ -47,6 +47,8 @@ _E = np.array([
     22.0 / 525.0,
     -1.0 / 40.0,
 ])
+# Step-size controller safety factor.
+_SAFETY = 0.9
 # Dense-output weights: y(t + theta*h) = y + h * (K^T P) @ [theta, ..., theta^4].
 _P = np.array([
     [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0, -12715105075.0 / 11282082432.0],
@@ -83,8 +85,6 @@ class IntegratorConfig:
         solve may be shorter than ``h_min`` in order to land on ``t1``.
     max_steps : int
         Budget of accepted plus rejected step attempts.
-    safety : float
-        Controller safety factor in (0, 1].
     """
 
     rtol: float = 1e-6
@@ -93,7 +93,6 @@ class IntegratorConfig:
     h_min: float = 1e-12
     h_max: float = 10.0
     max_steps: int = 100_000
-    safety: float = 0.9
 
     def validate(self) -> None:
         if not (self.rtol > 0.0 and self.atol > 0.0):
@@ -102,8 +101,6 @@ class IntegratorConfig:
             raise ValueError("need 0 < h_min <= h_init <= h_max")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not (0.0 < self.safety <= 1.0):
-            raise ValueError("safety must lie in (0, 1]")
 
 
 @dataclass
@@ -333,7 +330,7 @@ def solve_dopri45(
             if err == 0.0:
                 h = cfg.h_max
             else:
-                h = min(max(cfg.safety * h_att * err ** -0.2, cfg.h_min), cfg.h_max)
+                h = min(max(_SAFETY * h_att * err ** -0.2, cfg.h_min), cfg.h_max)
 
     res = SolveResult(
         ts=np.array(out_ts),

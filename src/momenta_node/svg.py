@@ -168,7 +168,7 @@ def _document(parts) -> str:
     )
 
 
-def render_trajectory_svg(minimizer, series, title="landscape trajectories") -> str:
+def render_trajectory_svg(minimizer, series) -> str:
     """Paths over the plane with a star at the minimizer.
 
     ``series`` maps a dynamics name to ``(ts, xs)`` with ``xs`` of shape
@@ -200,7 +200,7 @@ def render_trajectory_svg(minimizer, series, title="landscape trajectories") -> 
     canvas = _Canvas((x_lo - pad_x, x_hi + pad_x), (y_lo - pad_y, y_hi + pad_y))
 
     parts = []
-    _frame(parts, canvas, title, "x", "y")
+    _frame(parts, canvas, "landscape trajectories", "x", "y")
     entries = []
     for i, (name, (ts, xs)) in enumerate(series.items()):
         xs = np.asarray(xs, dtype=float)
@@ -219,9 +219,8 @@ def render_trajectory_svg(minimizer, series, title="landscape trajectories") -> 
     return _document(parts)
 
 
-def render_stability_svg(series, blowups=None, title="hidden-state norm growth") -> str:
+def render_stability_svg(series, blowups) -> str:
     """log10 norm curves over time, with an x at each recorded blow-up."""
-    blowups = blowups or {}
     t_lo = min(float(ts[0]) for ts, _ in series.values())
     t_hi = max(float(ts[-1]) for ts, _ in series.values())
     vals = np.concatenate([np.asarray(v, dtype=float) for _, v in series.values()])
@@ -230,7 +229,7 @@ def render_stability_svg(series, blowups=None, title="hidden-state norm growth")
     canvas = _Canvas((t_lo, t_hi), (v_lo - 0.5, v_hi + 0.5))
 
     parts = []
-    _frame(parts, canvas, title, "t", "log10 ||h(t)||")
+    _frame(parts, canvas, "hidden-state norm growth", "t", "log10 ||h(t)||")
     entries = []
     for i, (name, (ts, v)) in enumerate(series.items()):
         v = np.asarray(v, dtype=float)
@@ -253,7 +252,7 @@ def render_stability_svg(series, blowups=None, title="hidden-state norm growth")
     return _document(parts)
 
 
-def render_loss_svg(cols, title="training loss") -> str:
+def render_loss_svg(cols) -> str:
     """Train loss per epoch from efficacy CSV columns."""
     epochs = np.asarray(cols["epoch"], dtype=float)
     loss = np.asarray(cols["train_loss"], dtype=float)
@@ -263,7 +262,7 @@ def render_loss_svg(cols, title="training loss") -> str:
     pad = 0.06 * (hi - lo or 1.0)
     canvas = _Canvas((float(epochs.min()), float(epochs.max()) or 1.0), (lo - pad, hi + pad))
     parts = []
-    _frame(parts, canvas, title, "epoch", "train_loss")
+    _frame(parts, canvas, "training loss", "epoch", "train_loss")
     pix = [(canvas.x(e), canvas.y(v)) for e, v in zip(epochs[keep], loss[keep])]
     if pix:
         parts.append(_polyline(pix, _color(0)))
@@ -271,7 +270,7 @@ def render_loss_svg(cols, title="training loss") -> str:
     return _document(parts)
 
 
-def render_efficacy_svg(cols, title="training efficacy") -> str:
+def render_efficacy_svg(cols) -> str:
     """Efficacy quotients and test accuracy per epoch from efficacy CSV columns."""
     epochs = np.asarray(cols["epoch"], dtype=float)
     series = [
@@ -285,7 +284,7 @@ def render_efficacy_svg(cols, title="training efficacy") -> str:
         (0.0, float(vals.max()) * 1.1 or 1.0),
     )
     parts = []
-    _frame(parts, canvas, title, "epoch", "value")
+    _frame(parts, canvas, "training efficacy", "epoch", "value")
     entries = []
     for i, (name, v) in enumerate(series):
         pix = [(canvas.x(e), canvas.y(val)) for e, val in zip(epochs, v)]

