@@ -59,7 +59,9 @@ class AdjointRun:
 
     ``grad_params`` follows :func:`momenta_node.field_net.params_to_vec`
     order, with the scalar damping gradient appended for the heavy-ball
-    family.  ``grad_initial_state`` holds the cotangent blocks at ``t0``.
+    family.  ``grad_initial_state`` holds the cotangent blocks at ``t0``:
+    ``(batch, width)`` arrays for a batch of several states, plain vectors
+    for a single one.
     """
 
     grad_params: np.ndarray
@@ -86,55 +88,48 @@ def param_count(spec: dyn.DynamicsSpec, field: fn.FieldNet) -> int:
     return field.n_params + spec.extra_param_count
 
 
-def _adjoint_core(spec, field, t, st, ast, variant, counters):
-    """Time derivatives of (forward blocks, cotangent blocks, parameter accumulator)."""
+def _cotangent(spec, field, s, a, f, cache, root, variant, da, acc):
+    """Write the cotangent derivatives into ``da`` and the accumulator's into ``acc``.
+
+    ``s``, ``a`` and ``da`` are block arrays ``(n_blocks, batch, width)``
+    of the forward state, its cotangent and the cotangent's derivative;
+    ``f``/``cache`` are the field's value and cache at ``s``, and ``root``
+    the clamped adaptive-moment divisor.
+    """
     kind = spec.kind
-    root = None
-    if kind == dyn.ADAM:
-        # Reverse recomputation can push v below zero; the divisor then
-        # sees it clamped at zero, and the clamp is counted.
-        v = st.v
-        if np.any(v < 0.0):
-            counters["v_clamps"] += 1
-            v = np.maximum(v, 0.0)
-        root = np.sqrt(v + spec.adam.epsilon)
-    dst, f, cache = dyn.derivative(spec, field, t, st, root)
-
     if kind in (dyn.VANILLA, dyn.AUGMENTED):
-        g_h, g_th = fn.vjp_from_cache(field, cache, ast.h)
-        return dst, dyn.PackedState(h=-g_h), -g_th
-
-    if kind == dyn.SECOND_ORDER:
-        g_in, g_th = fn.vjp_from_cache(field, cache, ast.m)
-        w = st.h.shape[-1]
-        g_h, g_m = g_in[..., :w], g_in[..., w:]
-        return dst, dyn.PackedState(h=-g_h, m=-ast.h - g_m), -g_th
-
-    if kind in (dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL):
+        g_h, _ = fn.vjp_from_cache(field, cache, a[0], out=acc)
+        np.negative(g_h, out=da[0])
+        np.negative(acc, out=acc)
+    elif kind == dyn.SECOND_ORDER:
+        g_in, _ = fn.vjp_from_cache(field, cache, a[1], out=acc)
+        w = s.shape[-1]
+        np.negative(g_in[:, :w], out=da[0])
+        np.subtract(-a[0], g_in[:, w:], out=da[1])
+        np.negative(acc, out=acc)
+    elif kind in (dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL):
         gamma = spec.hb.gamma
-        g_h, g_th = fn.vjp_from_cache(field, cache, ast.m)
+        g_h, _ = fn.vjp_from_cache(field, cache, a[1], out=acc[:-1])
+        np.negative(g_h, out=da[0])
         if kind == dyn.HEAVY_BALL:
-            dash_m = ast.h + gamma * ast.m
+            np.add(a[0], gamma * a[1], out=da[1])
         else:
-            mask = (np.abs(st.m) < spec.saturation_bound).astype(float)
-            dash_m = mask * ast.h + gamma * ast.m
+            mask = (np.abs(s[1]) < spec.saturation_bound).astype(float)
+            np.add(mask * a[0], gamma * a[1], out=da[1])
+        np.negative(acc[:-1], out=acc[:-1])
         # d(gamma)/d(theta) = gamma (1 - gamma); the damping enters as -gamma m.
-        d_damp = gamma * (1.0 - gamma) * float(np.sum(ast.m * st.m))
-        return dst, dyn.PackedState(h=-g_h, m=dash_m), np.concatenate([-g_th, [d_damp]])
-
-    # Adaptive-moment dynamics.
-    p = spec.adam
-    if variant == "exact":
-        c = (1.0 - p.alpha) * ast.m - (1.0 - p.beta) * (2.0 * f * ast.v)
+        acc[-1] = gamma * (1.0 - gamma) * float((a[1] * s[1]).sum())
     else:
-        c = ast.m - ast.v
-    g_h, g_th = fn.vjp_from_cache(field, cache, c)
-    dast = dyn.PackedState(
-        h=g_h,
-        m=ast.h / root + (1.0 - p.alpha) * ast.m,
-        v=-ast.h * st.m / (2.0 * root**3) + (1.0 - p.beta) * ast.v,
-    )
-    return dst, dast, g_th
+        p = spec.adam
+        rated_m = (1.0 - p.alpha) * a[1]
+        if variant == "exact":
+            c = rated_m - (1.0 - p.beta) * (2.0 * f * a[2])
+        else:
+            c = a[1] - a[2]
+        g_h, _ = fn.vjp_from_cache(field, cache, c, out=acc)
+        da[0] = g_h
+        np.add(a[0] / root, rated_m, out=da[1])
+        np.add(-a[0] * s[1] / (2.0 * root**3), (1.0 - p.beta) * a[2], out=da[2])
 
 
 def make_adjoint_rhs(
@@ -150,33 +145,44 @@ def make_adjoint_rhs(
 
     Default layout is ``[forward state, cotangent, parameter accumulator]``.
     When ``forward_of_t`` is given (store mode) the forward blocks are read
-    from that function of time instead and the layout drops to
-    ``[cotangent, accumulator]``.
+    from that function of time instead, only the field is evaluated there,
+    and the layout drops to ``[cotangent, accumulator]``.  Each call
+    returns a fresh flat array.
     """
     if variant not in ("exact", "literal"):
         raise ValueError("variant must be 'exact' or 'literal'")
     if counters is None:
         counters = {"v_clamps": 0}
+    shape = (spec.n_blocks, batch, spec.width(d))
     bd = batch * spec.state_dim(d)
-    n_par = param_count(spec, field)
+    store = forward_of_t is not None
+    lo = 0 if store else bd  # where the cotangent starts
+    n_joint = lo + bd + param_count(spec, field)
+    is_adam = spec.kind == dyn.ADAM
+    eps = spec.adam.epsilon if is_adam else None
 
-    if forward_of_t is None:
+    def rhs(t, joint):
+        out = np.empty(n_joint)
+        s = (forward_of_t(t) if store else joint[:bd]).reshape(shape)
+        root = None
+        if is_adam:
+            # Reverse recomputation can push v below zero; the divisor then
+            # sees it clamped at zero, and the clamp is counted.
+            v = s[2]
+            if (v < 0.0).any():
+                counters["v_clamps"] += 1
+                v = np.maximum(v, 0.0)
+            root = np.sqrt(v + eps)
+        if store:
+            f, cache = fn.eval_cached(field, dyn.field_input(spec, s), t)
+        else:
+            f, cache = dyn.derivative(spec, field, t, s, out[:bd].reshape(shape), root)
+        da = out[lo : lo + bd].reshape(shape)
+        a = joint[lo : lo + bd].reshape(shape)
+        _cotangent(spec, field, s, a, f, cache, root, variant, da, out[lo + bd :])
+        return out
 
-        def rhs(t, joint):
-            st = dyn.unpack(joint[:bd], spec, d, batch)
-            ast = dyn.unpack(joint[bd : 2 * bd], spec, d, batch)
-            dst, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
-            return np.concatenate([dyn.pack(dst), dyn.pack(dast), dth])
-
-    else:
-
-        def rhs(t, joint):
-            st = dyn.unpack(forward_of_t(t), spec, d, batch)
-            ast = dyn.unpack(joint[:bd], spec, d, batch)
-            _, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
-            return np.concatenate([dyn.pack(dast), dth])
-
-    rhs.n_joint = (2 * bd if forward_of_t is None else bd) + n_par
+    rhs.n_joint = n_joint
     return rhs
 
 
@@ -243,6 +249,9 @@ def backward(
     y1 = forward.states[-1]
     d = field.out_dim - spec.aug_width
     batch = _infer_batch(spec, d, y1.size)
+    # A flat state does not say whether it holds one sample or a batch of
+    # one; the returned cotangent blocks read a single state as one sample.
+    named_batch = batch if batch > 1 else None
     loss_grad = np.asarray(loss_grad, dtype=float)
     if loss_grad.shape != y1.shape:
         raise ValueError("loss_grad must match the flat state shape")
@@ -251,7 +260,7 @@ def backward(
     if t0 == t1:
         return AdjointRun(
             grad_params=np.zeros(n_par),
-            grad_initial_state=dyn.unpack(loss_grad, spec, d, batch),
+            grad_initial_state=dyn.unpack(loss_grad, spec, d, named_batch),
             backward_nfe=0,
             forward_state_reconstruction_error=0.0,
         )
@@ -296,7 +305,7 @@ def backward(
         )
     return AdjointRun(
         grad_params=grad_theta,
-        grad_initial_state=dyn.unpack(a0, spec, d, batch),
+        grad_initial_state=dyn.unpack(a0, spec, d, named_batch),
         backward_nfe=res.nfe,
         forward_state_reconstruction_error=recon_err,
         v_underflow_clamps=counters["v_clamps"],

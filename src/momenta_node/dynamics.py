@@ -26,6 +26,7 @@ packs as ``[h, m, v]``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Callable, Sequence
 
@@ -66,13 +67,17 @@ class AdamParams:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeavyBallParams:
-    """Trainable damping: gamma = sigmoid(theta)."""
+    """Trainable damping: gamma = sigmoid(theta).
+
+    Frozen, so ``gamma`` is computed once per value of ``theta``; training
+    swaps in a new instance when ``theta`` moves.
+    """
 
     theta: float = -3.0
 
-    @property
+    @cached_property
     def gamma(self) -> float:
         return float(sigmoid(self.theta))
 
@@ -158,25 +163,25 @@ def pack(state: PackedState) -> np.ndarray:
     return np.concatenate([np.asarray(b, dtype=float).ravel() for b in state.blocks()])
 
 
-def unpack(vec: np.ndarray, spec: DynamicsSpec, d: int, batch: int = 1) -> PackedState:
-    """Split a flat vector back into ``(h, m, v)`` blocks of width ``spec.width(d)``.
+def unpack(vec: np.ndarray, spec: DynamicsSpec, d: int, batch: int | None = None) -> PackedState:
+    """Name the ``(h, m, v)`` blocks of a flat state, each of width ``spec.width(d)``.
 
-    With ``batch > 1`` each block becomes a ``(batch, width)`` array;
-    otherwise blocks are plain vectors.
+    With an integer ``batch`` each block is a ``(batch, width)`` array, a
+    batch of one included; with ``batch=None`` the state is one sample and
+    each block a plain vector.  The blocks are views of ``vec`` (one
+    reshape, no copy), so writing to a block writes to the state.
     """
-    vec = np.asarray(vec, dtype=float)
     w = spec.width(d)
     nb = spec.n_blocks
-    expected = nb * w * batch
+    expected = nb * w * (1 if batch is None else batch)
     if vec.shape != (expected,):
         raise ValueError(f"flat state has {vec.shape}, expected ({expected},)")
-    shape = (batch, w) if batch > 1 else (w,)
-    size = w * batch
-    parts = [vec[i * size : (i + 1) * size].reshape(shape) for i in range(nb)]
-    h = parts[0]
-    m = parts[1] if spec.has_m else None
-    v = parts[-1] if spec.has_v else None
-    return PackedState(h=h, m=m, v=v)
+    blocks = vec.reshape((nb, w) if batch is None else (nb, batch, w))
+    return PackedState(
+        h=blocks[0],
+        m=blocks[1] if spec.has_m else None,
+        v=blocks[-1] if spec.has_v else None,
+    )
 
 
 def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
@@ -199,59 +204,77 @@ def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides.  Every function takes and returns block arrays that may
-# have a leading batch axis.
+# Right-hand sides.  The trainable formulations work on the state's block
+# array ``s`` of shape ``(n_blocks, batch, width)``: ``s[0]`` is h, ``s[1]``
+# is m and ``s[2]`` is v where present.
 
 GradFn = Callable[[Sequence[float]], Sequence[float]]
 
 
-def derivative(spec: DynamicsSpec, field: fn.FieldNet, t: float, state: PackedState, root=None):
-    """One formulation's forward equations: ``(dstate, f, cache)``.
+def field_input(spec: DynamicsSpec, s: np.ndarray) -> np.ndarray:
+    """The rows the field reads from blocks ``s``: h, or h and m side by side."""
+    if spec.kind == SECOND_ORDER:
+        return np.concatenate((s[0], s[1]), axis=1)
+    return s[0]
 
-    ``dstate`` holds the block time derivatives; ``f`` and ``cache`` are
-    the field's value and its :func:`~momenta_node.field_net.eval_cached`
-    cache, which the adjoint hands to ``vjp_from_cache``.  ``root``
-    replaces the adaptive-moment divisor ``sqrt(v + eps)``; the adjoint
-    passes one built from a clamped ``v`` (see
-    :func:`momenta_node.adjoint.make_adjoint_rhs`), while ``dv/dt`` keeps
-    the state's own ``v``.
+
+def derivative(
+    spec: DynamicsSpec, field: fn.FieldNet, t: float, s: np.ndarray, out: np.ndarray, root=None
+):
+    """One formulation's forward equations, written into ``out``; returns ``(f, cache)``.
+
+    ``s`` and ``out`` are block arrays of one shape, ``(n_blocks, batch,
+    width)``; ``out`` receives the block time derivatives and must not
+    overlap ``s``.  ``f`` and ``cache`` are the field's value and its
+    :func:`~momenta_node.field_net.eval_cached` cache, which the adjoint
+    hands to ``vjp_from_cache``.  ``root`` replaces the adaptive-moment
+    divisor ``sqrt(v + eps)``; the adjoint passes one built from a clamped
+    ``v`` (see :func:`momenta_node.adjoint.make_adjoint_rhs`), while
+    ``dv/dt`` keeps the state's own ``v``.
     """
+    f, cache = fn.eval_cached(field, field_input(spec, s), t)
     kind = spec.kind
-    if kind == SECOND_ORDER:
-        f, cache = fn.eval_cached(field, np.concatenate([state.h, state.m], axis=-1), t)
-        return PackedState(h=state.m.copy(), m=f), f, cache
-    f, cache = fn.eval_cached(field, state.h, t)
     if kind in (VANILLA, AUGMENTED):
-        return PackedState(h=f), f, cache
-    if kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL):
-        m = state.m
+        out[0] = f
+    elif kind == SECOND_ORDER:
+        out[0] = s[1]
+        out[1] = f
+    elif kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL):
+        m = s[1]
         if kind == GENERALIZED_HEAVY_BALL:
-            m = np.clip(m, -spec.saturation_bound, spec.saturation_bound)
-        return PackedState(h=-m, m=-spec.hb.gamma * state.m + f), f, cache
-    p = spec.adam
-    if root is None:
-        root = np.sqrt(state.v + p.epsilon)
-    dstate = PackedState(
-        h=-state.m / root,
-        m=(1.0 - p.alpha) * (-f - state.m),
-        v=(1.0 - p.beta) * (f * f - state.v),
-    )
-    return dstate, f, cache
+            m = m.clip(-spec.saturation_bound, spec.saturation_bound)
+        np.negative(m, out=out[0])
+        np.add(-spec.hb.gamma * s[1], f, out=out[1])
+    else:
+        p = spec.adam
+        if root is None:
+            root = np.sqrt(s[2] + p.epsilon)
+        np.divide(-s[1], root, out=out[0])
+        np.multiply(1.0 - p.alpha, -f - s[1], out=out[1])
+        np.multiply(1.0 - p.beta, f * f - s[2], out=out[2])
+    return f, cache
 
 
 def make_node_rhs(
     spec: DynamicsSpec, field: fn.FieldNet, d: int, batch: int = 1
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Adapt a trainable formulation to the solver's flat-vector interface."""
+    """Adapt a trainable formulation to the solver's flat-vector interface.
+
+    Each call returns a fresh flat array, so a solver may keep it across
+    later calls.
+    """
     expected = spec.field_in_dim(d) + (1 if field.time_conditioned else 0)
     if field.in_dim != expected:
         raise ValueError(f"field consumes {field.in_dim} inputs, dynamics supply {expected}")
     w = spec.width(d)
     if field.out_dim != w:
         raise ValueError(f"field emits {field.out_dim} outputs, dynamics need {w}")
+    shape = (spec.n_blocks, batch, w)
 
     def rhs(t, y):
-        return pack(derivative(spec, field, t, unpack(y, spec, d, batch))[0])
+        out = np.empty(shape)
+        derivative(spec, field, t, y.reshape(shape), out)
+        return out.reshape(-1)
 
     return rhs
 

@@ -22,7 +22,8 @@ def _tanh(z):
 
 def _tanh_deriv(z):
     c = np.cosh(z)
-    return 1.0 / (c * c)
+    np.multiply(c, c, out=c)
+    return np.divide(1.0, c, out=c)
 
 
 def _relu(z):
@@ -112,28 +113,33 @@ def init_field(
     return FieldNet(weights, biases, activation=activation, time_conditioned=time_conditioned)
 
 
-def _augment(net: FieldNet, h: np.ndarray, t: float) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    squeeze = h.ndim == 1
-    u = h.reshape(1, -1) if squeeze else h
-    if u.shape[1] != net.state_dim:
-        raise ValueError(f"input width {u.shape[1]} != expected {net.state_dim}")
-    if net.time_conditioned:
-        col = np.full((u.shape[0], 1), float(t))
-        u = np.concatenate([u, col], axis=1)
-    return u, squeeze
-
-
 def eval_cached(net: FieldNet, h: np.ndarray, t: float):
-    """Forward pass returning ``(f, cache)`` for later VJP sweeps."""
-    u, squeeze = _augment(net, h, t)
+    """Forward pass returning ``(f, cache)`` for later VJP sweeps.
+
+    ``h`` is one state ``(n,)`` or a batch of rows ``(B, n)``.  A
+    time-conditioned network reads a fresh ``(B, n + 1)`` copy of the rows
+    with ``t`` in the last column; otherwise the rows themselves are the
+    first layer's input, and the cache refers to them.
+    """
+    squeeze = h.ndim == 1
+    n = h.shape[-1]
+    if n != net.state_dim:
+        raise ValueError(f"input width {n} != expected {net.state_dim}")
+    rows = 1 if squeeze else h.shape[0]
+    if net.time_conditioned:
+        u = np.empty((rows, n + 1))
+        u[:, :n] = h
+        u[:, n] = t
+    else:
+        u = h.reshape(rows, n)
     act, _ = ACTIVATIONS[net.activation]
     last = len(net.weights) - 1
     layer_in = [u]
     pre = []
     x = u
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = x @ W.T + b
+        z = x @ W.T
+        z += b
         pre.append(z)
         if l < last:
             x = act(z)
@@ -144,11 +150,12 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     return out, (layer_in, pre, squeeze)
 
 
-def vjp_from_cache(net: FieldNet, cache, a: np.ndarray):
+def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray | None = None):
     """Reverse sweep: returns ``(a^T df/dh, a^T df/dtheta)`` for cotangent ``a``.
 
     The parameter contraction is summed over the batch and flattened in
-    :func:`params_to_vec` order.
+    :func:`params_to_vec` order, into ``out`` when one is given (a
+    ``(n_params,)`` array, which is then the second value returned).
     """
     layer_in, pre, squeeze = cache
     _, dact = ACTIVATIONS[net.activation]
@@ -164,11 +171,12 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray):
         grads_b[l] = g.sum(axis=0)
         g = g @ net.weights[l]
         if l > 0:
-            g = g * dact(pre[l - 1])
+            d = dact(pre[l - 1])
+            g = np.multiply(g, d, out=d)
     grad_h = g[:, : net.state_dim] if net.time_conditioned else g
     if squeeze:
         grad_h = grad_h[0]
-    return grad_h, np.concatenate([W.ravel() for W in grads_W] + grads_b)
+    return grad_h, np.concatenate([W.ravel() for W in grads_W] + grads_b, out=out)
 
 
 def params_to_vec(net: FieldNet) -> np.ndarray:

@@ -17,7 +17,9 @@ raising, so finite-time blow-up is observable data rather than a crash.
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 
 # Dormand-Prince 5(4) tableau.  Stage 7 evaluates the RHS at the accepted
 # 5th-order solution, so it doubles as stage 1 of the next step (FSAL).
-_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
+_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _A = (
     np.array([1.0 / 5.0]),
     np.array([3.0 / 40.0, 9.0 / 40.0]),
@@ -154,12 +156,19 @@ class SolveResult:
         """
         if self.step_coeffs is None or self.step_ts.size == 0:
             raise ValueError("the solve recorded no accepted steps")
-        direction = 1.0 if self.step_sizes[0] > 0.0 else -1.0
-        i = min(int(np.searchsorted(direction * self.step_ts, direction * t)), self.step_ts.size - 1)
+        keys, sign = self._step_keys
+        i = min(bisect_left(keys, sign * t), len(keys) - 1)
         if t == self.step_ts[i]:
             return self.step_states[i].copy()
         h = self.step_sizes[i]
         return dense_output(self.step_start_states[i], h, self.step_coeffs[i], (t - self.step_starts[i]) / h)
+
+    @cached_property
+    def _step_keys(self) -> tuple[list, float]:
+        """Step end times multiplied by the direction of integration, so that
+        they increase, and that direction (+1.0 or -1.0)."""
+        sign = 1.0 if self.step_sizes[0] > 0.0 else -1.0
+        return [sign * t for t in self.step_ts.tolist()], sign
 
 
 def dense_output(y: np.ndarray, h: float, Q: np.ndarray, theta: float) -> np.ndarray:
@@ -170,7 +179,9 @@ def dense_output(y: np.ndarray, h: float, Q: np.ndarray, theta: float) -> np.nda
     """
     th2 = theta * theta
     th3 = th2 * theta
-    return y + h * (Q @ np.array([theta, th2, th3, th3 * theta]))
+    dy = Q @ np.array([theta, th2, th3, th3 * theta])
+    np.multiply(h, dy, out=dy)
+    return np.add(y, dy, out=dy)
 
 
 def _check_inputs(y0, t0, t1, sample_times):
@@ -248,12 +259,13 @@ def solve_dopri45(
     cfg.validate()
     y0, samples, direction = _check_inputs(y0, t0, t1, sample_times)
     n = y0.size
+    samples = samples.tolist()
 
     out_ts: list[float] = []
     out_ys: list[np.ndarray] = []
     steps: list[tuple] = []
     si = 0
-    if si < samples.size and samples[si] == t0:
+    if si < len(samples) and samples[si] == t0:
         out_ts.append(t0)
         out_ys.append(y0.copy())
         si += 1
@@ -261,6 +273,8 @@ def solve_dopri45(
     t = float(t0)
     y = y0.copy()
     K = np.empty((7, n))
+    # KT[i] is K[:i].T, the stages the combination with _A[i - 1] reads.
+    KT = [K[:i].T for i in range(7)]
     accepted = 0
     rejected = 0
 
@@ -284,14 +298,14 @@ def solve_dopri45(
 
             K[0] = k1
             for i in range(1, 6):
-                yi = y + hs * (K[:i].T @ _A[i - 1])
+                yi = y + hs * (KT[i] @ _A[i - 1])
                 K[i] = _call_rhs(rhs, t + _C[i] * hs, yi, n)
-            y_new = y + hs * (K[:6].T @ _A[5])
+            y_new = y + hs * (KT[6] @ _A[5])
             K[6] = _call_rhs(rhs, t_new, y_new, n)
             nfe += 6
             err_vec = hs * (K.T @ _E)
 
-            if not (np.all(np.isfinite(K)) and np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+            if not (np.isfinite(K).all() and np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
                 rejected += 1
                 if h_att <= cfg.h_min:
                     status = SolveStatus.NON_FINITE_STATE
@@ -300,12 +314,13 @@ def solve_dopri45(
                 continue
 
             scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            # The root mean square, summed as ndarray.mean sums.
+            err = math.sqrt(float(np.add.reduce((err_vec / scale) ** 2)) / n)
 
             if err <= 1.0:
                 accepted += 1
                 Q = K.T @ _P if record_steps else None
-                while si < samples.size and direction * (samples[si] - t_new) <= 0.0:
+                while si < len(samples) and direction * (samples[si] - t_new) <= 0.0:
                     s = samples[si]
                     if s == t_new:
                         ys = y_new.copy()

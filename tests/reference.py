@@ -4,17 +4,21 @@ Not collected by pytest (the name does not start with ``test_``); test
 modules import it by name, since pytest puts this directory on
 ``sys.path``.  Holds the array forms of the three optimization flows and
 the discrete adaptive-moment update they are the small-step limit of,
-the one-call field-network wrappers, and the writer of the stability
-probe's input series.
+the one-call field-network wrappers, the writer of the stability
+probe's input series, and the block-by-block right-hand sides of the
+trainable formulations and their adjoint (:func:`node_rhs`,
+:func:`adjoint_rhs`), which the program's right-hand sides must match
+bit for bit.
 """
 
 import csv
 
 import numpy as np
 
+from momenta_node import dynamics as dyn
 from momenta_node.benchmarks.stability import StabilityProbe
-from momenta_node.dynamics import AdamParams, GradFn, PackedState
-from momenta_node.field_net import FieldNet, eval_cached, vjp_from_cache
+from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
+from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
 
 def gradient_flow_rhs(t: float, x: np.ndarray, grad_f: GradFn) -> np.ndarray:
     return -np.asarray(grad_f(x), dtype=float)
@@ -90,3 +94,150 @@ def write_series_csv(path, probe: StabilityProbe) -> None:
         writer.writerow(["t", "input", "output"])
         for t, u, y in zip(probe.times, probe.inputs, probe.outputs):
             writer.writerow([repr(float(t)), repr(float(u)), repr(float(y))])
+
+
+# ---------------------------------------------------------------------------
+# Block-by-block right-hand sides: each block a separate array, a single
+# sample as plain vectors, a fresh array for every intermediate.  The
+# program's right-hand sides write into preallocated block arrays and must
+# give the same bits, NaN and inf included.
+
+def _unpack(vec, spec, d, batch=1) -> PackedState:
+    w = spec.width(d)
+    shape = (batch, w) if batch > 1 else (w,)
+    size = w * batch
+    parts = [vec[i * size : (i + 1) * size].reshape(shape) for i in range(spec.n_blocks)]
+    return PackedState(h=parts[0], m=parts[1] if spec.has_m else None, v=parts[-1] if spec.has_v else None)
+
+
+def _field(net, h, t):
+    """Field forward pass: ``(f, cache)`` as :func:`_field_vjp` reads it."""
+    squeeze = h.ndim == 1
+    u = h.reshape(1, -1) if squeeze else h
+    if net.time_conditioned:
+        u = np.concatenate([u, np.full((u.shape[0], 1), float(t))], axis=1)
+    act, _ = ACTIVATIONS[net.activation]
+    layer_in, pre, x = [u], [], u
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = x @ W.T + b
+        pre.append(z)
+        x = z
+        if l < len(net.weights) - 1:
+            x = act(z)
+            layer_in.append(x)
+    return (x[0] if squeeze else x), (layer_in, pre, squeeze)
+
+
+def _field_vjp(net, cache, a):
+    layer_in, pre, squeeze = cache
+    act = net.activation
+    g = a.reshape(1, -1) if a.ndim == 1 else a
+    grads_W, grads_b = [None] * len(net.weights), [None] * len(net.weights)
+    for l in range(len(net.weights) - 1, -1, -1):
+        grads_W[l] = g.T @ layer_in[l]
+        grads_b[l] = g.sum(axis=0)
+        g = g @ net.weights[l]
+        if l > 0:
+            z = pre[l - 1]
+            if act == "tanh":
+                c = np.cosh(z)
+                g = g * (1.0 / (c * c))
+            elif act == "relu":
+                g = g * (z > 0.0).astype(float)
+            else:
+                g = g * (np.abs(z) < 1.0).astype(float)
+    grad_h = g[:, : net.state_dim] if net.time_conditioned else g
+    return (grad_h[0] if squeeze else grad_h), np.concatenate([W.ravel() for W in grads_W] + grads_b)
+
+
+def _derivative(spec, field, t, state, root=None):
+    kind = spec.kind
+    if kind == dyn.SECOND_ORDER:
+        f, cache = _field(field, np.concatenate([state.h, state.m], axis=-1), t)
+        return PackedState(h=state.m.copy(), m=f), f, cache
+    f, cache = _field(field, state.h, t)
+    if kind in (dyn.VANILLA, dyn.AUGMENTED):
+        return PackedState(h=f), f, cache
+    if kind in (dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL):
+        m = state.m
+        if kind == dyn.GENERALIZED_HEAVY_BALL:
+            m = np.clip(m, -spec.saturation_bound, spec.saturation_bound)
+        return PackedState(h=-m, m=-spec.hb.gamma * state.m + f), f, cache
+    p = spec.adam
+    if root is None:
+        root = np.sqrt(state.v + p.epsilon)
+    dstate = PackedState(
+        h=-state.m / root,
+        m=(1.0 - p.alpha) * (-f - state.m),
+        v=(1.0 - p.beta) * (f * f - state.v),
+    )
+    return dstate, f, cache
+
+
+def node_rhs(spec, field, d, batch=1):
+    """Forward right-hand side on the flat state."""
+
+    def rhs(t, y):
+        return pack(_derivative(spec, field, t, _unpack(y, spec, d, batch))[0])
+
+    return rhs
+
+
+def _adjoint_core(spec, field, t, st, ast, variant, counters):
+    kind = spec.kind
+    root = None
+    if kind == dyn.ADAM:
+        v = st.v
+        if np.any(v < 0.0):
+            counters["v_clamps"] += 1
+            v = np.maximum(v, 0.0)
+        root = np.sqrt(v + spec.adam.epsilon)
+    dst, f, cache = _derivative(spec, field, t, st, root)
+    if kind in (dyn.VANILLA, dyn.AUGMENTED):
+        g_h, g_th = _field_vjp(field, cache, ast.h)
+        return dst, PackedState(h=-g_h), -g_th
+    if kind == dyn.SECOND_ORDER:
+        g_in, g_th = _field_vjp(field, cache, ast.m)
+        w = st.h.shape[-1]
+        return dst, PackedState(h=-g_in[..., :w], m=-ast.h - g_in[..., w:]), -g_th
+    if kind in (dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL):
+        gamma = spec.hb.gamma
+        g_h, g_th = _field_vjp(field, cache, ast.m)
+        if kind == dyn.HEAVY_BALL:
+            dash_m = ast.h + gamma * ast.m
+        else:
+            mask = (np.abs(st.m) < spec.saturation_bound).astype(float)
+            dash_m = mask * ast.h + gamma * ast.m
+        d_damp = gamma * (1.0 - gamma) * float(np.sum(ast.m * st.m))
+        return dst, PackedState(h=-g_h, m=dash_m), np.concatenate([-g_th, [d_damp]])
+    p = spec.adam
+    if variant == "exact":
+        c = (1.0 - p.alpha) * ast.m - (1.0 - p.beta) * (2.0 * f * ast.v)
+    else:
+        c = ast.m - ast.v
+    g_h, g_th = _field_vjp(field, cache, c)
+    dast = PackedState(
+        h=g_h,
+        m=ast.h / root + (1.0 - p.alpha) * ast.m,
+        v=-ast.h * st.m / (2.0 * root**3) + (1.0 - p.beta) * ast.v,
+    )
+    return dst, dast, g_th
+
+
+def adjoint_rhs(spec, field, d, batch, variant, counters, forward_of_t=None):
+    """Joint backward right-hand side: ``[state, cotangent, accumulator]``,
+    or ``[cotangent, accumulator]`` with the state read from ``forward_of_t``."""
+    bd = batch * spec.state_dim(d)
+
+    def rhs(t, joint):
+        if forward_of_t is None:
+            st = _unpack(joint[:bd], spec, d, batch)
+            ast = _unpack(joint[bd : 2 * bd], spec, d, batch)
+            dst, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
+            return np.concatenate([pack(dst), pack(dast), dth])
+        st = _unpack(forward_of_t(t), spec, d, batch)
+        ast = _unpack(joint[:bd], spec, d, batch)
+        _, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
+        return np.concatenate([pack(dast), dth])
+
+    return rhs

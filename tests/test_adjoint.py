@@ -17,6 +17,7 @@ from momenta_node.adjoint import (
 )
 from momenta_node.field_net import FieldNet, init_field, params_to_vec
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
+from reference import adjoint_rhs, node_rhs
 
 
 def tight():
@@ -277,3 +278,96 @@ def test_batched_backward_matches_per_sample_sum():
             run_b.grad_initial_state.h[i], run_i.grad_initial_state.h, rtol=1e-6, atol=1e-10
         )
     np.testing.assert_allclose(run_b.grad_params, total, rtol=1e-6, atol=1e-10)
+
+
+# ------------------------------------------------- right-hand-side contracts
+
+RHS_D = 3
+
+
+def rhs_spec(kind):
+    return dyn.DynamicsSpec(kind=kind, aug_width=1 if kind == dyn.AUGMENTED else 0)
+
+
+def rhs_field(spec, activation="tanh", seed=0):
+    return init_field(spec.field_in_dim(RHS_D), (5,), spec.width(RHS_D), activation=activation, seed=seed)
+
+
+def flat_states(spec, batch, rng):
+    """Flat states of every kind of entry the solvers hand a right-hand side:
+    ordinary values, momenta beyond the saturation bound, second moments
+    below zero (the clamp), and inf and NaN."""
+    n = batch * spec.state_dim(RHS_D)
+    w = spec.width(RHS_D)
+    plain = rng.normal(size=n) * 2.0
+    negative_v = plain.copy()
+    if spec.has_v:
+        plain[-batch * w :] = np.abs(plain[-batch * w :])
+        negative_v[-batch * w :: 2] = -np.abs(negative_v[-batch * w :: 2]) - 1e-3
+    special = plain.copy()
+    pick = rng.choice(n, size=max(2, n // 4), replace=False)
+    special[pick] = rng.choice([np.inf, -np.inf, np.nan], size=pick.size)
+    return [plain, negative_v, special]
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("kind", dyn.ALL_KINDS)
+def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
+    # The forward right-hand side and both adjoint modes, against the
+    # block-by-block array forms in reference.py: the same bits, NaN
+    # positions included, and the same count of v clamps.
+    spec = rhs_spec(kind)
+    rng = np.random.default_rng(batch)
+    n = batch * spec.state_dim(RHS_D)
+    ours, theirs = {"v_clamps": 0}, {"v_clamps": 0}
+    with np.errstate(all="ignore"):
+        for activation in ("tanh", "relu", "hardtanh"):
+            field = rhs_field(spec, activation, seed=batch)
+            n_par = param_count(spec, field)
+            states = flat_states(spec, batch, rng)
+            for y in states:
+                got = dyn.make_node_rhs(spec, field, RHS_D, batch)(0.3, y)
+                assert got.tobytes() == node_rhs(spec, field, RHS_D, batch)(0.3, y).tobytes()
+                for a in states:
+                    for variant in ("exact", "literal"):
+                        args = (spec, field, RHS_D, batch, variant)
+                        joint = np.concatenate([y, a, rng.normal(size=n_par)])
+                        got = make_adjoint_rhs(*args, ours)(0.3, joint)
+                        want = adjoint_rhs(*args, theirs)(0.3, joint)
+                        assert got.tobytes() == want.tobytes()
+
+                        def forward_of_t(t):
+                            return y.copy()
+
+                        joint = joint[n:]
+                        got = make_adjoint_rhs(*args, ours, forward_of_t=forward_of_t)(0.3, joint)
+                        want = adjoint_rhs(*args, theirs, forward_of_t=forward_of_t)(0.3, joint)
+                        assert got.tobytes() == want.tobytes()
+                        assert ours == theirs
+    assert not spec.has_v or ours["v_clamps"] > 0
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("kind", dyn.ALL_KINDS)
+def test_right_hand_sides_return_fresh_arrays(kind, batch):
+    # A solver keeps a returned stage (DOPRI45's k1) across later calls, so
+    # no return may share memory with the input or with an earlier return.
+    spec = rhs_spec(kind)
+    field = rhs_field(spec)
+    rng = np.random.default_rng(0)
+    y = np.abs(rng.normal(size=batch * spec.state_dim(RHS_D)))
+    a = rng.normal(size=y.size)
+    acc = np.zeros(param_count(spec, field))
+    cases = [
+        (dyn.make_node_rhs(spec, field, RHS_D, batch), y),
+        (make_adjoint_rhs(spec, field, RHS_D, batch), np.concatenate([y, a, acc])),
+        (make_adjoint_rhs(spec, field, RHS_D, batch, forward_of_t=lambda t: y), np.concatenate([a, acc])),
+    ]
+    for rhs, z in cases:
+        first = rhs(0.1, z)
+        second = rhs(0.2, z)
+        assert first.shape == z.shape == second.shape
+        assert not np.shares_memory(first, z)
+        assert not np.shares_memory(second, z)
+        assert not np.shares_memory(second, first)
+        assert not np.shares_memory(first, y)

@@ -100,6 +100,49 @@ def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
     assert got == PINNED_T5[landscape]
 
 
+# sha256 of outputs of the batched right-hand sides and the adjoint, as
+# the array-per-block right-hand sides wrote them (the reference ones in
+# tests/reference.py): `train --epochs 5 --seed 0`'s efficacy.csv and
+# `gradcheck --seed 0`'s report for every model, and `stability --t1 64
+# --seed 0`'s curves.  Cheaper right-hand sides must reproduce every byte.
+PINNED_EFFICACY_5 = {
+    "node": "b5ad3796ba095502887a700261c79eca8cdce839bbcf8a572a8065461f1aa4f2",
+    "anode": "385b03e9be2b7e0a3e9cf39bf3c182fb67bb72bdf4c5198868f673f17c046138",
+    "sonode": "2475eb28dc2f67d0e53b84dcdeaf7a611b7bc62b32df4fc53f63f3371def5cfc",
+    "hbnode": "542895bc3900edaa2a7fa2c6488a4a66b9a1bc6f58d1f9ab82e6d12b94de75eb",
+    "ghbnode": "542895bc3900edaa2a7fa2c6488a4a66b9a1bc6f58d1f9ab82e6d12b94de75eb",
+    "adamnode": "407e71d557754974326e6c6810beecea2234221b006f19cb76c63acc75f13036",
+}
+PINNED_GRADCHECK_0 = {
+    "node": "ef1ca8cc52981530a47a460b4cb008bfd07b817a29da566d51508863d20d16df",
+    "anode": "e7159249ce48ee699020b96dfaca15a57e6ea644b1206bff3723868e5dad7cb9",
+    "sonode": "3ffb1c32405eb21a784e1376c0f3d90628e383f9c37c3756c338e287f64d52b9",
+    "hbnode": "4ba75f1175019f304d0a04114e07bdc32c647052e2dd8967e3c2ddb16ed0c4db",
+    "ghbnode": "ec647e60c91111acf0fed89bda8590b28b39fae19def40a5f77b6b7769e6c11e",
+    "adamnode": "1289bc24279f12d3f28b8127c823f9bae481c2714373285edcd0afcded0b79a4",
+}
+PINNED_STABILITY_T64 = "eccb470de35ba7fc2883be72d136096f7fbce43b8efb4afd4c812a900ca8a02f"
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_EFFICACY_5))
+def test_train_and_gradcheck_outputs_match_pinned_hashes(tmp_path, model, capsys):
+    assert run_cli("train", "--epochs", "5", "--seed", "0", "--model", model, "--out", str(tmp_path / "t")) == 0
+    assert run_cli("gradcheck", "--seed", "0", "--model", model, "--out", str(tmp_path / "g")) == 0
+    capsys.readouterr()
+    assert sha256_of(tmp_path / "t" / "efficacy.csv") == PINNED_EFFICACY_5[model]
+    assert sha256_of(tmp_path / "g" / "gradcheck_report.json") == PINNED_GRADCHECK_0[model]
+
+
+def test_stability_output_matches_pinned_hash(tmp_path, capsys):
+    assert run_cli("stability", "--t1", "64", "--seed", "0", "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    assert sha256_of(tmp_path / "stability.csv") == PINNED_STABILITY_T64
+
+
 def test_trajectory_summary_is_strict_json_when_a_flow_diverges(tmp_path):
     # From Beale's standard start, plain gradient flow overflows within its
     # first RK4 steps at the default step, so any horizon shows it.
@@ -217,6 +260,20 @@ def test_train_rerun_byte_identical(tmp_path):
         ) == 0
     assert (a / "efficacy.csv").read_bytes() == (b / "efficacy.csv").read_bytes()
     assert (a / "efficacy.svg").read_bytes() == (b / "efficacy.svg").read_bytes()
+
+
+@pytest.mark.parametrize("batch", [1, 203])
+def test_train_with_batches_of_one_row(tmp_path, batch, capsys):
+    # The 204 training rows leave a last batch of one row at --batch 203;
+    # --batch 1 makes every batch a single row.  Each stays a (1, width)
+    # batch through the forward solve, the readout and the softmax.
+    out = tmp_path / "b"
+    assert run_cli("train", "--batch", str(batch), "--epochs", "1", "--out", str(out)) == 0
+    capsys.readouterr()
+    cols = read_efficacy_csv(out / "efficacy.csv")
+    assert list(cols["epoch"]) == [0, 1]
+    assert all(math.isfinite(x) for x in cols["train_loss"])
+    assert all(0.0 <= a <= 1.0 for a in cols["test_accuracy"])
 
 
 def test_train_invalid_model_exit_2(tmp_path, capsys):

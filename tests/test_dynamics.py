@@ -32,8 +32,7 @@ def test_adam_node_rhs_hand_values():
     # Constant field f = 1 via a bias-only affine layer.
     f = FieldNet([np.zeros((1, 2))], [np.ones(1)])
     spec = dyn.DynamicsSpec(kind=dyn.ADAM, adam=dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1.0))
-    st = dyn.PackedState(h=np.array([5.0]), m=np.array([1.0]), v=np.array([3.0]))
-    out, _, _ = dyn.derivative(spec, f, 0.0, st)
+    out = dyn.unpack(dyn.make_node_rhs(spec, f, 1)(0.0, np.array([5.0, 1.0, 3.0])), spec, 1)
     np.testing.assert_allclose(out.h, [-0.5])
     np.testing.assert_allclose(out.m, [-0.2])
     np.testing.assert_allclose(out.v, [-0.02])
@@ -43,8 +42,8 @@ def test_heavy_ball_gamma_from_theta():
     hb = dyn.HeavyBallParams(theta=-3.0)
     np.testing.assert_allclose(hb.gamma, 0.04742587317756678, rtol=1e-12)
     f = zero_field(1)
-    st = dyn.PackedState(h=np.array([0.0]), m=np.array([2.0]))
-    out, _, _ = dyn.derivative(dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb), f, 0.0, st)
+    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
+    out = dyn.unpack(dyn.make_node_rhs(spec, f, 1)(0.0, np.array([0.0, 2.0])), spec, 1)
     np.testing.assert_allclose(out.h, [-2.0])
     np.testing.assert_allclose(out.m, [-2.0 * hb.gamma])
 
@@ -53,10 +52,10 @@ def test_generalized_heavy_ball_hand_values():
     # Zero field: dh = -clip(m, -b, b) on both sides of the bound, dm = -gamma m.
     hb = dyn.HeavyBallParams(theta=-3.0)
     spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb, saturation_bound=1.5)
-    st = dyn.PackedState(h=np.zeros(3), m=np.array([2.0, -3.0, 0.5]))
-    out, _, _ = dyn.derivative(spec, zero_field(3), 0.0, st)
+    m = np.array([2.0, -3.0, 0.5])
+    out = dyn.unpack(dyn.make_node_rhs(spec, zero_field(3), 3)(0.0, np.concatenate([np.zeros(3), m])), spec, 3)
     np.testing.assert_allclose(out.h, [-1.5, 1.5, -0.5])
-    np.testing.assert_allclose(out.m, -hb.gamma * st.m)
+    np.testing.assert_allclose(out.m, -hb.gamma * m)
 
 
 def test_heavy_ball_momentum_decay_closed_form():
