@@ -59,13 +59,12 @@ class AdjointRun:
 
     ``grad_params`` follows :func:`momenta_node.field_net.params_to_vec`
     order, with the scalar damping gradient appended for the heavy-ball
-    family.  ``grad_initial_state`` holds the cotangent blocks at ``t0``:
-    ``(batch, width)`` arrays for a batch of several states, plain vectors
-    for a single one.
+    family.  ``grad_initial_state`` is the cotangent at ``t0``, flat in the
+    state's own layout (:func:`momenta_node.dynamics.unpack` views it).
     """
 
     grad_params: np.ndarray
-    grad_initial_state: dyn.PackedState
+    grad_initial_state: np.ndarray
     backward_nfe: int
     forward_state_reconstruction_error: float
     v_underflow_clamps: int = 0
@@ -207,9 +206,9 @@ def backward(
     Parameters
     ----------
     forward : SolveResult
-        Successful forward solve whose first sample is the initial state
-        and whose last sample is the terminal state.  Store mode also needs
-        it to have been made with ``record_steps=True``.
+        Successful :func:`~momenta_node.solver.solve_dopri45` result; its
+        record of accepted steps gives the initial and terminal times and
+        states, with or without samples.
     loss_grad : array_like
         ``dL/dz(t1)`` over the flat packed state (zeros in the blocks the
         loss ignores).
@@ -221,15 +220,17 @@ def backward(
     mode : str
         ``"recompute"`` (default) re-integrates the forward state inside
         the joint system.  ``"store"`` reads the forward state from the
-        forward solve's own recorded steps and 4th-order dense output
+        forward solve's step record and its 4th-order dense output
         (:meth:`SolveResult.dense_state`), so ``backward_nfe`` counts the
         reverse solve alone.
+
+    The returned ``grad_initial_state`` is the reverse solve's final
+    cotangent, flat in the layout of the forward state.
 
     Raises
     ------
     ValueError
-        If the forward solve failed, or store mode is asked of a forward
-        solve that recorded no steps.
+        If the forward solve failed.
     BackwardSolveError
         If the joint solve fails.
     ReconstructionDivergence
@@ -239,19 +240,10 @@ def backward(
         raise ValueError("mode must be 'recompute' or 'store'")
     if forward.status is not SolveStatus.SUCCESS:
         raise ValueError("forward solve must have succeeded")
-    if forward.ts.size < 1:
-        raise ValueError("forward result carries no samples")
-    if mode == "store" and forward.step_coeffs is None:
-        raise ValueError("store mode needs a forward solve made with record_steps=True")
-    t0 = float(forward.ts[0])
-    t1 = float(forward.ts[-1])
-    y0 = forward.states[0]
-    y1 = forward.states[-1]
+    t0, t1 = float(forward.step_ts[0]), float(forward.step_ts[-1])
+    y0, y1 = forward.step_states[0], forward.step_states[-1]
     d = field.out_dim - spec.aug_width
     batch = _infer_batch(spec, d, y1.size)
-    # A flat state does not say whether it holds one sample or a batch of
-    # one; the returned cotangent blocks read a single state as one sample.
-    named_batch = batch if batch > 1 else None
     loss_grad = np.asarray(loss_grad, dtype=float)
     if loss_grad.shape != y1.shape:
         raise ValueError("loss_grad must match the flat state shape")
@@ -260,7 +252,7 @@ def backward(
     if t0 == t1:
         return AdjointRun(
             grad_params=np.zeros(n_par),
-            grad_initial_state=dyn.unpack(loss_grad, spec, d, named_batch),
+            grad_initial_state=loss_grad.copy(),
             backward_nfe=0,
             forward_state_reconstruction_error=0.0,
         )
@@ -277,17 +269,17 @@ def backward(
         rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters)
         joint0 = np.concatenate([y1, loss_grad, np.zeros(n_par)])
 
-    res = solve_dopri45(rhs, joint0, t1, t0, cfg, sample_times=[t0])
+    res = solve_dopri45(rhs, joint0, t1, t0, cfg)
     if res.status is not SolveStatus.SUCCESS:
         raise BackwardSolveError(res.status)
-    final = res.states[-1]
+    final = res.y_final
 
-    stored_h = dyn.unpack(y0, spec, d, batch).h
     if mode == "store":
         a0 = final[:bd]
         grad_theta = final[bd:]
         recon_err = 0.0
     else:
+        stored_h = dyn.unpack(y0, spec, d, batch).h
         recon_h = dyn.unpack(final[:bd], spec, d, batch).h
         a0 = final[bd : 2 * bd]
         grad_theta = final[2 * bd :]
@@ -305,7 +297,7 @@ def backward(
         )
     return AdjointRun(
         grad_params=grad_theta,
-        grad_initial_state=dyn.unpack(a0, spec, d, named_batch),
+        grad_initial_state=a0,
         backward_nfe=res.nfe,
         forward_state_reconstruction_error=recon_err,
         v_underflow_clamps=counters["v_clamps"],
@@ -314,10 +306,10 @@ def backward(
 
 def _solve_loss(spec, field, y0, t1, c, cfg):
     rhs = dyn.make_node_rhs(spec, field, field.out_dim - spec.aug_width)
-    res = solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=[0.0, t1])
+    res = solve_dopri45(rhs, y0, 0.0, t1, cfg)
     if res.status is not SolveStatus.SUCCESS:
         raise ForwardSolveError(res.status)
-    return float(c @ res.states[-1]), res
+    return float(c @ res.y_final), res
 
 
 def gradcheck(
@@ -373,7 +365,7 @@ def gradcheck(
     denom = np.maximum(np.maximum(np.abs(g_adj), np.abs(g_fd)), 1e-8)
     rel = np.abs(g_adj - g_fd) / denom
 
-    a0_flat = dyn.pack(run.grad_initial_state)
+    a0_flat = run.grad_initial_state
     g0_fd = np.zeros(y0.size)
     for i in range(y0.size):
         yp = y0.copy()

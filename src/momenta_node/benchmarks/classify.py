@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from momenta_node.adjoint import (
-    BackwardSolveError,
-    ReconstructionDivergence,
-    backward,
-    loss_grad_from_h,
-)
+from momenta_node.adjoint import BackwardSolveError, backward, loss_grad_from_h
 from momenta_node.dynamics import (
     HeavyBallParams,
     DynamicsSpec,
@@ -221,17 +216,16 @@ class ODEClassifier:
             i += nb
 
     # -- forward / backward ------------------------------------------
-    def forward(self, x: np.ndarray, record_steps: bool = False):
+    def forward(self, x: np.ndarray):
         """Solve the flow for a batch; returns (terminal h block, solve result).
 
-        ``record_steps`` keeps the accepted steps and their dense output,
-        which the store-mode adjoint reads instead of solving again.
+        The result's record of accepted steps and their dense output is
+        what the store-mode adjoint reads instead of solving again.
         """
         h0 = self.embed.apply(x)
         y0 = initial_state(self.spec, h0)
         rhs = make_node_rhs(self.spec, self.field, self.d, batch=x.shape[0])
-        res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg,
-                            sample_times=(0.0, self.t1), record_steps=record_steps)
+        res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg)
         if not res.ok:
             raise TrainingDiverged(f"forward solve failed: {res.status.value}")
         terminal = unpack(res.y_final, self.spec, self.d, batch=x.shape[0])
@@ -245,14 +239,14 @@ class ODEClassifier:
         trained field is too stiff to re-integrate in reverse, and costs no
         extra forward evaluations.
         """
-        h_T, res = self.forward(x, record_steps=True)
+        h_T, res = self.forward(x)
         logits = self.readout.apply(h_T)
         loss, dlogits, _ = _softmax_ce(logits, labels)
 
         grad_h_T, grad_readout = self.readout.vjp(h_T, dlogits)
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
                        cfg=self.solver_cfg, mode="store")
-        a_h0 = np.atleast_2d(run.grad_initial_state.h)[:, : self.d]
+        a_h0 = unpack(run.grad_initial_state, self.spec, self.d, batch=x.shape[0]).h[:, : self.d]
         grad_x_unused, grad_embed = self.embed.vjp(x, a_h0)
         grad = np.concatenate([run.grad_params, grad_embed, grad_readout])
         return loss, grad, res.nfe, run.backward_nfe
@@ -366,7 +360,7 @@ def run_classification(spec: DynamicsSpec, cfg: TrainConfig) -> ClassificationRu
                 n_seen += len(sel)
                 model.set_params(opt.step(model.get_params(), grad))
             record_epoch(epoch, epoch_loss / n_seen, fwd_start, solves, bwd_start, solves)
-    except (TrainingDiverged, BackwardSolveError, ReconstructionDivergence, FloatingPointError):
+    except (TrainingDiverged, BackwardSolveError, FloatingPointError):
         return ClassificationRun(records, diverged=True, diverged_at=epoch,
                                  param_count=model.n_params)
 

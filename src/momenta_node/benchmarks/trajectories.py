@@ -43,6 +43,8 @@ DEFAULT_STEP = 6.25e-4
 MAX_RK4_STEPS = 10_000_000
 # Radius of the ball around the minimizer whose first entry is reported.
 ENTRY_RADIUS = 0.1
+# Samples per flow, evenly spaced over [0, t_end].
+N_SAMPLES = 2001
 
 
 @dataclass
@@ -72,17 +74,13 @@ class TrajectoryExperiment:
 
 def run_trajectory_experiment(
     landscape: str | Landscape,
-    dynamics_list: tuple = FLOWS,
     x0=None,
     t_end: float = DEFAULT_HORIZON,
     method: str = "rk4",
     step: float = DEFAULT_STEP,
     cfg: IntegratorConfig | None = None,
-    n_samples: int = 2001,
-    gamma: float = DEFAULT_GAMMA,
-    adam: AdamParams | None = None,
 ) -> TrajectoryExperiment:
-    """Race the requested flows and summarize proximity to the minimizer.
+    """Race the three flows and summarize proximity to the minimizer.
 
     A flow that blows up or runs out of steps keeps its sampled prefix
     and reports the failure through ``status``; the comparison proceeds
@@ -91,14 +89,12 @@ def run_trajectory_experiment(
     (possibly infinite) distance rather than poisoning the experiment.
 
     ``method`` selects fixed-step RK4 (``step`` sets the grid) or the
-    adaptive solver (``cfg`` sets tolerances).  Raises ValueError for an
-    unknown landscape or dynamics name, an x0 outside the landscape's
-    domain, or an RK4 step that makes more than ``MAX_RK4_STEPS`` steps.
+    adaptive solver (``cfg`` sets tolerances).  Each flow is sampled at
+    ``N_SAMPLES`` evenly spaced times.  Raises ValueError for an unknown
+    landscape, an x0 outside the landscape's domain, or an RK4 step that
+    makes more than ``MAX_RK4_STEPS`` steps.
     """
     land = get_landscape(landscape) if isinstance(landscape, str) else landscape
-    for name in dynamics_list:
-        if name not in FLOWS:
-            raise ValueError(f"unknown dynamics {name!r}; expected one of: {', '.join(FLOWS)}")
     if method not in ("rk4", "dopri45"):
         raise ValueError("method must be 'rk4' or 'dopri45'")
     x0 = np.asarray(land.default_start if x0 is None else x0, dtype=float)
@@ -115,15 +111,12 @@ def run_trajectory_experiment(
         if t_end / step > MAX_RK4_STEPS:
             raise ValueError(f"t_end / step asks for more than {MAX_RK4_STEPS} RK4 steps")
         n_steps = max(1, int(round(t_end / step)))
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    adam = DEFAULT_FLOW_ADAM if adam is None else adam
 
-    sample_times = np.linspace(0.0, t_end, n_samples)
+    sample_times = np.linspace(0.0, t_end, N_SAMPLES)
     exp = TrajectoryExperiment(landscape=land, x0=x0, t_end=t_end)
 
-    for name in dynamics_list:
-        rhs, init = make_flow_rhs(name, land.grad, gamma=gamma, adam=adam)
+    for name in FLOWS:
+        rhs, init = make_flow_rhs(name, land.grad, gamma=DEFAULT_GAMMA, adam=DEFAULT_FLOW_ADAM)
         y0 = init(x0)
         if method == "rk4":
             res = solve_rk4(rhs, y0, 0.0, t_end, n_steps, sample_times=sample_times)

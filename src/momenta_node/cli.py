@@ -107,8 +107,11 @@ def _write_json(path: Path, payload) -> str:
 
 
 def _emit_resolved(out_dir: Path, command: str, resolved: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.resolved.json", {"command": command, **resolved})
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "config.resolved.json", {"command": command, **resolved})
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {str(out_dir)!r}: {exc}") from exc
 
 
 def _is_int(v):
@@ -402,6 +405,9 @@ def cmd_plot(args) -> int:
     _check_strings(cfg, ("in", "kind", "out"))
     if cfg["kind"] not in ("trajectory", "stability", "efficacy"):
         raise ConfigError(f"--kind must be trajectory, stability, or efficacy, got {cfg['kind']!r}")
+    out_path = Path(cfg["out"])
+    if out_path.is_dir():
+        raise ConfigError(f"--out must name a file, got the directory {cfg['out']!r}")
     try:
         if cfg["kind"] == "trajectory":
             minimizer, series = csv_formats.read_trajectory_csv(cfg["in"])
@@ -416,7 +422,6 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"cannot read {cfg['in']!r}: {exc}") from exc
     except csv_formats.CsvFormatError as exc:
         raise ConfigError(f"{cfg['in']}: {exc}") from exc
-    out_path = Path(cfg["out"])
     _emit_resolved(out_path.parent, "plot", cfg)
     out_path.write_text(doc)
     print(f"wrote {out_path}")

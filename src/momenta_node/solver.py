@@ -3,9 +3,11 @@
 Two integrators are provided:
 
 * :func:`solve_dopri45` -- adaptive Dormand-Prince 5(4) with the FSAL
-  property, an embedded 4th-order error estimate, and a 4th-order dense
-  output used to sample the solution at caller-requested times without
-  constraining step placement.
+  property and an embedded 4th-order error estimate.  Every solve keeps a
+  record of its accepted steps with their 4th-order dense output, from
+  which :meth:`SolveResult.dense_state` reads the solution anywhere in the
+  solved interval; the requested samples are read from that record, so
+  sampling never constrains step placement.
 * :func:`solve_rk4` -- fixed-step classical RK4 with the standard cubic
   continuous extension, stepped on plain Python floats; it drives the
   optimization flows of the trajectory experiment.
@@ -51,6 +53,9 @@ _E = np.array([
 ])
 # Step-size controller safety factor.
 _SAFETY = 0.9
+# Magnitude of the first attempted step, and the largest step magnitude.
+H_INIT = 1e-2
+H_MAX = 10.0
 # Dense-output weights: y(t + theta*h) = y + h * (K^T P) @ [theta, ..., theta^4].
 _P = np.array([
     [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0, -12715105075.0 / 11282082432.0],
@@ -80,27 +85,24 @@ class IntegratorConfig:
     ----------
     rtol, atol : float
         Relative and absolute tolerance entering the mixed error norm.
-    h_init : float
-        Magnitude of the first attempted step.
-    h_min, h_max : float
-        Step-magnitude bounds for the controller.  The final step of a
-        solve may be shorter than ``h_min`` in order to land on ``t1``.
+    h_min : float
+        Smallest step magnitude for the controller (steps start at
+        ``H_INIT`` and never exceed ``H_MAX``).  The final step of a solve
+        may be shorter than ``h_min`` in order to land on ``t1``.
     max_steps : int
         Budget of accepted plus rejected step attempts.
     """
 
     rtol: float = 1e-6
     atol: float = 1e-6
-    h_init: float = 1e-2
     h_min: float = 1e-12
-    h_max: float = 10.0
     max_steps: int = 100_000
 
     def validate(self) -> None:
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_init <= h_max")
+        if not (0.0 < self.h_min <= H_INIT):
+            raise ValueError(f"need 0 < h_min <= {H_INIT}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -109,17 +111,18 @@ class IntegratorConfig:
 class SolveResult:
     """Sampled solution of one integration run.
 
-    ``ts``/``states`` hold the dense samples actually emitted (all of the
-    requested times on success, a prefix of them on failure).  ``t_final``
-    and ``y_final`` are the last accepted step regardless of sampling, and
-    mark the blow-up time when ``status`` is ``NON_FINITE_STATE``.
-    The ``step_*`` arrays are populated only when the solve was asked to
-    record its accepted steps: per accepted step, its end time and state
-    (``step_ts``/``step_states``), its start time and state
-    (``step_starts``/``step_start_states``), its signed size
-    (``step_sizes``), and its dense-output coefficients ``K^T P``
-    (``step_coeffs``, shape ``(steps, n, 4)``); :meth:`dense_state` reads
-    the solution between them.
+    ``ts``/``states`` hold the samples emitted (all of the requested times
+    on success, a prefix of them on failure).  ``t_final`` and ``y_final``
+    are the last accepted step regardless of sampling, and mark the
+    blow-up time when ``status`` is ``NON_FINITE_STATE``.
+
+    A :func:`solve_dopri45` result also carries the record of its accepted
+    steps, as the lists the solve built: the step boundaries ``step_ts``
+    and their states ``step_states`` (the start time and state, then each
+    accepted step's end), and per step its signed size ``step_sizes`` and
+    its dense-output coefficients ``K^T P`` (``step_coeffs``, each of shape
+    ``(n, 4)``); step ``i`` runs from boundary ``i`` to boundary ``i + 1``.
+    :meth:`dense_state` reads the solution from that record.
     """
 
     ts: np.ndarray
@@ -130,12 +133,10 @@ class SolveResult:
     status: SolveStatus
     t_final: float
     y_final: np.ndarray
-    step_ts: np.ndarray | None = None
-    step_states: np.ndarray | None = None
-    step_starts: np.ndarray | None = None
-    step_start_states: np.ndarray | None = None
-    step_sizes: np.ndarray | None = None
-    step_coeffs: np.ndarray | None = None
+    step_ts: list | None = None
+    step_states: list | None = None
+    step_sizes: list | None = None
+    step_coeffs: list | None = None
 
     @property
     def ok(self) -> bool:
@@ -144,31 +145,32 @@ class SolveResult:
     def dense_state(self, t: float) -> np.ndarray:
         """State at ``t`` from the recorded steps' 4th-order dense output.
 
-        ``t`` selects the accepted step whose end it does not pass (the
-        first or last step for a ``t`` just outside the solved interval).
-        A ``t`` equal to a step's end returns that step's state exactly;
-        any other ``t`` returns what ``sample_times=[t]`` would have emitted.
+        A ``t`` equal to a step boundary, the start included, returns that
+        boundary's state exactly.  Any other ``t`` selects the first step
+        whose end it does not pass (the first or last step for a ``t``
+        just outside the solved interval) and evaluates its dense output.
 
         Raises
         ------
         ValueError
-            If the solve did not record its steps, or accepted none.
+            If ``t`` is not the start and the solve accepted no step.
         """
-        if self.step_coeffs is None or self.step_ts.size == 0:
-            raise ValueError("the solve recorded no accepted steps")
         keys, sign = self._step_keys
-        i = min(bisect_left(keys, sign * t), len(keys) - 1)
-        if t == self.step_ts[i]:
+        i = bisect_left(keys, sign * t)
+        if i < len(keys) and t == self.step_ts[i]:
             return self.step_states[i].copy()
+        if not self.step_sizes:
+            raise ValueError("the solve accepted no steps")
+        i = min(max(i, 1), len(self.step_sizes)) - 1
         h = self.step_sizes[i]
-        return dense_output(self.step_start_states[i], h, self.step_coeffs[i], (t - self.step_starts[i]) / h)
+        return dense_output(self.step_states[i], h, self.step_coeffs[i], (t - self.step_ts[i]) / h)
 
     @cached_property
     def _step_keys(self) -> tuple[list, float]:
-        """Step end times multiplied by the direction of integration, so that
-        they increase, and that direction (+1.0 or -1.0)."""
-        sign = 1.0 if self.step_sizes[0] > 0.0 else -1.0
-        return [sign * t for t in self.step_ts.tolist()], sign
+        """Step boundaries multiplied by the direction of integration, so
+        that they increase, and that direction (+1.0 or -1.0)."""
+        sign = -1.0 if self.step_ts[-1] < self.step_ts[0] else 1.0
+        return [sign * t for t in self.step_ts], sign
 
 
 def dense_output(y: np.ndarray, h: float, Q: np.ndarray, theta: float) -> np.ndarray:
@@ -221,7 +223,6 @@ def solve_dopri45(
     t1: float,
     cfg: IntegratorConfig | None = None,
     sample_times: Sequence[float] = (),
-    record_steps: bool = False,
 ) -> SolveResult:
     """Integrate ``dy/dt = rhs(t, y)`` from ``t0`` to ``t1`` adaptively.
 
@@ -237,41 +238,32 @@ def solve_dopri45(
     cfg : IntegratorConfig, optional
         Tolerances and step control; defaults are used when omitted.
     sample_times : sequence of float, optional
-        Times at which to emit dense samples.  They must lie inside the
-        interval and be strictly monotone in the direction of integration.
-        Sampling never alters step placement; a sample that coincides with
-        an accepted step endpoint reproduces that step's solution exactly.
-    record_steps : bool, optional
-        Also return, for every accepted step, its start and end times and
-        states, its signed size and its dense-output coefficients, so that
-        :meth:`SolveResult.dense_state` can evaluate the solution anywhere
-        in the interval without another solve.
+        Times at which to emit samples.  They must lie inside the interval
+        and be strictly monotone in the direction of integration.  They are
+        read from the record of accepted steps once the solve ends
+        (:meth:`SolveResult.dense_state`), so a sample at ``t0`` or at a
+        step's end reproduces that state exactly, and sampling never alters
+        step placement.
 
     Returns
     -------
     SolveResult
-        Samples emitted so far, exact RHS evaluation count, step counts,
-        and the terminal status.  Failures return partial data rather than
-        raising.
+        Samples reached, the record of accepted steps, exact RHS evaluation
+        count, step counts, and the terminal status.  Failures return
+        partial data rather than raising.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     cfg.validate()
     y0, samples, direction = _check_inputs(y0, t0, t1, sample_times)
     n = y0.size
-    samples = samples.tolist()
-
-    out_ts: list[float] = []
-    out_ys: list[np.ndarray] = []
-    steps: list[tuple] = []
-    si = 0
-    if si < len(samples) and samples[si] == t0:
-        out_ts.append(t0)
-        out_ys.append(y0.copy())
-        si += 1
 
     t = float(t0)
     y = y0.copy()
+    step_ts = [t]
+    step_states = [y]
+    step_sizes: list[float] = []
+    step_coeffs: list[np.ndarray] = []
     K = np.empty((7, n))
     # KT[i] is K[:i].T, the stages the combination with _A[i - 1] reads.
     KT = [K[:i].T for i in range(7)]
@@ -281,7 +273,7 @@ def solve_dopri45(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = _call_rhs(rhs, t, y, n)
         nfe = 1
-        h = min(cfg.h_init, abs(t1 - t0))
+        h = min(H_INIT, abs(t1 - t0))
         status = None
         while True:
             if t == t1:
@@ -319,20 +311,10 @@ def solve_dopri45(
 
             if err <= 1.0:
                 accepted += 1
-                Q = K.T @ _P if record_steps else None
-                while si < len(samples) and direction * (samples[si] - t_new) <= 0.0:
-                    s = samples[si]
-                    if s == t_new:
-                        ys = y_new.copy()
-                    else:
-                        if Q is None:
-                            Q = K.T @ _P
-                        ys = dense_output(y, hs, Q, (s - t) / hs)
-                    out_ts.append(s)
-                    out_ys.append(ys)
-                    si += 1
-                if record_steps:
-                    steps.append((t, hs, y, Q, t_new, y_new.copy()))
+                step_sizes.append(hs)
+                step_coeffs.append(K.T @ _P)
+                step_ts.append(t_new)
+                step_states.append(y_new)
                 t = t_new
                 y = y_new
                 k1 = K[6].copy()
@@ -343,29 +325,27 @@ def solve_dopri45(
                     break
 
             if err == 0.0:
-                h = cfg.h_max
+                h = H_MAX
             else:
-                h = min(max(_SAFETY * h_att * err ** -0.2, cfg.h_min), cfg.h_max)
+                h = min(max(_SAFETY * h_att * err ** -0.2, cfg.h_min), H_MAX)
 
+    # The samples the solve reached: those not past its last accepted step.
+    reached = samples[direction * (samples - t) <= 0.0]
     res = SolveResult(
-        ts=np.array(out_ts),
-        states=np.array(out_ys).reshape(len(out_ys), n),
+        ts=reached,
+        states=None,
         nfe=nfe,
         accepted_steps=accepted,
         rejected_steps=rejected,
         status=status,
         t_final=t,
         y_final=y,
+        step_ts=step_ts,
+        step_states=step_states,
+        step_sizes=step_sizes,
+        step_coeffs=step_coeffs,
     )
-    if record_steps:
-        m = len(steps)
-        starts, sizes, start_ys, coeffs, ends, end_ys = zip(*steps) if m else ([],) * 6
-        res.step_starts = np.array(starts)
-        res.step_sizes = np.array(sizes)
-        res.step_start_states = np.array(start_ys).reshape(m, n)
-        res.step_coeffs = np.array(coeffs).reshape(m, n, 4)
-        res.step_ts = np.array(ends)
-        res.step_states = np.array(end_ys).reshape(m, n)
+    res.states = np.array([res.dense_state(s) for s in reached.tolist()]).reshape(reached.size, n)
     return res
 
 

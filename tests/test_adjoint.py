@@ -29,11 +29,11 @@ def zero_field(state_dim, out_dim, time_conditioned=True):
     return FieldNet([np.zeros((out_dim, inw))], [np.zeros(out_dim)], time_conditioned=time_conditioned)
 
 
-def run_forward(spec, field, h0, t1, cfg, record_steps=False):
+def run_forward(spec, field, h0, t1, cfg, sample_times=()):
     d = field.out_dim - spec.aug_width
     rhs = dyn.make_node_rhs(spec, field, d)
     y0 = dyn.initial_state(spec, np.asarray(h0, dtype=float))
-    return solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=[0.0, t1], record_steps=record_steps)
+    return solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=sample_times)
 
 
 def test_zero_cotangent_gives_zero_gradients():
@@ -42,7 +42,7 @@ def test_zero_cotangent_gives_zero_gradients():
     fwd = run_forward(spec, field, [0.4, -0.3], 1.0, tight())
     run = backward(fwd, np.zeros(6), spec, field, tight())
     assert np.all(np.abs(run.grad_params) < 1e-12)
-    assert np.all(np.abs(dyn.pack(run.grad_initial_state)) < 1e-12)
+    assert np.all(np.abs(run.grad_initial_state) < 1e-12)
 
 
 def test_linear_field_adjoint_matches_matrix_exponential():
@@ -56,7 +56,8 @@ def test_linear_field_adjoint_matches_matrix_exponential():
     aT = rng.normal(size=3)
     run = backward(fwd, aT, spec, field, tight())
     expected = expm(W.T * t1) @ aT
-    np.testing.assert_allclose(run.grad_initial_state.h, expected, rtol=1e-7, atol=1e-9)
+    a0 = dyn.unpack(run.grad_initial_state, spec, 3)
+    np.testing.assert_allclose(a0.h, expected, rtol=1e-7, atol=1e-9)
 
 
 def test_heavy_ball_zero_field_closed_form():
@@ -69,8 +70,9 @@ def test_heavy_ball_zero_field_closed_form():
     p, q = 1.3, -0.7  # terminal cotangents for h and m
     run = backward(fwd, np.array([p, q]), spec, field, tight())
     a_m0 = (q + p / gamma) * np.exp(-gamma * T) - p / gamma
-    np.testing.assert_allclose(run.grad_initial_state.h, [p], rtol=1e-9)
-    np.testing.assert_allclose(run.grad_initial_state.m, [a_m0], rtol=1e-7)
+    a0 = dyn.unpack(run.grad_initial_state, spec, 1)
+    np.testing.assert_allclose(a0.h, [p], rtol=1e-9)
+    np.testing.assert_allclose(a0.m, [a_m0], rtol=1e-7)
 
 
 def test_adam_zero_field_matches_quadrature():
@@ -87,8 +89,9 @@ def test_adam_zero_field_matches_quadrature():
     la = 1.0 - p.alpha
     integral, _ = quad(lambda u: np.exp(la * (0.0 - u)) * ah / np.sqrt(v(u) + p.epsilon), T, 0.0)
     expected_am0 = np.exp(la * (0.0 - T)) * am + integral
-    np.testing.assert_allclose(run.grad_initial_state.h, [ah], rtol=1e-9)
-    np.testing.assert_allclose(run.grad_initial_state.m, [expected_am0], rtol=1e-6)
+    a0 = dyn.unpack(run.grad_initial_state, spec, 1)
+    np.testing.assert_allclose(a0.h, [ah], rtol=1e-9)
+    np.testing.assert_allclose(a0.m, [expected_am0], rtol=1e-6)
 
     # a_v via quadrature too: a_v' = -a_h m(t)/(2 (v+eps)^{3/2}) + (1-beta) a_v.
     m = lambda t: spec.m0 * np.exp(-la * t)
@@ -96,7 +99,7 @@ def test_adam_zero_field_matches_quadrature():
     src = lambda u: -ah * m(u) / (2.0 * (v(u) + p.epsilon) ** 1.5)
     integral_v, _ = quad(lambda u: np.exp(lb * (0.0 - u)) * src(u), T, 0.0)
     expected_av0 = np.exp(lb * (0.0 - T)) * av + integral_v
-    np.testing.assert_allclose(run.grad_initial_state.v, [expected_av0], rtol=1e-6)
+    np.testing.assert_allclose(a0.v, [expected_av0], rtol=1e-6)
 
 
 ALL_SPECS = [
@@ -145,7 +148,7 @@ def test_backward_is_deterministic():
     a = backward(fwd, lg, spec, field, tight())
     b = backward(fwd, lg, spec, field, tight())
     assert np.array_equal(a.grad_params, b.grad_params)
-    assert np.array_equal(dyn.pack(a.grad_initial_state), dyn.pack(b.grad_initial_state))
+    assert np.array_equal(a.grad_initial_state, b.grad_initial_state)
     assert a.backward_nfe == b.backward_nfe
 
 
@@ -164,11 +167,15 @@ def test_zero_length_interval_is_identity():
         status=SolveStatus.SUCCESS,
         t_final=0.0,
         y_final=y0,
+        step_ts=[0.0],
+        step_states=[y0],
+        step_sizes=[],
+        step_coeffs=[],
     )
     lg = np.arange(4.0)
     run = backward(degenerate, lg, spec, field)
     assert run.backward_nfe == 0
-    np.testing.assert_array_equal(dyn.pack(run.grad_initial_state), lg)
+    np.testing.assert_array_equal(run.grad_initial_state, lg)
     np.testing.assert_array_equal(run.grad_params, np.zeros(param_count(spec, field)))
 
 
@@ -176,16 +183,14 @@ def test_store_mode_agrees_with_recompute():
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     field = init_field(2, (6,), 2, seed=5)
     cfg = IntegratorConfig(rtol=1e-9, atol=1e-9, h_min=1e-14)
-    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg, record_steps=True)
+    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg)
     lg = loss_grad_from_h(spec, np.array([1.0, 0.5]))
     rec = backward(fwd, lg, spec, field, cfg, mode="recompute")
     sto = backward(fwd, lg, spec, field, cfg, mode="store")
     # Store mode reads the forward state from the forward solve's 4th-order
     # dense output, so agreement is limited by interpolation error.
     np.testing.assert_allclose(sto.grad_params, rec.grad_params, rtol=1e-4, atol=1e-7)
-    np.testing.assert_allclose(
-        dyn.pack(sto.grad_initial_state), dyn.pack(rec.grad_initial_state), rtol=1e-4, atol=1e-7
-    )
+    np.testing.assert_allclose(sto.grad_initial_state, rec.grad_initial_state, rtol=1e-4, atol=1e-7)
     assert sto.forward_state_reconstruction_error == 0.0
 
 
@@ -193,7 +198,7 @@ def test_store_mode_solves_only_in_reverse(monkeypatch):
     spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL)
     field = init_field(2, (6,), 2, seed=3)
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-6)
-    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg, record_steps=True)
+    fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg)
     solves = []
 
     def spy(rhs, y0, t0, t1, *args, **kwargs):
@@ -207,19 +212,27 @@ def test_store_mode_solves_only_in_reverse(monkeypatch):
     assert run.backward_nfe == solves[0][2]
 
 
-def test_store_mode_needs_recorded_steps():
-    spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
-    field = init_field(2, (4,), 2, seed=1)
-    fwd = run_forward(spec, field, [1.0, 1.0], 1.0, tight())
-    with pytest.raises(ValueError, match="record_steps"):
-        backward(fwd, np.ones(2), spec, field, tight(), mode="store")
+@pytest.mark.parametrize("mode", ["store", "recompute"])
+def test_backward_reads_the_step_record_not_the_samples(mode):
+    spec = dyn.DynamicsSpec(kind=dyn.ADAM)
+    field = init_field(2, (5,), 2, seed=4)
+    cfg = IntegratorConfig(rtol=1e-7, atol=1e-7, h_min=1e-14)
+    bare = run_forward(spec, field, [0.3, -0.6], 1.0, cfg)
+    sampled = run_forward(spec, field, [0.3, -0.6], 1.0, cfg, sample_times=[0.0, 1.0])
+    assert bare.ts.size == 0 and sampled.ts.size == 2
+    lg = loss_grad_from_h(spec, np.array([0.7, -1.1]))
+    a = backward(bare, lg, spec, field, cfg, mode=mode)
+    b = backward(sampled, lg, spec, field, cfg, mode=mode)
+    assert a.grad_params.tobytes() == b.grad_params.tobytes()
+    assert a.grad_initial_state.tobytes() == b.grad_initial_state.tobytes()
+    assert a.backward_nfe == b.backward_nfe
 
 
 def test_reconstruction_divergence_guard():
     spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
     field = init_field(2, (4,), 2, seed=1)
     fwd = run_forward(spec, field, [1.0, 1.0], 1.0, tight())
-    fwd.states[0] = fwd.states[0] + 0.5  # inconsistent stored initial state
+    fwd.step_states[0] = fwd.step_states[0] + 0.5  # inconsistent stored initial state
     with pytest.raises(ReconstructionDivergence):
         backward(fwd, np.ones(2), spec, field, tight())
 
@@ -229,7 +242,7 @@ def test_reconstruction_error_is_reported_small():
     field = init_field(4, (6,), 2, seed=9)
     fwd = run_forward(spec, field, [0.2, -0.1], 2.0, tight())
     run = backward(fwd, np.ones(4), spec, field, tight())
-    h0 = np.linalg.norm(dyn.unpack(fwd.states[0], spec, 2).h)
+    h0 = np.linalg.norm(dyn.unpack(fwd.step_states[0], spec, 2).h)
     assert run.forward_state_reconstruction_error < 1e-6 * max(h0, 1.0)
 
 
@@ -266,7 +279,7 @@ def test_batched_backward_matches_per_sample_sum():
 
     rhs_b = dyn.make_node_rhs(spec, field, d, batch=3)
     y0_b = dyn.initial_state(spec, H0)
-    fwd_b = solve_dopri45(rhs_b, y0_b, 0.0, 1.0, cfg, sample_times=[0.0, 1.0])
+    fwd_b = solve_dopri45(rhs_b, y0_b, 0.0, 1.0, cfg)
     run_b = backward(fwd_b, loss_grad_from_h(spec, A), spec, field, cfg)
 
     total = np.zeros(param_count(spec, field))
@@ -275,7 +288,10 @@ def test_batched_backward_matches_per_sample_sum():
         run_i = backward(fwd_i, loss_grad_from_h(spec, A[i]), spec, field, cfg)
         total += run_i.grad_params
         np.testing.assert_allclose(
-            run_b.grad_initial_state.h[i], run_i.grad_initial_state.h, rtol=1e-6, atol=1e-10
+            dyn.unpack(run_b.grad_initial_state, spec, d, 3).h[i],
+            dyn.unpack(run_i.grad_initial_state, spec, d).h,
+            rtol=1e-6,
+            atol=1e-10,
         )
     np.testing.assert_allclose(run_b.grad_params, total, rtol=1e-6, atol=1e-10)
 

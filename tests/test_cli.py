@@ -440,6 +440,30 @@ def test_runner_refusal_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == ["series.csv"]
 
 
+# An output path that cannot be written: under a regular file, the regular
+# file itself, or (for plot's one SVG) an existing directory.
+UNUSABLE_OUTPUTS = {
+    "trajectory": ["trajectory", "--T", "1", "--out", "afile/sub"],
+    "stability": ["stability", "--t1", "2", "--models", "node", "--out", "afile/sub"],
+    "train": ["train", "--epochs", "0", "--out", "afile/x"],
+    "gradcheck": ["gradcheck", "--out", "afile"],
+    "plot": ["plot", "--in", "tr.csv", "--kind", "trajectory", "--out", "adir"],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_OUTPUTS.values(), ids=UNUSABLE_OUTPUTS.keys())
+def test_unusable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    Path("adir").mkdir()
+    Path("tr.csv").write_text("# minimizer,1.0,1.0\nt,x,y,dynamics\n0.0,0.0,0.0,ode\n")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "tr.csv"]
+    assert os.listdir("adir") == [] and Path("afile").read_text() == ""
+
+
 def test_trajectory_refuses_more_rk4_steps_than_the_cap(tmp_path, monkeypatch, capsys):
     # 2e9 steps pass every other check; the cap must refuse them before
     # the solver builds its grid of one node per step (16 GB here).

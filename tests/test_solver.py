@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from momenta_node.solver import (
+    H_INIT,
     IntegratorConfig,
     SolveStatus,
+    dense_output,
     solve_dopri45,
     solve_rk4,
 )
@@ -120,9 +122,9 @@ def test_backward_sampling_monotone_decreasing():
 def test_dense_sample_at_step_endpoint_is_bit_exact():
     rhs = lambda t, y: np.array([y[1], -y[0]])
     y0 = np.array([1.0, 0.0])
-    first = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig(), record_steps=True)
-    assert first.ok and first.step_ts.size >= 4
-    idx = first.step_ts.size // 2
+    first = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig())
+    assert first.ok and first.accepted_steps >= 4
+    idx = len(first.step_ts) // 2
     t_mid = first.step_ts[idx]
     again = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig(), sample_times=[t_mid])
     assert again.ok
@@ -134,23 +136,64 @@ def test_recorded_dense_output_repeats_the_solver_bit_for_bit(t0, t1):
     rhs = lambda t, y: np.array([y[1], -np.sin(y[0]) - 0.1 * y[1] + np.cos(t)])
     y0 = np.array([1.0, -0.5])
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-6)
-    rec = solve_dopri45(rhs, y0, t0, t1, cfg, record_steps=True)
-    assert rec.ok and rec.step_ts.size >= 4
+    rec = solve_dopri45(rhs, y0, t0, t1, cfg)
+    m = rec.accepted_steps
+    assert rec.ok and m >= 4
+    # The record: the start, then each accepted step's end; per step its
+    # signed size and dense coefficients.
+    assert (len(rec.step_ts), len(rec.step_states), len(rec.step_sizes), len(rec.step_coeffs)) == (
+        m + 1, m + 1, m, m)
+    assert rec.step_ts[0] == t0 and rec.step_ts[-1] == t1 == rec.t_final
+    assert np.array_equal(rec.step_states[0], y0)
+    assert np.array_equal(rec.step_states[-1], rec.y_final)
+    assert all(h * (t1 - t0) > 0.0 for h in rec.step_sizes)
     ts = np.linspace(t0, t1, 53)
     sampled = solve_dopri45(rhs, y0, t0, t1, cfg, sample_times=ts)
-    # Recording changes neither the steps nor their count.
+    # Sampling changes neither the steps nor their count.
     assert (sampled.nfe, sampled.accepted_steps) == (rec.nfe, rec.accepted_steps)
-    for t, y in zip(sampled.ts, sampled.states):
+    assert np.array_equal(sampled.ts, ts)
+    sign = 1.0 if t1 > t0 else -1.0
+    for t, y in zip(ts.tolist(), sampled.states):
+        # The first step whose end the sample does not pass, by linear scan.
+        i = next(i for i in range(m) if sign * (t - rec.step_ts[i + 1]) <= 0.0)
+        if t == t0:
+            expected = y0
+        elif t == rec.step_ts[i + 1]:
+            expected = rec.step_states[i + 1]
+        else:
+            h = rec.step_sizes[i]
+            expected = dense_output(rec.step_states[i], h, rec.step_coeffs[i], (t - rec.step_ts[i]) / h)
+        assert np.array_equal(y, expected)
         assert np.array_equal(rec.dense_state(t), y)
     for t, y in zip(rec.step_ts, rec.step_states):
         assert np.array_equal(rec.dense_state(t), y)
-    assert np.array_equal(rec.step_start_states[0], y0)
-    np.testing.assert_array_equal(rec.step_start_states[1:], rec.step_states[:-1])
+    again = solve_dopri45(rhs, y0, t0, t1, cfg, sample_times=rec.step_ts)
+    np.testing.assert_array_equal(again.states, np.array(rec.step_states))
 
 
-def test_dense_state_needs_recorded_steps():
-    res = solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)], ids=["forward", "reverse"])
+def test_signed_zero_start_comes_back_bit_exact(t0, t1):
+    # The start sample is the start state itself, not a dense output at
+    # theta = 0.  Forward, that dense output adds +0.0 and turns -0.0 into
+    # +0.0; reverse (h < 0) it adds -0.0, which keeps the sign.
+    y0 = np.array([-0.0, 1.0, -0.0])
+    res = solve_dopri45(lambda t, y: np.array([1.0, -y[1], 0.0]), y0, t0, t1, sample_times=[t0, t1])
+    assert res.ok and res.accepted_steps >= 2
+    for y in (res.states[0], res.dense_state(t0), res.step_states[0]):
+        assert y.tobytes() == y0.tobytes()
+
+
+def test_failure_before_any_accepted_step_still_emits_the_start():
+    # Every stage past t0 is non-finite, so no step is ever accepted.
+    rhs = lambda t, y: y if t == 0.0 else np.full_like(y, np.nan)
+    y0 = np.array([2.0, -0.0])
+    res = solve_dopri45(rhs, y0, 0.0, 1.0, sample_times=[0.0, 0.5, 1.0])
+    assert res.status is SolveStatus.NON_FINITE_STATE
+    assert res.accepted_steps == 0 and res.t_final == 0.0
+    assert res.ts.tolist() == [0.0]
+    assert res.states.tobytes() == y0.tobytes()
+    assert res.dense_state(0.0).tobytes() == y0.tobytes()
+    with pytest.raises(ValueError, match="no steps"):
         res.dense_state(0.5)
 
 
@@ -181,11 +224,12 @@ def test_rk4_dense_between_nodes():
 
 
 def test_step_budget_exhausted():
-    cfg = IntegratorConfig(max_steps=3, h_init=1e-4, h_max=1e-4)
-    res = solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, cfg)
+    # Three attempts cover at most H_INIT plus two steps of H_MAX = 10.
+    cfg = IntegratorConfig(max_steps=3)
+    res = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 100.0, cfg)
     assert res.status is SolveStatus.STEP_BUDGET_EXHAUSTED
     assert res.accepted_steps + res.rejected_steps == 3
-    assert res.t_final < 1.0
+    assert res.t_final < 100.0
 
 
 def test_non_finite_state_on_overflow():
@@ -217,9 +261,10 @@ def test_underflow_on_polynomial_blow_up():
 
 def test_step_underflow_on_unresolvable_discontinuity():
     def rhs(t, y):
-        return np.array([0.0 if t < 0.5 else 1e6])
+        return np.array([0.0 if t < 0.505 else 1e6])
 
-    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_init=0.2, h_min=0.2, h_max=10.0)
+    # No step may shrink below the first one, so none can resolve the jump.
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_min=H_INIT)
     res = solve_dopri45(rhs, np.zeros(1), 0.0, 1.0, cfg)
     assert res.status is SolveStatus.STEP_UNDERFLOW
 
@@ -234,7 +279,7 @@ def test_precondition_errors():
     with pytest.raises(ValueError):
         solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, sample_times=[0.5, 0.2])
     with pytest.raises(ValueError):
-        IntegratorConfig(h_init=1e-3, h_min=1e-2).validate()
+        IntegratorConfig(h_min=10.0 * H_INIT).validate()
     with pytest.raises(ValueError):
         solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 0)
 
