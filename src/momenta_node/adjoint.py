@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import field_net as fn
-from .solver import IntegratorConfig, SolveResult, SolveStatus, solve_dopri45
+from .solver import H_INIT, IntegratorConfig, SolveResult, SolveStatus, solve_dopri45
 
 
 class BackwardSolveError(RuntimeError):
@@ -61,12 +61,14 @@ class AdjointRun:
     order, with the scalar damping gradient appended for the heavy-ball
     family.  ``grad_initial_state`` is the cotangent at ``t0``, flat in the
     state's own layout (:func:`momenta_node.dynamics.unpack` views it).
+    ``h_next`` is the reverse solve's :attr:`SolveResult.h_next`.
     """
 
     grad_params: np.ndarray
     grad_initial_state: np.ndarray
     backward_nfe: int
     forward_state_reconstruction_error: float
+    h_next: float
     v_underflow_clamps: int = 0
 
 
@@ -200,6 +202,7 @@ def backward(
     cfg: IntegratorConfig | None = None,
     variant: str = "exact",
     mode: str = "recompute",
+    h_init: float = H_INIT,
 ) -> AdjointRun:
     """Gradients of a terminal loss through one forward solve.
 
@@ -223,6 +226,10 @@ def backward(
         forward solve's step record and its 4th-order dense output
         (:meth:`SolveResult.dense_state`), so ``backward_nfe`` counts the
         reverse solve alone.
+    h_init : float
+        First step of the reverse solve (see
+        :func:`~momenta_node.solver.solve_dopri45`); a previous run's
+        ``h_next`` warm-starts it.
 
     The returned ``grad_initial_state`` is the reverse solve's final
     cotangent, flat in the layout of the forward state.
@@ -249,14 +256,6 @@ def backward(
         raise ValueError("loss_grad must match the flat state shape")
     n_par = param_count(spec, field)
 
-    if t0 == t1:
-        return AdjointRun(
-            grad_params=np.zeros(n_par),
-            grad_initial_state=loss_grad.copy(),
-            backward_nfe=0,
-            forward_state_reconstruction_error=0.0,
-        )
-
     if cfg is None:
         cfg = IntegratorConfig()
     counters = {"v_clamps": 0}
@@ -269,7 +268,7 @@ def backward(
         rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters)
         joint0 = np.concatenate([y1, loss_grad, np.zeros(n_par)])
 
-    res = solve_dopri45(rhs, joint0, t1, t0, cfg)
+    res = solve_dopri45(rhs, joint0, t1, t0, cfg, h_init=h_init)
     if res.status is not SolveStatus.SUCCESS:
         raise BackwardSolveError(res.status)
     final = res.y_final
@@ -300,6 +299,7 @@ def backward(
         grad_initial_state=a0,
         backward_nfe=res.nfe,
         forward_state_reconstruction_error=recon_err,
+        h_next=res.h_next,
         v_underflow_clamps=counters["v_clamps"],
     )
 

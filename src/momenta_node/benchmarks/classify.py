@@ -31,7 +31,7 @@ from momenta_node.field_net import (
     params_to_vec,
     vec_to_params,
 )
-from momenta_node.solver import IntegratorConfig, solve_dopri45
+from momenta_node.solver import H_INIT, IntegratorConfig, solve_dopri45
 
 
 def two_spirals(n: int = 256, turns: float = 1.0, noise: float = 0.06, seed: int = 0):
@@ -162,13 +162,22 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
 
 
 class ODEClassifier:
-    """Linear embed, one continuous-depth block, linear readout."""
+    """Linear embed, one continuous-depth block, linear readout.
+
+    Every solve starts with the step that the previous solve in the same
+    role proposed when it ended (``first_step``, ``H_INIT`` before the
+    first).  The roles are the training forward solve (``"train"``), the
+    evaluation forward solve (``"eval"``) and the store-mode backward
+    solve (``"backward"``); successive solves in one role see nearly the
+    same field, so each starts where the last one left off.
+    """
 
     def __init__(self, spec: DynamicsSpec, cfg: TrainConfig):
         self.spec = spec
         self.d = cfg.d
         self.t1 = cfg.t1
         self.solver_cfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol, max_steps=40_000)
+        self.first_step = {"train": H_INIT, "eval": H_INIT, "backward": H_INIT}
         rng = np.random.default_rng(cfg.seed)
         self.field = init_field(
             spec.field_in_dim(cfg.d),
@@ -216,16 +225,19 @@ class ODEClassifier:
             i += nb
 
     # -- forward / backward ------------------------------------------
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, role: str):
         """Solve the flow for a batch; returns (terminal h block, solve result).
 
-        The result's record of accepted steps and their dense output is
-        what the store-mode adjoint reads instead of solving again.
+        ``role`` (``"train"`` or ``"eval"``) names the first step the solve
+        takes and updates.  The result's record of accepted steps and their
+        dense output is what the store-mode adjoint reads instead of solving
+        again.
         """
         h0 = self.embed.apply(x)
         y0 = initial_state(self.spec, h0)
         rhs = make_node_rhs(self.spec, self.field, self.d, batch=x.shape[0])
-        res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg)
+        res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg, h_init=self.first_step[role])
+        self.first_step[role] = res.h_next
         if not res.ok:
             raise TrainingDiverged(f"forward solve failed: {res.status.value}")
         terminal = unpack(res.y_final, self.spec, self.d, batch=x.shape[0])
@@ -239,25 +251,26 @@ class ODEClassifier:
         trained field is too stiff to re-integrate in reverse, and costs no
         extra forward evaluations.
         """
-        h_T, res = self.forward(x)
+        h_T, res = self.forward(x, "train")
         logits = self.readout.apply(h_T)
         loss, dlogits, _ = _softmax_ce(logits, labels)
 
         grad_h_T, grad_readout = self.readout.vjp(h_T, dlogits)
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
-                       cfg=self.solver_cfg, mode="store")
+                       cfg=self.solver_cfg, mode="store", h_init=self.first_step["backward"])
+        self.first_step["backward"] = run.h_next
         a_h0 = unpack(run.grad_initial_state, self.spec, self.d, batch=x.shape[0]).h[:, : self.d]
         grad_x_unused, grad_embed = self.embed.vjp(x, a_h0)
         grad = np.concatenate([run.grad_params, grad_embed, grad_readout])
         return loss, grad, res.nfe, run.backward_nfe
 
     def predict(self, x: np.ndarray):
-        h_T, res = self.forward(x)
+        h_T, res = self.forward(x, "eval")
         logits = self.readout.apply(h_T)
         return np.argmax(logits, axis=1), res.nfe
 
     def eval_loss(self, x: np.ndarray, labels: np.ndarray):
-        h_T, res = self.forward(x)
+        h_T, res = self.forward(x, "eval")
         logits = self.readout.apply(h_T)
         loss, _, _ = _softmax_ce(logits, labels)
         return loss, res.nfe

@@ -158,14 +158,20 @@ def fair_hidden_widths(
     """Pick one hidden width per model so parameter counts nearly match.
 
     The vanilla model at ``base_hidden`` sets the budget; every other
-    model gets the width whose count lands closest.  Raises if the
-    relative spread cannot be brought under ``tolerance``.
+    model gets the width in ``[1, 4096]`` whose count lands closest, the
+    smaller one on a tie.  Raises if the relative spread cannot be
+    brought under ``tolerance``.
     """
     budget = _field_param_count(DynamicsSpec(kind=VANILLA), d, base_hidden)
     widths: dict[str, int] = {}
     counts: dict[str, int] = {}
     for name, spec in specs.items():
-        best = min(range(1, 4097), key=lambda h: abs(_field_param_count(spec, d, h) - budget))
+        # The count is linear in the width, so the closest width is the
+        # floor or the ceiling of the exact one, clamped to the range.
+        fixed = _field_param_count(spec, d, 0)
+        below = (budget - fixed) // (_field_param_count(spec, d, 1) - fixed)
+        near = sorted({min(max(h, 1), 4096) for h in (below, below + 1)})
+        best = min(near, key=lambda h: abs(_field_param_count(spec, d, h) - budget))
         widths[name] = best
         counts[name] = _field_param_count(spec, d, best)
     spread = (max(counts.values()) - min(counts.values())) / budget

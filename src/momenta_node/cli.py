@@ -10,7 +10,10 @@ Every command resolves its parameters from built-in defaults, then an
 optional ``--config`` JSON file, then explicit flags (flags win), echoes
 the result to ``<out>/config.resolved.json`` once its inputs are checked,
 before any other output, and writes only files under its output
-directory.  Exit codes are a stable contract: 0 success, 1 verification
+directory.  ``plot``, whose ``--out`` names the SVG, writes its echo
+beside it, named after it (``replot.svg`` echoes to ``replot.plot.json``),
+so replotting into another command's directory leaves that command's
+echo alone.  Exit codes are a stable contract: 0 success, 1 verification
 failure, 2 usage or config error, 3 a solver failed (every flow of
 ``trajectory``, or a solve that ``gradcheck`` needs), 4 training
 diverged.
@@ -106,12 +109,15 @@ def _write_json(path: Path, payload) -> str:
     return text
 
 
-def _emit_resolved(out_dir: Path, command: str, resolved: dict) -> None:
+RESOLVED = "config.resolved.json"
+
+
+def _emit_resolved(path: Path, command: str, resolved: dict) -> None:
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "config.resolved.json", {"command": command, **resolved})
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(path, {"command": command, **resolved})
     except OSError as exc:
-        raise ConfigError(f"cannot write to output directory {str(out_dir)!r}: {exc}") from exc
+        raise ConfigError(f"cannot write to output directory {str(path.parent)!r}: {exc}") from exc
 
 
 def _is_int(v):
@@ -195,7 +201,7 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "trajectory", {**cfg, "x0": list(cfg["x0"]) if cfg["x0"] else None})
+    _emit_resolved(out_dir / RESOLVED, "trajectory", {**cfg, "x0": list(cfg["x0"]) if cfg["x0"] else None})
     csv_formats.write_trajectory_csv(out_dir / "trajectory.csv", exp)
     summary = {
         "landscape": exp.landscape.name,
@@ -274,7 +280,7 @@ def cmd_stability(args) -> int:
     except ValueError as exc:  # d wider than the probe series, or no parameter-fair widths
         raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "stability", cfg)
+    _emit_resolved(out_dir / RESOLVED, "stability", cfg)
     csv_formats.write_stability_csv(out_dir / "stability.csv", result)
     summary = {
         "statuses": result.statuses,
@@ -323,7 +329,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "train", cfg)
+    _emit_resolved(out_dir / RESOLVED, "train", cfg)
 
     run = run_classification(spec, train_cfg)
     csv_formats.write_efficacy_csv(out_dir / "efficacy.csv", run.records)
@@ -372,7 +378,7 @@ def cmd_gradcheck(args) -> int:
     _check_numbers(cfg, {"seed": "natural", "tol": "nonnegative", "d": "count", "t1": "positive",
                          "delta": "positive", "solver_tol": "positive"})
     out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir, "gradcheck", cfg)
+    _emit_resolved(out_dir / RESOLVED, "gradcheck", cfg)
 
     try:
         report = gradcheck(
@@ -406,7 +412,7 @@ def cmd_plot(args) -> int:
     if cfg["kind"] not in ("trajectory", "stability", "efficacy"):
         raise ConfigError(f"--kind must be trajectory, stability, or efficacy, got {cfg['kind']!r}")
     out_path = Path(cfg["out"])
-    if out_path.is_dir():
+    if out_path.is_dir() or out_path.name == "..":
         raise ConfigError(f"--out must name a file, got the directory {cfg['out']!r}")
     try:
         if cfg["kind"] == "trajectory":
@@ -422,7 +428,7 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"cannot read {cfg['in']!r}: {exc}") from exc
     except csv_formats.CsvFormatError as exc:
         raise ConfigError(f"{cfg['in']}: {exc}") from exc
-    _emit_resolved(out_path.parent, "plot", cfg)
+    _emit_resolved(out_path.with_suffix(".plot.json"), "plot", cfg)
     out_path.write_text(doc)
     print(f"wrote {out_path}")
     return EXIT_OK

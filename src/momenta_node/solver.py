@@ -53,7 +53,7 @@ _E = np.array([
 ])
 # Step-size controller safety factor.
 _SAFETY = 0.9
-# Magnitude of the first attempted step, and the largest step magnitude.
+# Default magnitude of the first attempted step, and the largest step magnitude.
 H_INIT = 1e-2
 H_MAX = 10.0
 # Dense-output weights: y(t + theta*h) = y + h * (K^T P) @ [theta, ..., theta^4].
@@ -86,9 +86,10 @@ class IntegratorConfig:
     rtol, atol : float
         Relative and absolute tolerance entering the mixed error norm.
     h_min : float
-        Smallest step magnitude for the controller (steps start at
-        ``H_INIT`` and never exceed ``H_MAX``).  The final step of a solve
-        may be shorter than ``h_min`` in order to land on ``t1``.
+        Smallest step magnitude for the controller (steps start at the
+        solve's ``h_init``, ``H_INIT`` by default, and never exceed
+        ``H_MAX``).  The final step of a solve may be shorter than
+        ``h_min`` in order to land on ``t1``.
     max_steps : int
         Budget of accepted plus rejected step attempts.
     """
@@ -116,6 +117,12 @@ class SolveResult:
     are the last accepted step regardless of sampling, and mark the
     blow-up time when ``status`` is ``NON_FINITE_STATE``.
 
+    ``h_next`` is the step magnitude the :func:`solve_dopri45` controller
+    proposed when the solve ended (Hairer's ``H`` on output of DOPRI5), a
+    value in ``[cfg.h_min, H_MAX]``: passed as ``h_init`` it starts a
+    continuation, or a similar solve, where this one left off.  RK4
+    results leave it ``None``.
+
     A :func:`solve_dopri45` result also carries the record of its accepted
     steps, as the lists the solve built: the step boundaries ``step_ts``
     and their states ``step_states`` (the start time and state, then each
@@ -137,6 +144,7 @@ class SolveResult:
     step_states: list | None = None
     step_sizes: list | None = None
     step_coeffs: list | None = None
+    h_next: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -153,8 +161,11 @@ class SolveResult:
         Raises
         ------
         ValueError
-            If ``t`` is not the start and the solve accepted no step.
+            If the solve kept no step record (an RK4 solve), or if ``t``
+            is not the start and the solve accepted no step.
         """
+        if self.step_ts is None:
+            raise ValueError("the solve kept no step record")
         keys, sign = self._step_keys
         i = bisect_left(keys, sign * t)
         if i < len(keys) and t == self.step_ts[i]:
@@ -223,6 +234,7 @@ def solve_dopri45(
     t1: float,
     cfg: IntegratorConfig | None = None,
     sample_times: Sequence[float] = (),
+    h_init: float = H_INIT,
 ) -> SolveResult:
     """Integrate ``dy/dt = rhs(t, y)`` from ``t0`` to ``t1`` adaptively.
 
@@ -244,17 +256,23 @@ def solve_dopri45(
         (:meth:`SolveResult.dense_state`), so a sample at ``t0`` or at a
         step's end reproduces that state exactly, and sampling never alters
         step placement.
+    h_init : float, optional
+        Magnitude of the first attempted step, which is
+        ``min(h_init, |t1 - t0|)``; it must lie in ``[cfg.h_min, H_MAX]``.
+        A previous result's ``h_next`` warm-starts the solve.
 
     Returns
     -------
     SolveResult
         Samples reached, the record of accepted steps, exact RHS evaluation
-        count, step counts, and the terminal status.  Failures return
-        partial data rather than raising.
+        count, step counts, the controller's next step ``h_next``, and the
+        terminal status.  Failures return partial data rather than raising.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     cfg.validate()
+    if not cfg.h_min <= h_init <= H_MAX:
+        raise ValueError(f"h_init must lie in [h_min, {H_MAX}], got {h_init!r}")
     y0, samples, direction = _check_inputs(y0, t0, t1, sample_times)
     n = y0.size
 
@@ -273,7 +291,9 @@ def solve_dopri45(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = _call_rhs(rhs, t, y, n)
         nfe = 1
-        h = min(H_INIT, abs(t1 - t0))
+        # The step proposed next, always in [h_min, H_MAX]; an attempt
+        # shortens it to land on t1.
+        h = float(h_init)
         status = None
         while True:
             if t == t1:
@@ -344,6 +364,7 @@ def solve_dopri45(
         step_states=step_states,
         step_sizes=step_sizes,
         step_coeffs=step_coeffs,
+        h_next=h,
     )
     res.states = np.array([res.dense_state(s) for s in reached.tolist()]).reshape(reached.size, n)
     return res

@@ -5,10 +5,12 @@ modules import it by name, since pytest puts this directory on
 ``sys.path``.  Holds the array forms of the three optimization flows and
 the discrete adaptive-moment update they are the small-step limit of,
 the one-call field-network wrappers, the writer of the stability
-probe's input series, and the block-by-block right-hand sides of the
+probe's input series, the block-by-block right-hand sides of the
 trainable formulations and their adjoint (:func:`node_rhs`,
 :func:`adjoint_rhs`), which the program's right-hand sides must match
-bit for bit.
+bit for bit, and the scan over every hidden width that the stability
+probe's closed-form width choice must agree with
+(:func:`fair_hidden_widths_scan`).
 """
 
 import csv
@@ -16,7 +18,7 @@ import csv
 import numpy as np
 
 from momenta_node import dynamics as dyn
-from momenta_node.benchmarks.stability import StabilityProbe
+from momenta_node.benchmarks.stability import StabilityProbe, _field_param_count
 from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
 
@@ -241,3 +243,20 @@ def adjoint_rhs(spec, field, d, batch, variant, counters, forward_of_t=None):
         return np.concatenate([pack(dast), dth])
 
     return rhs
+
+
+def fair_hidden_widths_scan(specs, d, base_hidden, tolerance=0.10):
+    """:func:`momenta_node.benchmarks.stability.fair_hidden_widths` by
+    scanning every width in ``[1, 4096]``: the count is evaluated at all
+    of them at once, and ``argmin`` keeps the first (smallest) of equally
+    close widths, as ``min`` over the range does."""
+    budget = _field_param_count(dyn.DynamicsSpec(kind=dyn.VANILLA), d, base_hidden)
+    hs = np.arange(1, 4097)
+    widths = {
+        name: int(hs[np.argmin(np.abs(_field_param_count(spec, d, hs) - budget))])
+        for name, spec in specs.items()
+    }
+    counts = [_field_param_count(specs[n], d, w) for n, w in widths.items()]
+    if (max(counts) - min(counts)) / budget >= tolerance:
+        raise ValueError("cannot match parameter counts")
+    return widths

@@ -152,31 +152,25 @@ def test_backward_is_deterministic():
     assert a.backward_nfe == b.backward_nfe
 
 
-def test_zero_length_interval_is_identity():
-    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL)
-    field = init_field(2, (4,), 2, seed=0)
-    y0 = dyn.initial_state(spec, np.array([0.1, 0.2]))
-    from momenta_node.solver import SolveResult
+@pytest.mark.parametrize("mode", ["store", "recompute"])
+def test_backward_starts_at_h_init_and_reports_the_reverse_h_next(monkeypatch, mode):
+    from momenta_node import adjoint
 
-    degenerate = SolveResult(
-        ts=np.array([0.0]),
-        states=y0.reshape(1, -1),
-        nfe=0,
-        accepted_steps=0,
-        rejected_steps=0,
-        status=SolveStatus.SUCCESS,
-        t_final=0.0,
-        y_final=y0,
-        step_ts=[0.0],
-        step_states=[y0],
-        step_sizes=[],
-        step_coeffs=[],
-    )
-    lg = np.arange(4.0)
-    run = backward(degenerate, lg, spec, field)
-    assert run.backward_nfe == 0
-    np.testing.assert_array_equal(run.grad_initial_state, lg)
-    np.testing.assert_array_equal(run.grad_params, np.zeros(param_count(spec, field)))
+    spec = dyn.DynamicsSpec(kind=dyn.ADAM)
+    field = init_field(2, (6,), 2, seed=8)
+    fwd = run_forward(spec, field, [0.3, 0.6], 1.0, tight())
+    lg = loss_grad_from_h(spec, np.array([1.0, -2.0]))
+    reverse = []
+
+    def spy(*args, **kw):
+        reverse.append(solve_dopri45(*args, **kw))
+        return reverse[-1]
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", spy)
+    run = backward(fwd, lg, spec, field, tight(), mode=mode, h_init=0.125)
+    assert reverse[0].step_sizes[0] == -0.125 and reverse[0].rejected_steps == 0
+    assert run.h_next == reverse[0].h_next
+    assert run.backward_nfe == reverse[0].nfe
 
 
 def test_store_mode_agrees_with_recompute():

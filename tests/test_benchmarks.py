@@ -22,7 +22,8 @@ from momenta_node.csv_formats import (
     write_trajectory_csv,
 )
 from momenta_node.dynamics import DynamicsSpec, VANILLA
-from reference import write_series_csv
+from momenta_node.solver import H_INIT, solve_dopri45
+from reference import fair_hidden_widths_scan, write_series_csv
 
 
 # ------------------------------------------------------------------ landscapes
@@ -243,6 +244,18 @@ def test_fair_hidden_widths_parity():
     assert (max(counts) - min(counts)) / min(counts) < 0.10
 
 
+def test_fair_hidden_widths_match_the_scan_of_every_width():
+    def outcome(choose, d, base):
+        try:
+            return choose(MODEL_SPECS, d, base)
+        except ValueError:
+            return "refused"
+
+    for d in range(1, 80):
+        for base in range(1, 70):
+            assert outcome(fair_hidden_widths, d, base) == outcome(fair_hidden_widths_scan, d, base), (d, base)
+
+
 def test_zero_field_keeps_hidden_norm_constant():
     # Zero weights with the stock initial fills give every formulation a
     # motionless hidden block, whatever else the moment blocks do.
@@ -345,6 +358,44 @@ def test_training_is_seed_reproducible():
     r2 = run_classification(model_spec("hbnode"), cfg)
     assert r1.records == r2.records
     assert r1.param_count == r2.param_count
+
+
+def test_each_solve_starts_where_the_last_solve_in_its_role_ended(monkeypatch):
+    from momenta_node import adjoint
+    from momenta_node.benchmarks import classify
+
+    solves = []  # (role, first step tried, h_next) in call order
+    role = None
+
+    def spy(rhs, y0, t0, t1, cfg, **kw):
+        res = solve_dopri45(rhs, y0, t0, t1, cfg, **kw)
+        solves.append((role if t1 > t0 else "backward", kw.get("h_init", H_INIT), res.h_next))
+        return res
+
+    def entering(name, method):
+        def wrapped(self, *args):
+            nonlocal role
+            role = name
+            return method(self, *args)
+        return wrapped
+
+    monkeypatch.setattr(classify, "solve_dopri45", spy)
+    monkeypatch.setattr(adjoint, "solve_dopri45", spy)
+    for method, name in (("loss_and_grad", "train"), ("predict", "eval"), ("eval_loss", "eval")):
+        monkeypatch.setattr(classify.ODEClassifier, method, entering(name, getattr(classify.ODEClassifier, method)))
+    run = run_classification(model_spec("adamnode"), TrainConfig(epochs=1, n_points=64, hidden=(8,)))
+    assert not run.diverged
+
+    last = {}
+    other_role_differs = 0
+    for r, h_init, h_next in solves:
+        assert h_init == last.get(r, H_INIT)
+        other_role_differs += any(h_init != v for k, v in last.items() if k != r)
+        last[r] = h_next
+    assert set(last) == {"train", "eval", "backward"}
+    # The roles end on different steps, so a solve that read another
+    # role's value would have failed the equality above.
+    assert other_role_differs
 
 
 def test_train_config_validation():

@@ -105,13 +105,15 @@ def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
 # tests/reference.py): `train --epochs 5 --seed 0`'s efficacy.csv and
 # `gradcheck --seed 0`'s report for every model, and `stability --t1 64
 # --seed 0`'s curves.  Cheaper right-hand sides must reproduce every byte.
+# The efficacy hashes are those of training with warm-started solves
+# (each starts with the last step its role's previous solve proposed).
 PINNED_EFFICACY_5 = {
-    "node": "b5ad3796ba095502887a700261c79eca8cdce839bbcf8a572a8065461f1aa4f2",
-    "anode": "385b03e9be2b7e0a3e9cf39bf3c182fb67bb72bdf4c5198868f673f17c046138",
-    "sonode": "2475eb28dc2f67d0e53b84dcdeaf7a611b7bc62b32df4fc53f63f3371def5cfc",
-    "hbnode": "542895bc3900edaa2a7fa2c6488a4a66b9a1bc6f58d1f9ab82e6d12b94de75eb",
-    "ghbnode": "542895bc3900edaa2a7fa2c6488a4a66b9a1bc6f58d1f9ab82e6d12b94de75eb",
-    "adamnode": "407e71d557754974326e6c6810beecea2234221b006f19cb76c63acc75f13036",
+    "node": "53c96dcb0e8524c46764c83effa563635de1dcc7d405e16d50a4d77c398f21d2",
+    "anode": "6df1466bf62b867fc7b4f8c87ae87c61df28bceafc4d92719950a766a3c8e3a8",
+    "sonode": "7084a1855d4e770679b86b067d4b88f8a0218bc1bb478a9d1db885b09363649e",
+    "hbnode": "40b66f072e1b43809b6781770b199982629011ba4b72cbe6fa5807473e419b67",
+    "ghbnode": "40b66f072e1b43809b6781770b199982629011ba4b72cbe6fa5807473e419b67",
+    "adamnode": "78551c15c78cd33da545af0374d635b2ca5035dad6dbe8d652cc6f84ba8b7ab5",
 }
 PINNED_GRADCHECK_0 = {
     "node": "ef1ca8cc52981530a47a460b4cb008bfd07b817a29da566d51508863d20d16df",
@@ -253,13 +255,15 @@ def test_train_zero_epochs_emits_chance_record(tmp_path):
 
 
 def test_train_rerun_byte_identical(tmp_path):
+    # Each role's warm-started first step is carried from solve to solve
+    # and epoch to epoch, and rebuilt from H_INIT by every run.
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run_cli(
-            "train", "--epochs", "1", "--model", "node", "--seed", "7", "--out", str(out)
+            "train", "--epochs", "3", "--model", "node", "--seed", "0", "--out", str(out)
         ) == 0
-    assert (a / "efficacy.csv").read_bytes() == (b / "efficacy.csv").read_bytes()
-    assert (a / "efficacy.svg").read_bytes() == (b / "efficacy.svg").read_bytes()
+    for name in ("efficacy.csv", "efficacy.svg", "loss.svg"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 @pytest.mark.parametrize("batch", [1, 203])
@@ -441,13 +445,14 @@ def test_runner_refusal_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
 
 
 # An output path that cannot be written: under a regular file, the regular
-# file itself, or (for plot's one SVG) an existing directory.
+# file itself, or (for plot's one SVG) an existing directory or a `..`.
 UNUSABLE_OUTPUTS = {
     "trajectory": ["trajectory", "--T", "1", "--out", "afile/sub"],
     "stability": ["stability", "--t1", "2", "--models", "node", "--out", "afile/sub"],
     "train": ["train", "--epochs", "0", "--out", "afile/x"],
     "gradcheck": ["gradcheck", "--out", "afile"],
     "plot": ["plot", "--in", "tr.csv", "--kind", "trajectory", "--out", "adir"],
+    "plot-parent-of-a-new-dir": ["plot", "--in", "tr.csv", "--kind", "trajectory", "--out", "new/.."],
 }
 
 
@@ -494,6 +499,19 @@ def test_plot_round_trip_matches_original_bytes(tmp_path):
         "plot", "--in", str(out / "trajectory.csv"), "--kind", "trajectory", "--out", str(replot)
     ) == 0
     assert replot.read_bytes() == (out / "trajectory.svg").read_bytes()
+
+
+def test_plot_into_another_commands_directory_keeps_its_echo(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("trajectory", "--T", "1", "--out", "tr") == 0
+    echo = Path("tr/config.resolved.json").read_bytes()
+    assert run_cli("plot", "--in", "tr/trajectory.csv", "--kind", "trajectory", "--out", "tr/replot.svg") == 0
+    capsys.readouterr()
+    assert Path("tr/config.resolved.json").read_bytes() == echo
+    assert json.loads(echo)["command"] == "trajectory"
+    plot_echo = json.loads(Path("tr/replot.plot.json").read_text())
+    assert plot_echo["command"] == "plot" and plot_echo["out"] == "tr/replot.svg"
+    assert Path("tr/replot.svg").read_bytes() == Path("tr/trajectory.svg").read_bytes()
 
 
 def test_plot_same_csv_twice_identical(tmp_path):

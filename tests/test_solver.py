@@ -5,6 +5,7 @@ import pytest
 
 from momenta_node.solver import (
     H_INIT,
+    H_MAX,
     IntegratorConfig,
     SolveStatus,
     dense_output,
@@ -282,6 +283,86 @@ def test_precondition_errors():
         IntegratorConfig(h_min=10.0 * H_INIT).validate()
     with pytest.raises(ValueError):
         solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 0)
+
+
+def _first_attempt(h_init, t0=0.0, t1=1.0):
+    """Signed size of a solve's first attempted step: the time of its
+    seventh right-hand-side call (the attempt's end) less ``t0``."""
+    times = []
+
+    def rhs(t, y):
+        times.append(t)
+        return -y
+
+    solve_dopri45(rhs, np.ones(1), t0, t1, h_init=h_init)
+    return times[6] - t0
+
+
+@pytest.mark.parametrize("h_init", [1e-12, 0.25, 0.5, 1.0, 3.0, H_MAX])
+def test_first_attempted_step_is_h_init_capped_by_the_interval(h_init):
+    assert _first_attempt(h_init) == min(h_init, 1.0)
+    assert _first_attempt(h_init, 0.0, -1.0) == -min(h_init, 1.0)
+
+
+def test_h_init_defaults_to_h_init_constant():
+    assert _first_attempt(H_INIT) == H_INIT
+    default = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0)
+    assert default.step_sizes[0] == H_INIT
+
+
+@pytest.mark.parametrize(
+    "rhs, t1, cfg",
+    [
+        (lambda t, y: -y, 1.0, IntegratorConfig()),
+        (lambda t, y: -y, -3.0, IntegratorConfig()),
+        (lambda t, y: np.ones(1), 1.0, IntegratorConfig()),  # zero error: H_MAX
+        (lambda t, y: -y, 100.0, IntegratorConfig(max_steps=3)),
+        (lambda t, y: 100.0 * y, 10.0, IntegratorConfig()),  # non-finite
+        (lambda t, y: np.array([0.0 if t < 0.505 else 1e6]), 1.0,
+         IntegratorConfig(rtol=1e-12, atol=1e-12, h_min=H_INIT)),  # underflow
+    ],
+)
+def test_h_next_lies_in_the_step_limits(rhs, t1, cfg):
+    res = solve_dopri45(rhs, np.ones(1), 0.0, t1, cfg)
+    assert cfg.h_min <= res.h_next <= H_MAX
+
+
+def test_h_next_is_the_controller_proposal_after_the_last_step():
+    # A constant right-hand side has zero error, so the controller
+    # proposes H_MAX after the landing step, whatever that step's size.
+    res = solve_dopri45(lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0)
+    assert res.step_sizes == [H_INIT, 1.0 - H_INIT]
+    assert res.h_next == H_MAX
+
+
+def test_continuation_from_h_next_first_tries_exactly_h_next():
+    def rhs(t, y):
+        return np.array([y[1], -y[0]])
+
+    first = solve_dopri45(rhs, np.array([1.0, 0.0]), 0.0, 1.0, tight())
+    assert first.ok and first.h_next < 9.0
+    times = []
+
+    def spy(t, y):
+        times.append(t)
+        return rhs(t, y)
+
+    then = solve_dopri45(spy, first.y_final, 1.0, 10.0, tight(), h_init=first.h_next)
+    assert times[6] == 1.0 + first.h_next
+    assert then.step_sizes[0] == first.h_next and then.rejected_steps == 0
+
+
+@pytest.mark.parametrize("h_init", [0.0, -H_INIT, math.nan, math.inf, 1e-13, 2.0 * H_MAX])
+def test_h_init_outside_the_step_limits_is_refused(h_init):
+    with pytest.raises(ValueError, match="h_init"):
+        solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0, IntegratorConfig(h_min=1e-12), h_init=h_init)
+
+
+def test_rk4_result_has_no_step_record():
+    res = solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 4)
+    assert res.h_next is None
+    with pytest.raises(ValueError, match="kept no step record"):
+        res.dense_state(0.5)
 
 
 def _damped_duffing(t, y):
