@@ -304,12 +304,71 @@ def backward(
     )
 
 
+# Most bytes of stacked field parameters one finite-difference solve holds
+# (one copy); further perturbations go to further solves.  A pair of
+# perturbations of one entry is never split across solves.
+FD_STACK_BYTES = 8 * 2**20
+
+
 def _solve_loss(spec, field, y0, t1, c, cfg):
     rhs = dyn.make_node_rhs(spec, field, field.out_dim - spec.aug_width)
     res = solve_dopri45(rhs, y0, 0.0, t1, cfg)
     if res.status is not SolveStatus.SUCCESS:
         raise ForwardSolveError(res.status)
     return float(c @ res.y_final), res
+
+
+def _paired_differences(spec, field, y0, t1, c, cfg, delta, entries):
+    """Central differences of ``c . y(t1)`` in ``entries``, from one batched solve.
+
+    Entry ``i`` is field parameter ``i`` below ``field.n_params`` and
+    initial-state entry ``i - field.n_params`` from there on.  Rows ``2k``
+    and ``2k + 1`` of the batch move entry ``entries[k]`` by ``+delta`` and
+    ``-delta``, with every other parameter and state entry at its base
+    value, so each pair is integrated on one shared step sequence.
+    """
+    n_field = field.n_params
+    rows = 2 * entries.size
+    moves = np.zeros((rows, n_field + y0.size))
+    moves[np.arange(rows), entries.repeat(2)] = np.tile([delta, -delta], entries.size)
+    stacked = fn.vec_to_params(field, fn.params_to_vec(field) + moves[:, :n_field])
+    states = y0 + moves[:, n_field:]
+    # The solver's batched layout: block by block, each (rows, width).
+    d = field.out_dim - spec.aug_width
+    blocks = (rows, spec.n_blocks, spec.width(d))
+    rhs = dyn.make_node_rhs(spec, stacked, d, batch=rows)
+    res = solve_dopri45(rhs, states.reshape(blocks).transpose(1, 0, 2).ravel(), 0.0, t1, cfg)
+    if res.status is not SolveStatus.SUCCESS:
+        raise ForwardSolveError(res.status)
+    losses = res.y_final.reshape(blocks[1], rows, blocks[2]).transpose(1, 0, 2).reshape(rows, -1) @ c
+    return (losses[0::2] - losses[1::2]) / (2.0 * delta)
+
+
+def central_differences(spec, field, y0, t1, c, cfg, delta):
+    """Central differences of the loss ``c . y(t1)``: ``(g_fd, g0_fd)``.
+
+    ``g_fd`` follows :func:`param_count` order (the field's parameters,
+    then the heavy-ball damping) and ``g0_fd`` the flat initial state.
+    The field parameters and the state entries are differenced in batched
+    solves of at most :data:`FD_STACK_BYTES` of stacked parameters each
+    (all in one solve at the sizes gradcheck pins); the damping is
+    differenced by two scalar solves.
+    """
+    n_field = field.n_params
+    n_entries = n_field + y0.size
+    per_solve = max(1, FD_STACK_BYTES // (2 * 8 * n_field))
+    diffs = np.concatenate([
+        _paired_differences(spec, field, y0, t1, c, cfg, delta, np.arange(lo, min(lo + per_solve, n_entries)))
+        for lo in range(0, n_entries, per_solve)
+    ])
+    g_fd = diffs[:n_field]
+    if spec.extra_param_count:
+        sp = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + delta))
+        sm = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta - delta))
+        lp, _ = _solve_loss(sp, field, y0, t1, c, cfg)
+        lm, _ = _solve_loss(sm, field, y0, t1, c, cfg)
+        g_fd = np.append(g_fd, (lp - lm) / (2.0 * delta))
+    return g_fd, diffs[n_field:]
 
 
 def gradcheck(
@@ -327,8 +386,19 @@ def gradcheck(
 
     Builds a small field from ``seed``, takes a random linear loss over
     the full terminal state, and differences every trainable parameter
-    and every initial-state entry with step ``delta``.  Relative errors
-    use denominator ``max(|adjoint|, |difference|, 1e-8)``.
+    and every initial-state entry with step ``delta``
+    (:func:`central_differences`).  Each ``+delta``/``-delta`` pair is
+    integrated as two rows of one batched solve, on one shared step
+    sequence, so the solver's step placement does not enter the
+    difference quotient (internal numerical differentiation).  Relative
+    errors use denominator ``max(|adjoint|, |difference|, 1e-8)``.
+
+    Raises
+    ------
+    ForwardSolveError
+        If the base solve or any differencing solve fails.
+    BackwardSolveError
+        If the adjoint solve fails.
     """
     field = fn.init_field(
         spec.field_in_dim(d), hidden, spec.width(d), activation=activation, seed=seed
@@ -342,39 +412,11 @@ def gradcheck(
     _, fwd = _solve_loss(spec, field, y0, t1, c, cfg)
     run = backward(fwd, c, spec, field, cfg, variant=variant)
     g_adj = run.grad_params
-
-    base_vec = fn.params_to_vec(field)
-    n_field = base_vec.size
-    n_total = n_field + spec.extra_param_count
-    g_fd = np.zeros(n_total)
-    for i in range(n_total):
-        if i < n_field:
-            vp = base_vec.copy()
-            vm = base_vec.copy()
-            vp[i] += delta
-            vm[i] -= delta
-            lp, _ = _solve_loss(spec, fn.vec_to_params(field, vp), y0, t1, c, cfg)
-            lm, _ = _solve_loss(spec, fn.vec_to_params(field, vm), y0, t1, c, cfg)
-        else:
-            sp = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + delta))
-            sm = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta - delta))
-            lp, _ = _solve_loss(sp, field, y0, t1, c, cfg)
-            lm, _ = _solve_loss(sm, field, y0, t1, c, cfg)
-        g_fd[i] = (lp - lm) / (2.0 * delta)
+    g_fd, g0_fd = central_differences(spec, field, y0, t1, c, cfg, delta)
 
     denom = np.maximum(np.maximum(np.abs(g_adj), np.abs(g_fd)), 1e-8)
     rel = np.abs(g_adj - g_fd) / denom
-
     a0_flat = run.grad_initial_state
-    g0_fd = np.zeros(y0.size)
-    for i in range(y0.size):
-        yp = y0.copy()
-        ym = y0.copy()
-        yp[i] += delta
-        ym[i] -= delta
-        lp, _ = _solve_loss(spec, field, yp, t1, c, cfg)
-        lm, _ = _solve_loss(spec, field, ym, t1, c, cfg)
-        g0_fd[i] = (lp - lm) / (2.0 * delta)
     rel0 = np.abs(a0_flat - g0_fd) / np.maximum(np.maximum(np.abs(a0_flat), np.abs(g0_fd)), 1e-8)
 
     order = np.argsort(rel)[::-1][:5]
@@ -382,7 +424,7 @@ def gradcheck(
         "formulation": spec.kind,
         "variant": variant,
         "seed": seed,
-        "n_params": int(n_total),
+        "n_params": int(g_fd.size),
         "max_rel_err": float(rel.max()),
         "init_state_max_rel_err": float(rel0.max()),
         "per_param_worst": [

@@ -393,12 +393,13 @@ def cmd_gradcheck(args) -> int:
         print(f"gradient check could not solve: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILED
     print(_write_json(out_dir / "gradcheck_report.json", report))
-    if report["max_rel_err"] < float(cfg["tol"]):
+    # Both gradients gate: training chains the initial-state cotangent
+    # into the embed.
+    failed = [key for key in ("max_rel_err", "init_state_max_rel_err") if not report[key] < float(cfg["tol"])]
+    if not failed:
         return EXIT_OK
-    print(
-        f"gradient check failed: max_rel_err {report['max_rel_err']:.3e} >= tol {cfg['tol']:.3e}",
-        file=sys.stderr,
-    )
+    for key in failed:
+        print(f"gradient check failed: {key} {report[key]:.3e} >= tol {cfg['tol']:.3e}", file=sys.stderr)
     return EXIT_CHECK_FAILED
 
 
@@ -485,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--model", choices=sorted(MODEL_SPECS))
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, help="pass threshold on max_rel_err (default 1e-3)")
+    p.add_argument("--tol", type=float,
+                   help="pass threshold on max_rel_err and init_state_max_rel_err (default 1e-3)")
     p.add_argument("--d", type=int)
     p.add_argument("--t1", type=float)
     p.add_argument("--delta", type=float, help="finite-difference step (default 1e-5)")

@@ -9,6 +9,12 @@ those are the only derivatives the adjoint machinery needs.
 Inputs may be single vectors ``(n,)`` or batches ``(B, n)``.  When a
 network is time-conditioned, the scalar time is appended as one extra
 input coordinate and its cotangent slot is dropped again on the way back.
+
+A network's parameters may also be stacked: every weight ``(R, out, in)``
+and every bias ``(R, out)``, so one forward pass evaluates input row ``r``
+with parameter set ``r`` (the finite-difference check of
+:func:`momenta_node.adjoint.gradcheck` solves all its perturbed parameter
+sets at once this way).  Stacked networks have a forward pass only.
 """
 
 from dataclasses import dataclass, replace
@@ -54,8 +60,10 @@ ACTIVATIONS = {
 class FieldNet:
     """A dense network ``f(h, t)`` with explicit weights and biases.
 
-    ``weights[l]`` has shape ``(out_l, in_l)``; consecutive layers must
-    chain.  ``activation`` applies to every layer except the last.
+    ``weights[l]`` has shape ``(out_l, in_l)`` and ``biases[l]``
+    ``(out_l,)``; consecutive layers must chain.  A stacked network gives
+    every layer the same leading row axis, ``(R, out_l, in_l)`` and
+    ``(R, out_l)``.  ``activation`` applies to every layer except the last.
     """
 
     weights: list
@@ -68,16 +76,23 @@ class FieldNet:
             raise ValueError("weights and biases must be non-empty parallel lists")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        lead = self.weights[0].shape[:-2]
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 2 or b.shape != (W.shape[0],):
+            if W.ndim not in (2, 3) or W.shape[:-2] != lead or b.shape != W.shape[:-1]:
                 raise ValueError(f"layer {l}: weight/bias shapes are inconsistent")
-            if l > 0 and W.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and W.shape[-1] != self.weights[l - 1].shape[-2]:
                 raise ValueError(f"layer {l}: input width does not chain")
+
+    @property
+    def param_rows(self) -> int | None:
+        """Number of stacked parameter sets, or None for one shared set."""
+        W = self.weights[0]
+        return W.shape[0] if W.ndim == 3 else None
 
     @property
     def in_dim(self) -> int:
         """First-layer input width, including the time slot if present."""
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def state_dim(self) -> int:
@@ -86,11 +101,12 @@ class FieldNet:
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
     @property
     def n_params(self) -> int:
-        return sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
+        """Parameters of one set (one row of a stacked network)."""
+        return sum(W.shape[-2] * W.shape[-1] for W in self.weights) + sum(b.shape[-1] for b in self.biases)
 
 
 def init_field(
@@ -119,7 +135,9 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     ``h`` is one state ``(n,)`` or a batch of rows ``(B, n)``.  A
     time-conditioned network reads a fresh ``(B, n + 1)`` copy of the rows
     with ``t`` in the last column; otherwise the rows themselves are the
-    first layer's input, and the cache refers to them.
+    first layer's input, and the cache refers to them.  A stacked network
+    takes ``(R, n)``, one row per parameter set, and its cache holds each
+    layer as ``(R, 1, width)``.
     """
     squeeze = h.ndim == 1
     n = h.shape[-1]
@@ -132,13 +150,21 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
         u[:, n] = t
     else:
         u = h.reshape(rows, n)
+    biases = net.biases
+    stacked = net.param_rows is not None
+    if stacked:
+        if squeeze or rows != net.param_rows:
+            raise ValueError(f"a stack of {net.param_rows} parameter sets needs that many input rows")
+        # Row r becomes a one-row batch against weight r.
+        u = u[:, None]
+        biases = [b[:, None] for b in biases]
     act, _ = ACTIVATIONS[net.activation]
     last = len(net.weights) - 1
     layer_in = [u]
     pre = []
     x = u
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = x @ W.T
+    for l, (W, b) in enumerate(zip(net.weights, biases)):
+        z = x @ W.mT
         z += b
         pre.append(z)
         if l < last:
@@ -146,7 +172,7 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
             layer_in.append(x)
         else:
             x = z
-    out = x[0] if squeeze else x
+    out = x[:, 0] if stacked else (x[0] if squeeze else x)
     return out, (layer_in, pre, squeeze)
 
 
@@ -158,6 +184,8 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray | None =
     ``(n_params,)`` array, which is then the second value returned).
     """
     layer_in, pre, squeeze = cache
+    if layer_in[0].ndim != 2:
+        raise ValueError("a stacked forward pass has no vector-Jacobian product")
     _, dact = ACTIVATIONS[net.activation]
     g = np.asarray(a, dtype=float)
     if g.ndim == 1:
@@ -185,19 +213,26 @@ def params_to_vec(net: FieldNet) -> np.ndarray:
 
 
 def vec_to_params(net: FieldNet, vec: np.ndarray) -> FieldNet:
-    """Rebuild a field of ``net``'s shape from a flat parameter vector."""
+    """Rebuild a field of ``net``'s layer widths from a flat parameter vector.
+
+    A matrix ``(R, n_params)`` gives a stacked field whose parameter set
+    ``r`` is row ``r``.
+    """
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (net.n_params,):
-        raise ValueError(f"expected {net.n_params} parameters, got {vec.shape}")
+    if vec.ndim not in (1, 2) or vec.shape[-1] != net.n_params:
+        raise ValueError(f"expected {net.n_params} parameters per row, got {vec.shape}")
+    lead = vec.shape[:-1]
     weights = []
     biases = []
     pos = 0
     for W in net.weights:
-        weights.append(vec[pos : pos + W.size].reshape(W.shape).copy())
-        pos += W.size
+        size = W.shape[-2] * W.shape[-1]
+        weights.append(vec[..., pos : pos + size].reshape(lead + W.shape[-2:]).copy())
+        pos += size
     for b in net.biases:
-        biases.append(vec[pos : pos + b.size].copy())
-        pos += b.size
+        size = b.shape[-1]
+        biases.append(vec[..., pos : pos + size].copy())
+        pos += size
     return replace(net, weights=weights, biases=biases)
 
 

@@ -10,14 +10,19 @@ trainable formulations and their adjoint (:func:`node_rhs`,
 :func:`adjoint_rhs`), which the program's right-hand sides must match
 bit for bit, and the scan over every hidden width that the stability
 probe's closed-form width choice must agree with
-(:func:`fair_hidden_widths_scan`).
+(:func:`fair_hidden_widths_scan`), and gradcheck's central differences
+by one scalar solve per perturbed value, which the batched differences
+must agree with (:func:`central_differences_per_solve`).
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
 from momenta_node import dynamics as dyn
+from momenta_node import field_net as fn
+from momenta_node.adjoint import _solve_loss
 from momenta_node.benchmarks.stability import StabilityProbe, _field_param_count
 from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
@@ -260,3 +265,38 @@ def fair_hidden_widths_scan(specs, d, base_hidden, tolerance=0.10):
     if (max(counts) - min(counts)) / budget >= tolerance:
         raise ValueError("cannot match parameter counts")
     return widths
+
+
+def central_differences_per_solve(spec, field, y0, t1, c, cfg, delta):
+    """:func:`momenta_node.adjoint.central_differences` with one batch-1
+    solve per perturbed value: two per parameter and two per
+    initial-state entry, each on its own step sequence."""
+    base_vec = fn.params_to_vec(field)
+    n_field = base_vec.size
+    n_total = n_field + spec.extra_param_count
+    g_fd = np.zeros(n_total)
+    for i in range(n_total):
+        if i < n_field:
+            vp = base_vec.copy()
+            vm = base_vec.copy()
+            vp[i] += delta
+            vm[i] -= delta
+            lp, _ = _solve_loss(spec, fn.vec_to_params(field, vp), y0, t1, c, cfg)
+            lm, _ = _solve_loss(spec, fn.vec_to_params(field, vm), y0, t1, c, cfg)
+        else:
+            sp = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + delta))
+            sm = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta - delta))
+            lp, _ = _solve_loss(sp, field, y0, t1, c, cfg)
+            lm, _ = _solve_loss(sm, field, y0, t1, c, cfg)
+        g_fd[i] = (lp - lm) / (2.0 * delta)
+
+    g0_fd = np.zeros(y0.size)
+    for i in range(y0.size):
+        yp = y0.copy()
+        ym = y0.copy()
+        yp[i] += delta
+        ym[i] -= delta
+        lp, _ = _solve_loss(spec, field, yp, t1, c, cfg)
+        lm, _ = _solve_loss(spec, field, ym, t1, c, cfg)
+        g0_fd[i] = (lp - lm) / (2.0 * delta)
+    return g_fd, g0_fd

@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,7 +19,7 @@ from momenta_node.adjoint import (
 )
 from momenta_node.field_net import FieldNet, init_field, params_to_vec
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
-from reference import adjoint_rhs, node_rhs
+from reference import adjoint_rhs, central_differences_per_solve, node_rhs
 
 
 def tight():
@@ -132,6 +134,61 @@ def test_literal_variant_fails_where_exact_passes():
         f"adaptive-moment gradcheck: exact {exact['max_rel_err']:.3e}, "
         f"literal {literal['max_rel_err']:.3e}"
     )
+
+
+@cache
+def _differenced_problem(kind):
+    """gradcheck's problem at its CLI defaults and seed 0, and the
+    per-solve central differences of its loss."""
+    spec = dyn.DynamicsSpec(kind=kind, aug_width=1 if kind == dyn.AUGMENTED else 0)
+    field = init_field(spec.field_in_dim(2), (8,), spec.width(2), seed=0)
+    rng = np.random.default_rng(0)
+    y0 = dyn.initial_state(spec, rng.normal(size=2))
+    c = rng.normal(size=y0.size)
+    problem = (spec, field, y0, 1.0, c, tight(), 1e-5)
+    return problem, central_differences_per_solve(*problem)
+
+
+def _max_rel(a, b):
+    return float((np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)).max())
+
+
+@pytest.mark.parametrize("kind", dyn.ALL_KINDS)
+def test_batched_differences_match_per_solve_differences(kind):
+    problem, (g_fd, g0_fd) = _differenced_problem(kind)
+    batched, batched0 = adjoint.central_differences(*problem)
+    assert batched.shape == g_fd.shape and batched0.shape == g0_fd.shape
+    assert _max_rel(batched, g_fd) < 1e-4
+    assert _max_rel(batched0, g0_fd) < 1e-4
+
+
+@pytest.mark.parametrize("kind", dyn.ALL_KINDS)
+def test_bounded_stacks_split_between_pairs(kind, monkeypatch):
+    problem, (g_fd, g0_fd) = _differenced_problem(kind)
+    spec, field, y0 = problem[:3]
+    # Seven perturbed entries per solve.
+    monkeypatch.setattr(adjoint, "FD_STACK_BYTES", 7 * 2 * 8 * field.n_params)
+    starts = []
+    solve = adjoint.solve_dopri45
+
+    def recording(rhs, start, *args, **kwargs):
+        starts.append(start.copy())
+        return solve(rhs, start, *args, **kwargs)
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", recording)
+    batched, batched0 = adjoint.central_differences(*problem)
+    # The heavy-ball damping's two scalar solves start at y0 itself.
+    stacks = [s.reshape(spec.n_blocks, -1, y0.size // spec.n_blocks) for s in starts if s.size > y0.size]
+    assert len(stacks) == -(-(field.n_params + y0.size) // 7)
+    assert sum(s.shape[1] for s in stacks) == 2 * (field.n_params + y0.size)
+    for s in stacks:
+        rows = s.transpose(1, 0, 2).reshape(s.shape[1], -1)
+        # Rows 2k and 2k+1 are one entry moved up and down: their mean is y0.
+        assert rows.shape[0] % 2 == 0
+        means = (rows[0::2] + rows[1::2]) / 2.0
+        np.testing.assert_allclose(means, np.tile(y0, (means.shape[0], 1)), rtol=0, atol=1e-15)
+    assert _max_rel(batched, g_fd) < 1e-4
+    assert _max_rel(batched0, g0_fd) < 1e-4
 
 
 def test_loose_solver_tolerance_envelope():

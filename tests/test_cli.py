@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momenta_node import cli
+from momenta_node import adjoint, cli
 from momenta_node.benchmarks import trajectories
 from momenta_node.csv_formats import (
     EFFICACY_HEADER,
@@ -106,7 +107,9 @@ def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
 # `gradcheck --seed 0`'s report for every model, and `stability --t1 64
 # --seed 0`'s curves.  Cheaper right-hand sides must reproduce every byte.
 # The efficacy hashes are those of training with warm-started solves
-# (each starts with the last step its role's previous solve proposed).
+# (each starts with the last step its role's previous solve proposed), and
+# the gradcheck hashes those of differences taken as paired rows of one
+# batched solve.
 PINNED_EFFICACY_5 = {
     "node": "53c96dcb0e8524c46764c83effa563635de1dcc7d405e16d50a4d77c398f21d2",
     "anode": "6df1466bf62b867fc7b4f8c87ae87c61df28bceafc4d92719950a766a3c8e3a8",
@@ -116,12 +119,12 @@ PINNED_EFFICACY_5 = {
     "adamnode": "78551c15c78cd33da545af0374d635b2ca5035dad6dbe8d652cc6f84ba8b7ab5",
 }
 PINNED_GRADCHECK_0 = {
-    "node": "ef1ca8cc52981530a47a460b4cb008bfd07b817a29da566d51508863d20d16df",
-    "anode": "e7159249ce48ee699020b96dfaca15a57e6ea644b1206bff3723868e5dad7cb9",
-    "sonode": "3ffb1c32405eb21a784e1376c0f3d90628e383f9c37c3756c338e287f64d52b9",
-    "hbnode": "4ba75f1175019f304d0a04114e07bdc32c647052e2dd8967e3c2ddb16ed0c4db",
-    "ghbnode": "ec647e60c91111acf0fed89bda8590b28b39fae19def40a5f77b6b7769e6c11e",
-    "adamnode": "1289bc24279f12d3f28b8127c823f9bae481c2714373285edcd0afcded0b79a4",
+    "node": "2b262ad4e07012deeaa0d659d66b453edb24888a5579bdaa2a23e264eabb82ee",
+    "anode": "8d1222587f0d1814a863685459784c0a1a275d8ac36dfbdcbf382191e46da78f",
+    "sonode": "e4d7edfe173f243d7012f811d4c19688987c829d8513efd9bc03c1d6d837fd9b",
+    "hbnode": "c518f4cfc4bb9ac174bb9f151d0554144c32f3a820856b566a5db752a38cbb65",
+    "ghbnode": "993b5fe3dd6b1aa4ac0b210252a6f06c447584da23bf6e46c94f64138219bdb2",
+    "adamnode": "b4bb5fb058cbf84bfbc623a7a1014d82144c0062c90ef68fca35fa0cc2fe2beb",
 }
 PINNED_STABILITY_T64 = "eccb470de35ba7fc2883be72d136096f7fbce43b8efb4afd4c812a900ca8a02f"
 
@@ -315,6 +318,22 @@ def test_gradcheck_unattainable_tolerance_exits_1(tmp_path, capsys):
     code = run_cli("gradcheck", "--model", "node", "--tol", "0", "--out", str(tmp_path / "gc"))
     assert code == 1
     capsys.readouterr()
+
+
+def test_gradcheck_wrong_initial_state_cotangent_exits_1(tmp_path, monkeypatch, capsys):
+    exact = adjoint.backward
+
+    def negated(*args, **kwargs):
+        run = exact(*args, **kwargs)
+        return replace(run, grad_initial_state=-run.grad_initial_state)
+
+    monkeypatch.setattr(adjoint, "backward", negated)
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--model", "node", "--out", str(out)) == 1
+    report = json.loads((out / "gradcheck_report.json").read_text())
+    assert report["max_rel_err"] < 1e-3
+    assert report["init_state_max_rel_err"] == pytest.approx(2.0)
+    assert "init_state_max_rel_err" in capsys.readouterr().err
 
 
 # --------------------------------------------------- numeric parameter checks

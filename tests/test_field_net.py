@@ -10,6 +10,7 @@ from momenta_node.field_net import (
     init_field,
     params_to_vec,
     vec_to_params,
+    vjp_from_cache,
 )
 from reference import forward, vjp_input, vjp_params
 
@@ -183,6 +184,10 @@ def test_time_slot_is_dropped_from_input_vjp():
     assert g.shape == (2,)
 
 
+def _z(*shape):
+    return np.zeros(shape)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         FieldNet([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)])
@@ -191,6 +196,42 @@ def test_shape_validation():
         forward(net, np.zeros(5), 0.0)
     with pytest.raises(ValueError):
         vec_to_params(net, np.zeros(3))
+    with pytest.raises(ValueError):
+        vec_to_params(net, np.zeros((2, 2, net.n_params)))
+    # Stacked parameters: every layer (R, out, in) with (R, out) biases.
+    assert FieldNet([_z(5, 4, 3), _z(5, 2, 4)], [_z(5, 4), _z(5, 2)]).param_rows == 5
+    refused = [
+        ([_z(5, 2, 3), _z(2, 4)], [_z(5, 2), _z(4)]),  # one layer stacked, one not
+        ([_z(5, 2, 3), _z(6, 4, 2)], [_z(5, 2), _z(6, 4)]),  # two stack heights
+        ([_z(5, 2, 3)], [_z(2)]),  # stacked weight, shared bias
+        ([_z(2, 3)], [_z(5, 2)]),  # shared weight, stacked bias
+        ([_z(5, 2, 3)], [_z(4, 2)]),  # bias rows differ from weight rows
+        ([_z(5, 2, 3), _z(5, 4, 3)], [_z(5, 2), _z(5, 4)]),  # stacked layers that do not chain
+        ([_z(1, 5, 2, 3)], [_z(1, 5, 2)]),  # two leading axes
+    ]
+    for weights, biases in refused:
+        with pytest.raises(ValueError):
+            FieldNet(weights, biases)
+
+
+def test_stacked_forward_matches_each_row_and_has_no_vjp():
+    net = init_field(3, (4, 5), 2, seed=2)
+    rng = np.random.default_rng(3)
+    vecs = params_to_vec(net) + rng.normal(scale=0.3, size=(6, net.n_params))
+    stacked = vec_to_params(net, vecs)
+    assert stacked.param_rows == 6 and stacked.n_params == net.n_params
+    assert [W.shape for W in stacked.weights] == [(6, 4, 4), (6, 5, 4), (6, 2, 5)]
+    h = rng.normal(size=(6, 3))
+    f, cache = eval_cached(stacked, h, 0.4)
+    assert f.shape == (6, 2)
+    for r in range(6):
+        alone = forward(vec_to_params(net, vecs[r]), h[r], 0.4)
+        np.testing.assert_allclose(f[r], alone, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="stacked"):
+        vjp_from_cache(stacked, cache, np.ones((6, 2)))
+    for wrong in (h[:5], h[0]):
+        with pytest.raises(ValueError):
+            eval_cached(stacked, wrong, 0.4)
 
 
 def test_linear_state_map_and_vjp():
