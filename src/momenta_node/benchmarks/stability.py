@@ -8,10 +8,13 @@ root-mean-square and stays tame with no bounded activation anywhere.
 The probe records log10 of the hidden-block norm on a shared time grid
 and flags finite-time blow-ups.
 
-The driving signal is a forced Duffing oscillator by default; an
-external series can be supplied instead (read from a `t,input,output`
-CSV by :func:`momenta_node.csv_formats.read_series_csv`) and is resampled
-onto a uniform grid.
+The models are not driven by any signal: the first ``d`` outputs of a
+probe series seed every model's initial hidden state.  The series is a
+forced Duffing oscillator's response by default, integrated only as far
+as the last sample read; an external series can be supplied instead
+(read from a `t,input,output` CSV by
+:func:`momenta_node.csv_formats.read_series_csv`) and is resampled onto a
+uniform grid.
 """
 
 from __future__ import annotations
@@ -38,6 +41,15 @@ from momenta_node.solver import IntegratorConfig, solve_dopri45
 
 # Samples of the shared time grid every model's norm curve is recorded on.
 N_GRID = 129
+# The synthetic series: N_SERIES uniform samples of the Duffing response
+# over [0, T_SERIES].
+N_SERIES = 256
+T_SERIES = 16.0
+# The vanilla model's hidden width, which sets every model's parameter
+# budget, and the activation and weight gain of every model's field.
+BASE_HIDDEN = 16
+ACTIVATION = "relu"
+GAIN = 2.0
 # Step control of every probe solve; the CLI's tolerances replace rtol/atol.
 PROBE_SOLVER = IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=200_000)
 
@@ -46,8 +58,9 @@ PROBE_SOLVER = IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=200_000)
 class StabilityProbe:
     """A forcing/response series plus the probe horizon.
 
-    ``times``/``inputs``/``outputs`` describe the generator signal; the
-    first few output values seed the models' initial hidden state.
+    ``times``/``inputs``/``outputs`` describe the series; its first ``d``
+    output values seed the models' initial hidden state, and nothing else
+    of it reaches the models.
     """
 
     times: np.ndarray
@@ -73,17 +86,17 @@ class StabilityProbe:
         return np.linspace(0.0, self.t1, N_GRID)
 
 
-def duffing_probe(
-    seed: int = 0,
-    n: int = 256,
-    t_end: float = 16.0,
-    t1: float = 64.0,
-) -> StabilityProbe:
-    """Forced Duffing oscillator response, sampled on a uniform grid.
+def duffing_probe(seed: int, t1: float, samples: int) -> StabilityProbe:
+    """The first ``samples`` points of a forced Duffing oscillator response.
 
     x'' + delta x' + a x + b x^3 = A cos(omega t), with the initial
-    condition and forcing phase drawn from ``seed``.
+    condition and forcing phase drawn from ``seed``, on the uniform grid
+    of ``N_SERIES`` points over ``[0, T_SERIES]``; a larger ``samples``
+    returns the whole grid.  The solve ends at the last point returned,
+    so a probe that reads a few samples pays only for those.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     delta, a, b = 0.3, -1.0, 1.0
     amp, omega = 0.5, 1.2
@@ -95,17 +108,21 @@ def duffing_probe(
         force = amp * math.cos(omega * t + phase)
         return np.array([xdot, force - delta * xdot - a * x - b * x**3])
 
-    ts = np.linspace(0.0, t_end, n)
-    res = solve_dopri45(
-        rhs, x0, 0.0, t_end, IntegratorConfig(rtol=1e-9, atol=1e-9), sample_times=ts
-    )
-    if not res.ok:
-        raise RuntimeError(f"probe generator failed: {res.status.name}")
-    states = np.asarray(res.states)
+    ts = np.linspace(0.0, T_SERIES, N_SERIES)[:samples]
+    if ts.size == 1:
+        # The lone sample is the start, and a solve needs t1 != t0.
+        outputs = x0[:1]
+    else:
+        res = solve_dopri45(
+            rhs, x0, 0.0, ts[-1], IntegratorConfig(rtol=1e-9, atol=1e-9), sample_times=ts
+        )
+        if not res.ok:
+            raise RuntimeError(f"probe generator failed: {res.status.name}")
+        outputs = res.states[:, 0]
     return StabilityProbe(
         times=ts,
         inputs=amp * np.cos(omega * ts + phase),
-        outputs=states[:, 0],
+        outputs=outputs,
         t1=t1,
     )
 
@@ -182,10 +199,10 @@ def fair_hidden_widths(
     return widths
 
 
-def _scaled_field(spec: DynamicsSpec, d: int, hidden: int, activation: str, seed: int, gain: float) -> FieldNet:
-    base = init_field(spec.field_in_dim(d), (hidden,), spec.width(d), activation=activation, seed=seed)
+def _scaled_field(spec: DynamicsSpec, d: int, hidden: int, seed: int) -> FieldNet:
+    base = init_field(spec.field_in_dim(d), (hidden,), spec.width(d), activation=ACTIVATION, seed=seed)
     return FieldNet(
-        weights=[gain * W for W in base.weights],
+        weights=[GAIN * W for W in base.weights],
         biases=[b.copy() for b in base.biases],
         activation=base.activation,
         time_conditioned=base.time_conditioned,
@@ -208,15 +225,14 @@ def run_stability_probe(
     probe: StabilityProbe,
     models: dict[str, DynamicsSpec] | None = None,
     d: int = 4,
-    base_hidden: int = 16,
-    activation: str = "relu",
     seed: int = 0,
-    gain: float = 2.0,
     cfg: IntegratorConfig = PROBE_SOLVER,
 ) -> StabilityResult:
     """Integrate every model from the same start and record norm growth.
 
-    All models share the init seed and a parameter-fair hidden width.
+    All models share the init seed and a parameter-fair hidden width
+    (``fair_hidden_widths`` at ``BASE_HIDDEN``); every field uses
+    ``ACTIVATION`` and has its initial weights scaled by ``GAIN``.
     A model whose solve dies (overflow, step underflow) gets its failure
     time recorded in ``blowup_at``; its curve holds the last finite
     value so the grid stays rectangular.
@@ -227,10 +243,10 @@ def run_stability_probe(
         raise ValueError(f"probe series has {probe.outputs.size} samples; need at least d={d}")
     grid = probe.grid
     h0 = probe.outputs[:d]
-    widths = fair_hidden_widths(models, d, base_hidden)
+    widths = fair_hidden_widths(models, d, BASE_HIDDEN)
 
     def run_one(name, spec):
-        fld = _scaled_field(spec, d, widths[name], activation, seed, gain)
+        fld = _scaled_field(spec, d, widths[name], seed)
         rhs = make_node_rhs(spec, fld, d)
         y0 = initial_state(spec, h0)
         res = solve_dopri45(rhs, y0, 0.0, probe.t1, cfg, sample_times=grid)

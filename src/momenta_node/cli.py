@@ -249,7 +249,7 @@ def cmd_stability(args) -> int:
     _check_strings(cfg, ("probe", "out"))
 
     if cfg["probe"] == "synthetic":
-        probe = duffing_probe(seed=int(cfg["seed"]), t1=float(cfg["t1"]))
+        probe = duffing_probe(int(cfg["seed"]), float(cfg["t1"]), int(cfg["d"]))
     elif cfg["probe"].startswith("csv:"):
         try:
             probe = series_probe(*csv_formats.read_series_csv(cfg["probe"][4:]), t1=float(cfg["t1"]))
@@ -462,9 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="probe hidden-norm growth across the model family")
     add_common(p)
     p.add_argument("--t1", type=float, help="probe horizon (default 64)")
-    p.add_argument("--probe", help="'synthetic' or 'csv:PATH' with a t,input,output series")
+    p.add_argument("--probe", help="series whose first d outputs seed the hidden state: 'synthetic' "
+                   "(a forced Duffing oscillator) or 'csv:PATH' with a t,input,output series")
     p.add_argument("--models", help="'all' or comma-separated model names")
-    p.add_argument("--d", type=int, help="hidden-block dimension (default 4)")
+    p.add_argument("--d", type=int, help="hidden-block dimension, and the number of probe outputs "
+                   "that seed it (default 4)")
     p.add_argument("--seed", type=int)
     p.add_argument("--rtol", type=float)
     p.add_argument("--atol", type=float)

@@ -15,6 +15,10 @@ Two integrators are provided:
 Both count every right-hand-side evaluation (accepted and rejected
 attempts alike) and report non-finite states as a solve status instead of
 raising, so finite-time blow-up is observable data rather than a crash.
+Both take the same contract from the right-hand side: it returns a fresh
+array (or sequence) on every call and changes neither its input state nor
+an earlier return, since the solvers keep what they pass and receive: the
+states they record, and RK4 its four stages.
 """
 
 import enum
@@ -220,13 +224,6 @@ def _check_inputs(y0, t0, t1, sample_times):
     return y0, samples, direction
 
 
-def _call_rhs(rhs, t, y, n):
-    f = np.asarray(rhs(t, y), dtype=float)
-    if f.shape != (n,):
-        raise ValueError(f"rhs returned shape {f.shape}, expected ({n},)")
-    return f
-
-
 def solve_dopri45(
     rhs: RHS,
     y0: np.ndarray,
@@ -241,7 +238,9 @@ def solve_dopri45(
     Parameters
     ----------
     rhs : callable
-        Right-hand side mapping ``(t, y)`` to a vector of ``y``'s shape.
+        Right-hand side mapping ``(t, y)`` to a vector of ``y``'s shape,
+        a fresh array on every call that leaves ``y`` unchanged (see the
+        module docstring).
     y0 : array_like
         Finite initial state.
     t0, t1 : float
@@ -282,14 +281,24 @@ def solve_dopri45(
     step_states = [y]
     step_sizes: list[float] = []
     step_coeffs: list[np.ndarray] = []
-    K = np.empty((7, n))
+    # Rows 0-6 hold the stages K, row 7 the candidate state and row 8 the
+    # error estimate, so that one finiteness test covers all three.
+    B = np.empty((9, n))
+    K = B[:7]
     # KT[i] is K[:i].T, the stages the combination with _A[i - 1] reads.
     KT = [K[:i].T for i in range(7)]
+    abs_y = np.abs(y)
+    abs_new = np.empty(n)
+    ratio = np.empty(n)
     accepted = 0
     rejected = 0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = _call_rhs(rhs, t, y, n)
+        f = np.asarray(rhs(t, y), dtype=float)
+        if f.shape != (n,):
+            raise ValueError(f"rhs returned shape {f.shape}, expected ({n},)")
+        # Stage 1 of the next attempt; an accepted step refills it (FSAL).
+        K[0] = f
         nfe = 1
         # The step proposed next, always in [h_min, H_MAX]; an attempt
         # shortens it to land on t1.
@@ -308,16 +317,18 @@ def solve_dopri45(
             hs = direction * h_att
             t_new = t1 if landing else t + hs
 
-            K[0] = k1
-            for i in range(1, 6):
+            for i in range(1, 7):
                 yi = y + hs * (KT[i] @ _A[i - 1])
-                K[i] = _call_rhs(rhs, t + _C[i] * hs, yi, n)
-            y_new = y + hs * (KT[6] @ _A[5])
-            K[6] = _call_rhs(rhs, t_new, y_new, n)
+                f = np.asarray(rhs(t_new if i == 6 else t + _C[i] * hs, yi), dtype=float)
+                if f.shape != (n,):
+                    raise ValueError(f"rhs returned shape {f.shape}, expected ({n},)")
+                K[i] = f
             nfe += 6
-            err_vec = hs * (K.T @ _E)
+            y_new = yi
+            B[7] = y_new
+            np.multiply(hs, K.T @ _E, out=B[8])
 
-            if not (np.isfinite(K).all() and np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+            if not np.isfinite(B).all():
                 rejected += 1
                 if h_att <= cfg.h_min:
                     status = SolveStatus.NON_FINITE_STATE
@@ -325,9 +336,15 @@ def solve_dopri45(
                 h = max(h_att / 2.0, cfg.h_min)
                 continue
 
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            # The root mean square, summed as ndarray.mean sums.
-            err = math.sqrt(float(np.add.reduce((err_vec / scale) ** 2)) / n)
+            # scale = atol + rtol * max(|y|, |y_new|), then the root mean
+            # square of err / scale, summed as ndarray.mean sums.
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=ratio)
+            np.multiply(cfg.rtol, ratio, out=ratio)
+            np.add(cfg.atol, ratio, out=ratio)
+            np.divide(B[8], ratio, out=ratio)
+            np.multiply(ratio, ratio, out=ratio)
+            err = math.sqrt(float(np.add.reduce(ratio)) / n)
 
             if err <= 1.0:
                 accepted += 1
@@ -337,7 +354,8 @@ def solve_dopri45(
                 step_states.append(y_new)
                 t = t_new
                 y = y_new
-                k1 = K[6].copy()
+                abs_y, abs_new = abs_new, abs_y
+                K[0] = K[6]
             else:
                 rejected += 1
                 if h_att <= cfg.h_min:

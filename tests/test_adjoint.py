@@ -417,8 +417,9 @@ def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("kind", dyn.ALL_KINDS)
 def test_right_hand_sides_return_fresh_arrays(kind, batch):
-    # A solver keeps a returned stage (DOPRI45's k1) across later calls, so
-    # no return may share memory with the input or with an earlier return.
+    # The solvers' contract: a solver may keep a return (RK4 its stages)
+    # across later calls, so no return may share memory with the input or
+    # with an earlier return.
     spec = rhs_spec(kind)
     field = rhs_field(spec)
     rng = np.random.default_rng(0)

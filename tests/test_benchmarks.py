@@ -5,8 +5,10 @@ import pytest
 
 from momenta_node.benchmarks.classify import TrainConfig, run_classification, two_moons, two_spirals
 from momenta_node.benchmarks.landscapes import LANDSCAPES, get_landscape
+from momenta_node.benchmarks import stability
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
+    N_SERIES,
     duffing_probe,
     fair_hidden_widths,
     model_spec,
@@ -157,15 +159,50 @@ def test_trajectory_csv_rejects_garbage(tmp_path):
 # ------------------------------------------------------------------- stability
 
 def test_duffing_probe_deterministic():
-    p1 = duffing_probe(seed=3)
-    p2 = duffing_probe(seed=3)
+    p1 = duffing_probe(3, 64.0, N_SERIES)
+    p2 = duffing_probe(3, 64.0, N_SERIES)
     np.testing.assert_array_equal(p1.outputs, p2.outputs)
-    p3 = duffing_probe(seed=4)
+    p3 = duffing_probe(4, 64.0, N_SERIES)
     assert not np.array_equal(p1.outputs, p3.outputs)
 
 
+def test_duffing_probe_integrates_only_the_samples_it_returns(monkeypatch):
+    nfe = []
+
+    def counted(*args, **kwargs):
+        res = solve_dopri45(*args, **kwargs)
+        nfe.append(res.nfe)
+        return res
+
+    monkeypatch.setattr(stability, "solve_dopri45", counted)
+    for seed in range(4):
+        short = duffing_probe(seed, 64.0, 4)
+        assert nfe[-1] < 100
+        full = duffing_probe(seed, 64.0, N_SERIES)
+        assert nfe[-1] > 1000
+        np.testing.assert_array_equal(short.times, full.times[:4])
+        np.testing.assert_array_equal(short.inputs, full.inputs[:4])
+        np.testing.assert_allclose(short.outputs, full.outputs[:4], rtol=0.0, atol=1e-8)
+
+
+def test_duffing_probe_sample_count_edges(monkeypatch):
+    start = duffing_probe(0, 64.0, 2).outputs[0]
+
+    def solver_reached(*args, **kwargs):
+        raise AssertionError("the solver was reached")
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "solve_dopri45", solver_reached)
+        one = duffing_probe(0, 64.0, 1)
+    assert one.times.tolist() == [0.0] and one.outputs.tolist() == [start]
+    # More samples than the series has return the whole series.
+    assert duffing_probe(0, 64.0, N_SERIES + 1).outputs.size == N_SERIES
+    with pytest.raises(ValueError, match="at least 1"):
+        duffing_probe(0, 64.0, 0)
+
+
 def test_series_csv_round_trip_exact(tmp_path):
-    probe = duffing_probe(seed=5)
+    probe = duffing_probe(5, 64.0, N_SERIES)
     path = tmp_path / "series.csv"
     write_series_csv(path, probe)
     back = series_probe(*read_series_csv(path), t1=probe.t1)
@@ -238,7 +275,7 @@ def test_fair_hidden_widths_parity():
     widths = fair_hidden_widths(MODEL_SPECS, d=4, base_hidden=16)
     assert widths["node"] == 16
     assert all(w >= 1 for w in widths.values())
-    probe = duffing_probe(seed=0)
+    probe = duffing_probe(0, 64.0, 4)
     res = run_stability_probe(probe, seed=0)
     counts = list(res.param_counts.values())
     assert (max(counts) - min(counts)) / min(counts) < 0.10
@@ -256,18 +293,20 @@ def test_fair_hidden_widths_match_the_scan_of_every_width():
             assert outcome(fair_hidden_widths, d, base) == outcome(fair_hidden_widths_scan, d, base), (d, base)
 
 
-def test_zero_field_keeps_hidden_norm_constant():
+def test_zero_field_keeps_hidden_norm_constant(monkeypatch):
     # Zero weights with the stock initial fills give every formulation a
     # motionless hidden block, whatever else the moment blocks do.
-    probe = duffing_probe(seed=1)
-    res = run_stability_probe(probe, seed=1, gain=0.0)
+    monkeypatch.setattr(stability, "GAIN", 0.0)
+    probe = duffing_probe(1, 64.0, 4)
+    res = run_stability_probe(probe, seed=1)
     for name, curve in res.log10_norms.items():
         np.testing.assert_allclose(curve, curve[0], rtol=0.0, atol=1e-9)
 
 
-def test_blowup_curve_carries_last_value():
-    probe = duffing_probe(seed=0)
-    res = run_stability_probe(probe, models={"sonode": model_spec("sonode")}, seed=0, gain=16.0)
+def test_blowup_curve_carries_last_value(monkeypatch):
+    monkeypatch.setattr(stability, "GAIN", 16.0)
+    probe = duffing_probe(0, 64.0, 4)
+    res = run_stability_probe(probe, models={"sonode": model_spec("sonode")}, seed=0)
     assert res.statuses["sonode"] != "SUCCESS"
     assert "sonode" in res.blowup_at
     assert 0.0 < res.blowup_at["sonode"] < 64.0
@@ -276,11 +315,12 @@ def test_blowup_curve_carries_last_value():
     assert np.all(curve[-5:] == curve[-5])
 
 
-def test_stability_probe_leaves_its_input_unchanged():
-    probe = duffing_probe(seed=0)
+def test_stability_probe_leaves_its_input_unchanged(monkeypatch):
+    monkeypatch.setattr(stability, "GAIN", 16.0)
+    probe = duffing_probe(0, 64.0, 4)
     before = copy.deepcopy(probe)
     models = {"node": model_spec("node"), "sonode": model_spec("sonode")}
-    res = run_stability_probe(probe, models=models, seed=0, gain=16.0)
+    res = run_stability_probe(probe, models=models, seed=0)
     assert res.blowup_at  # the run has a blow-up to record somewhere
     assert vars(probe).keys() == vars(before).keys()
     for key, value in vars(before).items():
@@ -291,7 +331,7 @@ def test_stability_probe_leaves_its_input_unchanged():
 
 
 def test_probe_shares_one_grid():
-    probe = duffing_probe(seed=2)
+    probe = duffing_probe(2, 64.0, 4)
     models = {"node": model_spec("node"), "adamnode": model_spec("adamnode")}
     res = run_stability_probe(probe, models=models, seed=2)
     np.testing.assert_array_equal(res.grid, probe.grid)

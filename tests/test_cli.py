@@ -107,9 +107,10 @@ def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
 # `gradcheck --seed 0`'s report for every model, and `stability --t1 64
 # --seed 0`'s curves.  Cheaper right-hand sides must reproduce every byte.
 # The efficacy hashes are those of training with warm-started solves
-# (each starts with the last step its role's previous solve proposed), and
-# the gradcheck hashes those of differences taken as paired rows of one
-# batched solve.
+# (each starts with the last step its role's previous solve proposed), the
+# gradcheck hashes those of differences taken as paired rows of one
+# batched solve, and the stability hash that of a Duffing probe solved only
+# to its last sample read, the 4th, which a step now lands on.
 PINNED_EFFICACY_5 = {
     "node": "53c96dcb0e8524c46764c83effa563635de1dcc7d405e16d50a4d77c398f21d2",
     "anode": "6df1466bf62b867fc7b4f8c87ae87c61df28bceafc4d92719950a766a3c8e3a8",
@@ -126,7 +127,7 @@ PINNED_GRADCHECK_0 = {
     "ghbnode": "993b5fe3dd6b1aa4ac0b210252a6f06c447584da23bf6e46c94f64138219bdb2",
     "adamnode": "b4bb5fb058cbf84bfbc623a7a1014d82144c0062c90ef68fca35fa0cc2fe2beb",
 }
-PINNED_STABILITY_T64 = "eccb470de35ba7fc2883be72d136096f7fbce43b8efb4afd4c812a900ca8a02f"
+PINNED_STABILITY_T64 = "87dc69e8cf052bf376b27237dd9603285e04c51d8b92ff9a8a59afba666cb6fc"
 
 
 def sha256_of(path):
@@ -236,6 +237,17 @@ def test_stability_csv_probe_and_bad_probe(tmp_path, capsys):
         "stability", "--probe", f"csv:{bad}", "--models", "node", "--out", str(tmp_path / "e")
     ) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_stability_d_runs_from_one_probe_sample_to_the_whole_series(tmp_path, capsys):
+    # The synthetic probe series has 256 samples, and d of them seed h0.
+    for d in ("1", "256"):
+        assert run_cli("stability", "--t1", "1", "--d", d, "--out", str(tmp_path / d)) == 0
+        assert json.loads((tmp_path / d / "summary.json").read_text())["d"] == int(d)
+    out = tmp_path / "257"
+    assert run_cli("stability", "--t1", "1", "--d", "257", "--out", str(out)) == 2
+    assert "need at least d=257" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stability_unknown_model_lists_valid_names(tmp_path, capsys):

@@ -288,6 +288,23 @@ def test_float_flow_rhs_matches_array_rhs_bit_for_bit(flow, landscape):
             assert np.array_equal(_bits(rhs(0.0, y)), _bits(want)), y
 
 
+@pytest.mark.parametrize("flow", ["ode", "hbode", "adamode"])
+def test_flow_rhs_returns_fresh_sequences(flow):
+    # The solvers' contract, as for the model right-hand sides: each call
+    # returns a new sequence, and later calls leave earlier returns alone.
+    rhs, init = dyn.make_flow_rhs(flow, get_landscape("rosenbrock").grad)
+    y1 = init(np.array([-1.5, 2.0]))
+    y2 = init(np.array([0.5, -0.5]))
+    for first_in, second_in in ((y1, y2), (y1.tolist(), y2.tolist())):
+        kept = list(first_in)
+        first = rhs(0.1, first_in)
+        values = list(first)
+        second = rhs(0.2, second_in)
+        assert first is not second and first is not first_in
+        assert list(first) == values and list(first_in) == kept
+        assert not np.shares_memory(np.asarray(first), np.asarray(second))
+
+
 def test_gradient_flow_descends():
     rhs, init = dyn.make_flow_rhs("ode", lambda x: x.copy())
     res = solve_dopri45(rhs, init(np.array([1.0])), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14), sample_times=[1.0])

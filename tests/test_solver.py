@@ -252,6 +252,40 @@ def test_non_finite_state_on_overflow():
     assert np.all(np.isfinite(res.states))
 
 
+def test_non_finite_stage_7_alone_is_rejected():
+    # Stage 7 is the RHS at the candidate state, so a NaN there leaves the
+    # candidate finite; it must still reject every attempt that meets it.
+    calls = []
+    nan_attempts = 0
+
+    def rhs(t, y):
+        nonlocal nan_attempts
+        calls.append(t)
+        # Call 0 is the first stage 1; every 6th call after it is a stage 7.
+        if len(calls) > 1 and (len(calls) - 1) % 6 == 0 and t > 0.5:
+            nan_attempts += 1
+            return np.full(1, np.nan)
+        return -y
+
+    res = solve_dopri45(rhs, np.ones(1), 0.0, 1.0)
+    assert res.status is SolveStatus.NON_FINITE_STATE
+    assert res.rejected_steps == nan_attempts > 1
+    assert 0.5 - 1e-9 < res.t_final <= 0.5
+    assert np.isfinite(res.y_final).all()
+
+
+def test_overflowing_candidate_with_finite_stages_is_rejected():
+    # From the largest float, any step of a large finite slope overflows
+    # the candidate state, while every stage the RHS returns stays finite.
+    y0 = np.full(1, np.finfo(float).max)
+    res = solve_dopri45(lambda t, y: np.full(1, 1e308), y0, 0.0, 1.0)
+    assert res.status is SolveStatus.NON_FINITE_STATE
+    assert res.accepted_steps == 0
+    assert res.rejected_steps > 1
+    assert res.nfe == 1 + 6 * res.rejected_steps
+    assert res.t_final == 0.0 and res.y_final[0] == y0[0]
+
+
 def test_underflow_on_polynomial_blow_up():
     # dy/dt = y^2 from y(0)=1 diverges at t=1; error control drives the
     # step below h_min before the state itself overflows.
