@@ -34,21 +34,28 @@ from momenta_node.field_net import (
 from momenta_node.solver import H_INIT, IntegratorConfig, solve_dopri45
 
 
-def two_spirals(n: int = 256, turns: float = 1.0, noise: float = 0.06, seed: int = 0):
+# The spirals' number of turns, and the standard deviation of the Gaussian
+# noise added to every point of each dataset.
+SPIRAL_TURNS = 1.0
+SPIRAL_NOISE = 0.06
+MOONS_NOISE = 0.08
+
+
+def two_spirals(n: int = 256, seed: int = 0):
     """Two interleaved Archimedean spirals, labels 0/1, roughly unit scale."""
     rng = np.random.default_rng(seed)
     half = n // 2
-    theta = rng.uniform(0.25, 1.0, size=half) ** 0.5 * (2.0 * np.pi * turns)
-    radius = theta / (2.0 * np.pi * turns)
+    theta = rng.uniform(0.25, 1.0, size=half) ** 0.5 * (2.0 * np.pi * SPIRAL_TURNS)
+    radius = theta / (2.0 * np.pi * SPIRAL_TURNS)
     arm = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
     pts = np.concatenate([arm, -arm])
-    pts += rng.normal(scale=noise, size=pts.shape)
+    pts += rng.normal(scale=SPIRAL_NOISE, size=pts.shape)
     labels = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
     perm = rng.permutation(n)
     return pts[perm], labels[perm]
 
 
-def two_moons(n: int = 256, noise: float = 0.08, seed: int = 0):
+def two_moons(n: int = 256, seed: int = 0):
     """Two interleaved half circles, labels 0/1."""
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -57,7 +64,7 @@ def two_moons(n: int = 256, noise: float = 0.08, seed: int = 0):
     upper = np.stack([np.cos(th0), np.sin(th0)], axis=1)
     lower = np.stack([1.0 - np.cos(th1), 0.5 - np.sin(th1)], axis=1)
     pts = np.concatenate([upper, lower])
-    pts += rng.normal(scale=noise, size=pts.shape)
+    pts += rng.normal(scale=MOONS_NOISE, size=pts.shape)
     labels = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
     perm = rng.permutation(n)
     return pts[perm], labels[perm]

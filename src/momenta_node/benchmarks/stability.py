@@ -50,6 +50,8 @@ T_SERIES = 16.0
 BASE_HIDDEN = 16
 ACTIVATION = "relu"
 GAIN = 2.0
+# The largest relative spread of parameter counts fair_hidden_widths accepts.
+WIDTH_TOLERANCE = 0.10
 # Step control of every probe solve; the CLI's tolerances replace rtol/atol.
 PROBE_SOLVER = IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=200_000)
 
@@ -169,15 +171,13 @@ def _field_param_count(spec: DynamicsSpec, d: int, hidden: int) -> int:
     return n_field + spec.extra_param_count
 
 
-def fair_hidden_widths(
-    specs: dict[str, DynamicsSpec], d: int, base_hidden: int, tolerance: float = 0.10
-) -> dict[str, int]:
+def fair_hidden_widths(specs: dict[str, DynamicsSpec], d: int, base_hidden: int) -> dict[str, int]:
     """Pick one hidden width per model so parameter counts nearly match.
 
     The vanilla model at ``base_hidden`` sets the budget; every other
     model gets the width in ``[1, 4096]`` whose count lands closest, the
     smaller one on a tie.  Raises if the relative spread cannot be
-    brought under ``tolerance``.
+    brought under ``WIDTH_TOLERANCE``.
     """
     budget = _field_param_count(DynamicsSpec(kind=VANILLA), d, base_hidden)
     widths: dict[str, int] = {}
@@ -192,9 +192,9 @@ def fair_hidden_widths(
         widths[name] = best
         counts[name] = _field_param_count(spec, d, best)
     spread = (max(counts.values()) - min(counts.values())) / budget
-    if spread >= tolerance:
+    if spread >= WIDTH_TOLERANCE:
         raise ValueError(
-            f"cannot match parameter counts within {tolerance:.0%}: {counts} (spread {spread:.1%})"
+            f"cannot match parameter counts within {WIDTH_TOLERANCE:.0%}: {counts} (spread {spread:.1%})"
         )
     return widths
 

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from momenta_node import csv_formats, svg
@@ -437,7 +438,10 @@ def cmd_plot(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for later ones
+    (parsing leaves it unchanged); not built at import."""
     parser = argparse.ArgumentParser(
         prog="momenta-node",
         description="Continuous-depth model experiments: trajectories, stability, training, gradient checks, plots.",

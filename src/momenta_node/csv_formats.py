@@ -112,7 +112,7 @@ def write_trajectory_csv(path, experiment) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_HEADER)
         for name, run in experiment.runs.items():
-            for t, (x, y) in zip(run.ts, run.xs):
+            for t, (x, y) in zip(run.ts.tolist(), run.xs.tolist()):
                 writer.writerow([_fmt(t), _fmt(x), _fmt(y), name])
 
 

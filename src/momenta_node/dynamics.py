@@ -18,7 +18,7 @@ Six trainable formulations share a common packed-state convention
 Three pure-optimization flows driven by an explicit objective gradient
 (gradient flow, damped momentum flow, and the adaptive-moment flow where
 ``m`` chases grad F instead of ``-f``) live here as well, as plain-float
-right-hand sides for the fixed-step solver (:func:`make_flow_rhs`).
+2-d right-hand sides for the fixed-step solver (:func:`make_flow_rhs`).
 
 All block arrays may carry a leading batch axis; the flat layout
 concatenates the blocks in order, each row-major, so a single sample
@@ -290,24 +290,37 @@ def _neg_over_root(m, s) -> list:
         return (-np.asarray(m, dtype=float) / np.sqrt(np.asarray(s, dtype=float))).tolist()
 
 
+def _flow_start(x0) -> np.ndarray:
+    """A flow's start point as a fresh float 2-vector; raises ValueError otherwise."""
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (2,):
+        raise ValueError(f"a flow starts from a 2-vector, got shape {x0.shape}")
+    return x0
+
+
 def make_flow_rhs(
     flow: str,
     grad_f: GradFn,
     gamma: float = 0.9,
     adam: AdamParams | None = None,
-) -> tuple[Callable[[float, Sequence[float]], list], Callable[[np.ndarray], np.ndarray]]:
-    """Pure-optimization flow over an objective gradient ``g = grad F``.
+) -> tuple[Callable[[float, Sequence[float]], tuple], Callable[[np.ndarray], np.ndarray]]:
+    """Pure-optimization flow over the gradient ``g = grad F`` of a 2-d objective.
 
     ``flow`` is one of ``"ode"`` (x' = -g), ``"hbode"`` (x' = m,
     m' = -gamma*m - g) or ``"adamode"`` (x' = -m/sqrt(v + eps),
     m' = (1-alpha)(g - m), v' = (1-beta)(g*g - v)).  Returns
     ``(rhs, init)`` where ``init`` maps a start point to the flat state.
 
-    ``rhs`` computes on plain floats: it takes any sequence of floats (the
-    list :func:`~momenta_node.solver.solve_rk4` passes, or an ndarray) and
-    returns a list, bit for bit what the same equations give on numpy
-    arrays, NaN and inf included.  ``grad_f`` receives the position block
-    as a sequence of the same kind and returns one float per coordinate.
+    The flows are 2-d, as every landscape is: the position ``x`` is a
+    2-vector, the flat state is ``[x]``, ``[x, m]`` or ``[x, m, v]`` (2, 4
+    or 6 values), and ``init`` raises ValueError for a start that is not a
+    2-vector.  ``rhs`` is written out for that size on plain floats: it
+    takes any sequence of floats (the list
+    :func:`~momenta_node.solver.solve_rk4` passes, or an ndarray), calls
+    ``grad_f`` once on the position (a sequence of the same kind) and
+    returns a new tuple, bit for bit what the same equations give on numpy
+    arrays, NaN and inf included.  ``grad_f`` returns the two gradient
+    coordinates.
 
     The adaptive flow starts warm: it seeds its moment estimates from the
     start-point gradient (m = grad, v = grad**2), matching what a
@@ -320,38 +333,41 @@ def make_flow_rhs(
     if flow == "ode":
 
         def rhs(t, y):
-            return [-g for g in grad_f(y)]
+            gx, gy = grad_f(y)
+            return -gx, -gy
 
-        return rhs, (lambda x0: np.asarray(x0, float).copy())
+        return rhs, _flow_start
     if flow == "hbode":
         neg_gamma = -gamma
 
         def rhs(t, y):
-            d = len(y) // 2
-            m = y[d:]
-            return [*m, *[neg_gamma * mi - g for mi, g in zip(m, grad_f(y[:d]))]]
+            _, _, mx, my = y
+            gx, gy = grad_f(y[:2])
+            return mx, my, neg_gamma * mx - gx, neg_gamma * my - gy
 
-        return rhs, (lambda x0: np.concatenate([np.asarray(x0, float), np.zeros(len(x0))]))
+        return rhs, (lambda x0: np.concatenate([_flow_start(x0), np.zeros(2)]))
     if flow == "adamode":
         p = adam or AdamParams()
         eps, rate_m, rate_v = p.epsilon, 1.0 - p.alpha, 1.0 - p.beta
 
         def rhs(t, y):
-            d = len(y) // 3
-            m, v = y[d : 2 * d], y[2 * d :]
-            g = grad_f(y[:d])
+            _, _, mx, my, vx, vy = y
+            gx, gy = grad_f(y[:2])
             try:
-                dx = [-mi / sqrt(vi + eps) for mi, vi in zip(m, v)]
+                dx, dy = -mx / sqrt(vx + eps), -my / sqrt(vy + eps)
             except (ValueError, ZeroDivisionError):
-                dx = _neg_over_root(m, [vi + eps for vi in v])
-            return [
-                *dx,
-                *[rate_m * (gi - mi) for gi, mi in zip(g, m)],
-                *[rate_v * (gi * gi - vi) for gi, vi in zip(g, v)],
-            ]
+                dx, dy = _neg_over_root((mx, my), (vx + eps, vy + eps))
+            return (
+                dx,
+                dy,
+                rate_m * (gx - mx),
+                rate_m * (gy - my),
+                rate_v * (gx * gx - vx),
+                rate_v * (gy * gy - vy),
+            )
 
         def init(x0):
-            x0 = np.asarray(x0, dtype=float)
+            x0 = _flow_start(x0)
             g0 = np.asarray(grad_f(x0), dtype=float)
             return np.concatenate([x0, g0, g0 * g0])
 

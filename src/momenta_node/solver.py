@@ -26,6 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +61,8 @@ _SAFETY = 0.9
 # Default magnitude of the first attempted step, and the largest step magnitude.
 H_INIT = 1e-2
 H_MAX = 10.0
+# Grid nodes RK4 converts to Python floats at a time.
+_CHUNK = 4096
 # Dense-output weights: y(t + theta*h) = y + h * (K^T P) @ [theta, ..., theta^4].
 _P = np.array([
     [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0, -12715105075.0 / 11282082432.0],
@@ -388,6 +391,17 @@ def solve_dopri45(
     return res
 
 
+def _floats(a: np.ndarray):
+    """The values of ``a`` as Python floats, converted ``_CHUNK`` at a time
+    so that a long grid is never held as a list."""
+    for i in range(0, a.size, _CHUNK):
+        yield from a[i : i + _CHUNK].tolist()
+
+
+def _length_error(k, n: int) -> ValueError:
+    return ValueError(f"rhs returned {len(k)} values, expected {n}")
+
+
 def solve_rk4(
     rhs: RHS,
     y0: np.ndarray,
@@ -403,30 +417,26 @@ def solve_rk4(
     samples at grid nodes reproduce the node states exactly.
 
     The loop steps plain Python floats: ``rhs`` receives the state as a
-    list of ``n`` floats and may return any sequence of ``n`` floats (an
-    ndarray included).  The small states this solver serves cost far less
-    that way than as numpy arrays, and every operation is the IEEE one the
-    array form would do, in the same order.  A stage value that is not
-    finite is not an error; the step that produces a non-finite state ends
-    the solve with ``NON_FINITE_STATE``.
+    list of ``n`` floats and may return any sequence of ``n`` floats (a
+    tuple or an ndarray included); the grid nodes and sample times are
+    converted to floats once.  The small states this solver serves cost
+    far less that way than as numpy arrays, and every operation is the
+    IEEE one the array form would do, in the same order.  A stage value
+    that is not finite is not an error; the step that produces a
+    non-finite state ends the solve with ``NON_FINITE_STATE``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     y0, samples, direction = _check_inputs(y0, t0, t1, sample_times)
     n = y0.size
-    nodes = np.linspace(t0, t1, n_steps + 1)
-
-    def stage(t, y):
-        k = rhs(t, y)
-        if len(k) != n:
-            raise ValueError(f"rhs returned {len(k)} values, expected {n}")
-        return k
+    samples = samples.tolist()
+    n_samples = len(samples)
 
     y = y0.tolist()
     out_ts: list[float] = []
     out_ys: list[list] = []
     si = 0
-    if si < samples.size and samples[si] == t0:
+    if si < n_samples and samples[si] == t0:
         out_ts.append(t0)
         out_ys.append(y)
         si += 1
@@ -436,28 +446,35 @@ def solve_rk4(
     t_final = float(t0)
     completed = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(n_steps):
-            t = float(nodes[i])
-            t_new = float(nodes[i + 1])
+        for t, t_new in pairwise(_floats(np.linspace(t0, t1, n_steps + 1))):
             h = t_new - t
             hh = h / 2.0
-            k1 = stage(t, y)
-            k2 = stage(t + hh, [a + hh * b for a, b in zip(y, k1)])
-            k3 = stage(t + hh, [a + hh * b for a, b in zip(y, k2)])
-            k4 = stage(t_new, [a + h * b for a, b in zip(y, k3)])
+            # Every stage's length is checked before the next stage reads it.
+            k1 = rhs(t, y)
+            if len(k1) != n:
+                raise _length_error(k1, n)
+            k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
+            if len(k2) != n:
+                raise _length_error(k2, n)
+            k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
+            if len(k3) != n:
+                raise _length_error(k3, n)
+            k4 = rhs(t_new, [a + h * b for a, b in zip(y, k3)])
+            if len(k4) != n:
+                raise _length_error(k4, n)
             nfe += 4
             h6 = h / 6.0
             y_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             if not all(map(math.isfinite, y_new)):
                 status = SolveStatus.NON_FINITE_STATE
                 break
-            while si < samples.size and direction * (samples[si] - t_new) <= 0.0:
+            while si < n_samples and direction * (samples[si] - t_new) <= 0.0:
                 s = samples[si]
                 if s == t_new:
                     ys = y_new
                 else:
                     # ``th`` is a numpy scalar, so its powers are numpy's.
-                    th = (s - t) / h
+                    th = np.float64((s - t) / h)
                     b1 = float(th - 1.5 * th**2 + (2.0 / 3.0) * th**3)
                     b23 = float(th**2 - (2.0 / 3.0) * th**3)
                     b4 = float(-0.5 * th**2 + (2.0 / 3.0) * th**3)

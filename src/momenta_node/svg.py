@@ -177,13 +177,14 @@ def render_trajectory_svg(minimizer, series) -> str:
     diverged path exits the frame instead of flattening everyone else.
     """
     minimizer = np.asarray(minimizer, dtype=float)
+    mx, my = minimizer.tolist()
     reach = 1.0
     for _, xs in series.values():
         if len(xs):
             reach = max(reach, float(np.linalg.norm(np.asarray(xs[0]) - minimizer)))
     window = 4.0 * reach
-    pts_x = [minimizer[0]]
-    pts_y = [minimizer[1]]
+    pts_x = [mx]
+    pts_y = [my]
     for _, xs in series.values():
         xs = np.asarray(xs, dtype=float)
         keep = np.isfinite(xs).all(axis=1)
@@ -191,8 +192,8 @@ def render_trajectory_svg(minimizer, series) -> str:
         # norm overflows; inf just fails the window test below.
         with np.errstate(over="ignore", invalid="ignore"):
             keep &= np.linalg.norm(xs - minimizer, axis=1) <= window
-        pts_x.extend(xs[keep, 0])
-        pts_y.extend(xs[keep, 1])
+        pts_x.extend(xs[keep, 0].tolist())
+        pts_y.extend(xs[keep, 1].tolist())
     x_lo, x_hi = min(pts_x), max(pts_x)
     y_lo, y_hi = min(pts_y), max(pts_y)
     pad_x = 0.06 * (x_hi - x_lo or 1.0)
@@ -207,14 +208,14 @@ def render_trajectory_svg(minimizer, series) -> str:
         keep = np.isfinite(xs).all(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             keep &= np.linalg.norm(xs - minimizer, axis=1) <= window * 1.5
-        pix = [(canvas.x(x), canvas.y(y)) for x, y in xs[keep]]
+        pix = [(canvas.x(x), canvas.y(y)) for x, y in xs[keep].tolist()]
         if pix:
             parts.append(_polyline(pix, _color(i)))
             parts.append(
                 f'<circle cx="{_fmt(pix[0][0])}" cy="{_fmt(pix[0][1])}" r="3.5" fill="{_color(i)}"/>'
             )
         entries.append((name, _color(i)))
-    parts.append(_star(canvas.x(minimizer[0]), canvas.y(minimizer[1])))
+    parts.append(_star(canvas.x(mx), canvas.y(my)))
     _legend(parts, entries, canvas.px0 + 10, canvas.py1 + 14)
     return _document(parts)
 

@@ -607,3 +607,34 @@ def test_cli_and_plot_never_import_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.split("\n")[-2] == "0 []"
+
+
+def test_kept_parser_exits_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # main keeps its parser across calls; a usage error between two
+    # commands must leave it parsing as it did when new.
+    monkeypatch.chdir(tmp_path)
+
+    def commands(tag):
+        return [
+            ["trajectory", "--T", "0.05", "--out", f"{tag}-tr"],
+            ["trajectory", "--landscape", "nowhere", "--out", f"{tag}-bad"],
+            ["plot", "--in", f"{tag}-tr/trajectory.csv", "--kind", "trajectory", "--out", f"{tag}-plot/t.svg"],
+        ]
+
+    def outcome(argv, tag):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out.replace(tag, "<tag>"), err.replace(tag, "<tag>")
+
+    cli._build_parser.cache_clear()
+    kept = [outcome(argv, "kept") for argv in commands("kept")]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in commands("fresh"):
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv, "fresh"))
+    assert [code for code, _, _ in kept] == [0, 2, 0]
+    assert "invalid choice: 'nowhere'" in kept[1][2]
+    assert kept == fresh
+    assert not Path("kept-bad").exists()
+    assert Path("kept-plot/t.svg").read_bytes() == Path("fresh-plot/t.svg").read_bytes()

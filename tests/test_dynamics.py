@@ -307,8 +307,18 @@ def test_flow_rhs_returns_fresh_sequences(flow):
 
 def test_gradient_flow_descends():
     rhs, init = dyn.make_flow_rhs("ode", lambda x: x.copy())
-    res = solve_dopri45(rhs, init(np.array([1.0])), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14), sample_times=[1.0])
-    np.testing.assert_allclose(res.states[-1][0], np.exp(-1.0), rtol=1e-8)
+    x0 = np.array([1.0, -2.0])
+    res = solve_dopri45(rhs, init(x0), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14), sample_times=[1.0])
+    for i in range(2):
+        np.testing.assert_allclose(res.states[-1][i], x0[i] * np.exp(-1.0), rtol=1e-8)
+
+
+@pytest.mark.parametrize("flow", ["ode", "hbode", "adamode"])
+def test_flow_start_must_be_a_2_vector(flow):
+    _, init = dyn.make_flow_rhs(flow, get_landscape("rosenbrock").grad)
+    for x0 in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0):
+        with pytest.raises(ValueError, match="2-vector"):
+            init(x0)
 
 
 def test_flows_descend_on_quadratic():

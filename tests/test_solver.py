@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from momenta_node import solver
 from momenta_node.solver import (
     H_INIT,
     H_MAX,
@@ -436,6 +437,19 @@ def test_rk4_float_loop_matches_array_rk4_bit_for_bit():
     assert np.array_equal(res.y_final.view(np.uint64), y_final.view(np.uint64))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 60, 61])
+def test_rk4_grid_does_not_depend_on_its_conversion_chunk(chunk, monkeypatch):
+    # The grid nodes become floats a chunk at a time; every chunk boundary
+    # must hand the loop the same nodes.
+    samples = np.linspace(0.0, 3.0, 47)
+    want = solve_rk4(_damped_duffing, np.array([0.5, 0.0]), 0.0, 3.0, 60, sample_times=samples)
+    monkeypatch.setattr(solver, "_CHUNK", chunk)
+    got = solve_rk4(_damped_duffing, np.array([0.5, 0.0]), 0.0, 3.0, 60, sample_times=samples)
+    assert np.array_equal(got.states.view(np.uint64), want.states.view(np.uint64))
+    assert np.array_equal(got.y_final.view(np.uint64), want.y_final.view(np.uint64))
+    assert got.nfe == want.nfe == 240
+
+
 def test_rk4_hands_the_rhs_a_list_of_floats():
     seen = []
 
@@ -451,6 +465,22 @@ def test_rk4_hands_the_rhs_a_list_of_floats():
 def test_rk4_rejects_an_rhs_of_the_wrong_length():
     with pytest.raises(ValueError, match="returned 3 values, expected 2"):
         solve_rk4(lambda t, y: [0.0, 0.0, 0.0], np.zeros(2), 0.0, 1.0, 4)
+
+
+def test_rk4_checks_the_length_of_every_stage():
+    # Only the 7th evaluation (stage 3 of step 2) has the wrong length.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (0.0, 0.0, 0.0) if len(calls) == 7 else (-y[0], -y[1])
+
+    with pytest.raises(ValueError, match=r"^rhs returned 3 values, expected 2$"):
+        solve_rk4(rhs, np.ones(2), 0.0, 1.0, 4)
+    assert len(calls) == 7
+    # Tuples of the right length are accepted.
+    res = solve_rk4(lambda t, y: (-y[0], -y[1]), np.ones(2), 0.0, 1.0, 4)
+    assert res.ok and res.nfe == 16
 
 
 def test_rk4_non_finite_state_on_overflow():
