@@ -1,11 +1,11 @@
 """Continuous adjoint gradients for every dynamics formulation.
 
 The backward pass integrates one joint system from ``t1`` down to ``t0``:
-the forward state, the state cotangent, and a running parameter-gradient
-accumulator.  The forward state is either recomputed in reverse inside the
-joint system, so memory stays constant in trajectory length, or read from
-the dense output the forward solve recorded, so nothing is integrated
-twice.  For state ``z' = g(z, theta, t)`` the cotangent obeys
+the state cotangent and a running parameter-gradient accumulator.  The
+forward state is not integrated again; it is read from the dense output
+that the forward solve recorded (:meth:`SolveResult.dense_state`), so the
+reverse pass never reconstructs the trajectory backward in time and needs
+no repair of it.  For state ``z' = g(z, theta, t)`` the cotangent obeys
 ``a' = -a^T dg/dz`` and the accumulator ``q' = -a^T dg/dtheta``; starting
 from ``a(t1) = dL/dz(t1)`` and ``q(t1) = 0``, the solve lands on
 ``a(t0) = dL/dz(t0)`` and ``q(t0) = dL/dtheta``.
@@ -17,13 +17,14 @@ factors and the ``2 f`` chain factor from the squared-field term; it is
 the variant that passes finite-difference verification.  A simplified
 variant (``variant="literal"``) drops those factors from the rows that
 contract the field Jacobian and is kept only for comparison; expect it to
-fail :func:`gradcheck`.
+fail :func:`gradcheck`.  Both divide by ``sqrt(v + eps)`` of the recorded
+``v``, which stays positive on a forward solve: ``dv/dt >= -(1-beta) v``
+bounds it below by ``v(t0) exp(-(1-beta) (t - t0))``.
 
 Every formulation's trainable parameters are the field's flat vector,
 with the damping pre-activation appended for the heavy-ball family.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,10 +50,6 @@ class ForwardSolveError(RuntimeError):
         self.status = status
 
 
-class ReconstructionDivergence(RuntimeError):
-    """Reverse-recomputed state drifted too far from the stored initial state."""
-
-
 @dataclass
 class AdjointRun:
     """Gradients and bookkeeping from one backward pass.
@@ -67,9 +64,7 @@ class AdjointRun:
     grad_params: np.ndarray
     grad_initial_state: np.ndarray
     backward_nfe: int
-    forward_state_reconstruction_error: float
     h_next: float
-    v_underflow_clamps: int = 0
 
 
 def loss_grad_from_h(spec: dyn.DynamicsSpec, a_h: np.ndarray) -> np.ndarray:
@@ -89,13 +84,12 @@ def param_count(spec: dyn.DynamicsSpec, field: fn.FieldNet) -> int:
     return field.n_params + spec.extra_param_count
 
 
-def _cotangent(spec, field, s, a, f, cache, root, variant, da, acc):
+def _cotangent(spec, field, s, a, f, cache, variant, da, acc):
     """Write the cotangent derivatives into ``da`` and the accumulator's into ``acc``.
 
     ``s``, ``a`` and ``da`` are block arrays ``(n_blocks, batch, width)``
     of the forward state, its cotangent and the cotangent's derivative;
-    ``f``/``cache`` are the field's value and cache at ``s``, and ``root``
-    the clamped adaptive-moment divisor.
+    ``f``/``cache`` are the field's value and cache at ``s``.
     """
     kind = spec.kind
     if kind in (dyn.VANILLA, dyn.AUGMENTED):
@@ -122,6 +116,7 @@ def _cotangent(spec, field, s, a, f, cache, root, variant, da, acc):
         acc[-1] = gamma * (1.0 - gamma) * float((a[1] * s[1]).sum())
     else:
         p = spec.adam
+        root = np.sqrt(s[2] + p.epsilon)
         rated_m = (1.0 - p.alpha) * a[1]
         if variant == "exact":
             c = rated_m - (1.0 - p.beta) * (2.0 * f * a[2])
@@ -134,56 +129,28 @@ def _cotangent(spec, field, s, a, f, cache, root, variant, da, acc):
 
 
 def make_adjoint_rhs(
-    spec: dyn.DynamicsSpec,
-    field: fn.FieldNet,
-    d: int,
-    batch: int = 1,
-    variant: str = "exact",
-    counters: dict | None = None,
-    forward_of_t=None,
+    spec: dyn.DynamicsSpec, field: fn.FieldNet, d: int, batch: int, variant: str, forward_of_t
 ):
-    """Flat RHS of the joint backward system.
+    """Flat RHS of the joint backward system ``[cotangent, accumulator]``.
 
-    Default layout is ``[forward state, cotangent, parameter accumulator]``.
-    When ``forward_of_t`` is given (store mode) the forward blocks are read
-    from that function of time instead, only the field is evaluated there,
-    and the layout drops to ``[cotangent, accumulator]``.  Each call
-    returns a fresh flat array.
+    The forward state at time ``t`` is ``forward_of_t(t)``, flat in the
+    state's layout; only the field is evaluated there.  Each call returns
+    a fresh flat array.
     """
     if variant not in ("exact", "literal"):
         raise ValueError("variant must be 'exact' or 'literal'")
-    if counters is None:
-        counters = {"v_clamps": 0}
     shape = (spec.n_blocks, batch, spec.width(d))
     bd = batch * spec.state_dim(d)
-    store = forward_of_t is not None
-    lo = 0 if store else bd  # where the cotangent starts
-    n_joint = lo + bd + param_count(spec, field)
-    is_adam = spec.kind == dyn.ADAM
-    eps = spec.adam.epsilon if is_adam else None
+    n_joint = bd + param_count(spec, field)
 
     def rhs(t, joint):
         out = np.empty(n_joint)
-        s = (forward_of_t(t) if store else joint[:bd]).reshape(shape)
-        root = None
-        if is_adam:
-            # Reverse recomputation can push v below zero; the divisor then
-            # sees it clamped at zero, and the clamp is counted.
-            v = s[2]
-            if (v < 0.0).any():
-                counters["v_clamps"] += 1
-                v = np.maximum(v, 0.0)
-            root = np.sqrt(v + eps)
-        if store:
-            f, cache = fn.eval_cached(field, dyn.field_input(spec, s), t)
-        else:
-            f, cache = dyn.derivative(spec, field, t, s, out[:bd].reshape(shape), root)
-        da = out[lo : lo + bd].reshape(shape)
-        a = joint[lo : lo + bd].reshape(shape)
-        _cotangent(spec, field, s, a, f, cache, root, variant, da, out[lo + bd :])
+        s = forward_of_t(t).reshape(shape)
+        f, cache = fn.eval_cached(field, dyn.field_input(spec, s), t)
+        a, da = joint[:bd].reshape(shape), out[:bd].reshape(shape)
+        _cotangent(spec, field, s, a, f, cache, variant, da, out[bd:])
         return out
 
-    rhs.n_joint = n_joint
     return rhs
 
 
@@ -201,7 +168,6 @@ def backward(
     field: fn.FieldNet,
     cfg: IntegratorConfig | None = None,
     variant: str = "exact",
-    mode: str = "recompute",
     h_init: float = H_INIT,
 ) -> AdjointRun:
     """Gradients of a terminal loss through one forward solve.
@@ -211,7 +177,8 @@ def backward(
     forward : SolveResult
         Successful :func:`~momenta_node.solver.solve_dopri45` result; its
         record of accepted steps gives the initial and terminal times and
-        states, with or without samples.
+        the forward state in between, through its 4th-order dense output
+        (:meth:`SolveResult.dense_state`), with or without samples.
     loss_grad : array_like
         ``dL/dz(t1)`` over the flat packed state (zeros in the blocks the
         loss ignores).
@@ -220,87 +187,44 @@ def backward(
         Tolerances for the backward solve (defaults if omitted).
     variant : str
         ``"exact"`` (default) or ``"literal"``; see the module docstring.
-    mode : str
-        ``"recompute"`` (default) re-integrates the forward state inside
-        the joint system.  ``"store"`` reads the forward state from the
-        forward solve's step record and its 4th-order dense output
-        (:meth:`SolveResult.dense_state`), so ``backward_nfe`` counts the
-        reverse solve alone.
     h_init : float
         First step of the reverse solve (see
         :func:`~momenta_node.solver.solve_dopri45`); a previous run's
         ``h_next`` warm-starts it.
 
     The returned ``grad_initial_state`` is the reverse solve's final
-    cotangent, flat in the layout of the forward state.
+    cotangent, flat in the layout of the forward state, and
+    ``backward_nfe`` counts the reverse solve's evaluations.
 
     Raises
     ------
     ValueError
         If the forward solve failed.
     BackwardSolveError
-        If the joint solve fails.
-    ReconstructionDivergence
-        If the recomputed initial h drifts beyond 1e-2 * ||h(t0)||.
+        If the joint solve fails, a non-finite state included (as a
+        negative recorded ``v`` would give).
     """
-    if mode not in ("recompute", "store"):
-        raise ValueError("mode must be 'recompute' or 'store'")
     if forward.status is not SolveStatus.SUCCESS:
         raise ValueError("forward solve must have succeeded")
     t0, t1 = float(forward.step_ts[0]), float(forward.step_ts[-1])
-    y0, y1 = forward.step_states[0], forward.step_states[-1]
+    y1 = forward.step_states[-1]
     d = field.out_dim - spec.aug_width
     batch = _infer_batch(spec, d, y1.size)
     loss_grad = np.asarray(loss_grad, dtype=float)
     if loss_grad.shape != y1.shape:
         raise ValueError("loss_grad must match the flat state shape")
-    n_par = param_count(spec, field)
 
-    if cfg is None:
-        cfg = IntegratorConfig()
-    counters = {"v_clamps": 0}
-    bd = batch * spec.state_dim(d)
-
-    if mode == "store":
-        rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters, forward_of_t=forward.dense_state)
-        joint0 = np.concatenate([loss_grad, np.zeros(n_par)])
-    else:
-        rhs = make_adjoint_rhs(spec, field, d, batch, variant, counters)
-        joint0 = np.concatenate([y1, loss_grad, np.zeros(n_par)])
-
+    rhs = make_adjoint_rhs(spec, field, d, batch, variant, forward.dense_state)
+    joint0 = np.concatenate([loss_grad, np.zeros(param_count(spec, field))])
     res = solve_dopri45(rhs, joint0, t1, t0, cfg, h_init=h_init)
     if res.status is not SolveStatus.SUCCESS:
         raise BackwardSolveError(res.status)
-    final = res.y_final
-
-    if mode == "store":
-        a0 = final[:bd]
-        grad_theta = final[bd:]
-        recon_err = 0.0
-    else:
-        stored_h = dyn.unpack(y0, spec, d, batch).h
-        recon_h = dyn.unpack(final[:bd], spec, d, batch).h
-        a0 = final[bd : 2 * bd]
-        grad_theta = final[2 * bd :]
-        recon_err = float(np.linalg.norm(recon_h - stored_h))
-        ref = float(np.linalg.norm(stored_h))
-        if recon_err > 1e-2 * ref:
-            raise ReconstructionDivergence(
-                f"reverse recomputation drifted by {recon_err:.3e} (state norm {ref:.3e})"
-            )
-
-    if counters["v_clamps"]:
-        warnings.warn(
-            f"second-moment block clamped at zero in {counters['v_clamps']} backward evaluations",
-            RuntimeWarning,
-        )
+    bd = y1.size
     return AdjointRun(
-        grad_params=grad_theta,
-        grad_initial_state=a0,
+        grad_params=res.y_final[bd:],
+        grad_initial_state=res.y_final[:bd],
         backward_nfe=res.nfe,
-        forward_state_reconstruction_error=recon_err,
         h_next=res.h_next,
-        v_underflow_clamps=counters["v_clamps"],
     )
 
 
@@ -385,7 +309,8 @@ def gradcheck(
     """Compare adjoint gradients against central finite differences.
 
     Builds a small field from ``seed``, takes a random linear loss over
-    the full terminal state, and differences every trainable parameter
+    the full terminal state, runs :func:`backward` on the base solve's own
+    record, and differences every trainable parameter
     and every initial-state entry with step ``delta``
     (:func:`central_differences`).  Each ``+delta``/``-delta`` pair is
     integrated as two rows of one batched solve, on one shared step

@@ -174,7 +174,7 @@ class ODEClassifier:
     Every solve starts with the step that the previous solve in the same
     role proposed when it ended (``first_step``, ``H_INIT`` before the
     first).  The roles are the training forward solve (``"train"``), the
-    evaluation forward solve (``"eval"``) and the store-mode backward
+    evaluation forward solve (``"eval"``) and the adjoint's backward
     solve (``"backward"``); successive solves in one role see nearly the
     same field, so each starts where the last one left off.
     """
@@ -237,8 +237,7 @@ class ODEClassifier:
 
         ``role`` (``"train"`` or ``"eval"``) names the first step the solve
         takes and updates.  The result's record of accepted steps and their
-        dense output is what the store-mode adjoint reads instead of solving
-        again.
+        dense output is what the adjoint reads instead of solving again.
         """
         h0 = self.embed.apply(x)
         y0 = initial_state(self.spec, h0)
@@ -253,8 +252,8 @@ class ODEClassifier:
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
         """Cross-entropy plus the full flat gradient; returns nfe counters too.
 
-        The adjoint runs in store mode: reading the forward solve's own
-        recorded dense output keeps the backward sweep honest when a
+        The adjoint reads the forward state from the forward solve's own
+        recorded dense output, so the backward sweep stays honest when a
         trained field is too stiff to re-integrate in reverse, and costs no
         extra forward evaluations.
         """
@@ -264,7 +263,7 @@ class ODEClassifier:
 
         grad_h_T, grad_readout = self.readout.vjp(h_T, dlogits)
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
-                       cfg=self.solver_cfg, mode="store", h_init=self.first_step["backward"])
+                       cfg=self.solver_cfg, h_init=self.first_step["backward"])
         self.first_step["backward"] = run.h_next
         a_h0 = unpack(run.grad_initial_state, self.spec, self.d, batch=x.shape[0]).h[:, : self.d]
         grad_x_unused, grad_embed = self.embed.vjp(x, a_h0)

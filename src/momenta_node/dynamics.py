@@ -218,21 +218,14 @@ def field_input(spec: DynamicsSpec, s: np.ndarray) -> np.ndarray:
     return s[0]
 
 
-def derivative(
-    spec: DynamicsSpec, field: fn.FieldNet, t: float, s: np.ndarray, out: np.ndarray, root=None
-):
-    """One formulation's forward equations, written into ``out``; returns ``(f, cache)``.
+def derivative(spec: DynamicsSpec, field: fn.FieldNet, t: float, s: np.ndarray, out: np.ndarray) -> None:
+    """One formulation's forward equations, written into ``out``.
 
     ``s`` and ``out`` are block arrays of one shape, ``(n_blocks, batch,
     width)``; ``out`` receives the block time derivatives and must not
-    overlap ``s``.  ``f`` and ``cache`` are the field's value and its
-    :func:`~momenta_node.field_net.eval_cached` cache, which the adjoint
-    hands to ``vjp_from_cache``.  ``root`` replaces the adaptive-moment
-    divisor ``sqrt(v + eps)``; the adjoint passes one built from a clamped
-    ``v`` (see :func:`momenta_node.adjoint.make_adjoint_rhs`), while
-    ``dv/dt`` keeps the state's own ``v``.
+    overlap ``s``.
     """
-    f, cache = fn.eval_cached(field, field_input(spec, s), t)
+    f, _ = fn.eval_cached(field, field_input(spec, s), t)
     kind = spec.kind
     if kind in (VANILLA, AUGMENTED):
         out[0] = f
@@ -247,12 +240,9 @@ def derivative(
         np.add(-spec.hb.gamma * s[1], f, out=out[1])
     else:
         p = spec.adam
-        if root is None:
-            root = np.sqrt(s[2] + p.epsilon)
-        np.divide(-s[1], root, out=out[0])
+        np.divide(-s[1], np.sqrt(s[2] + p.epsilon), out=out[0])
         np.multiply(1.0 - p.alpha, -f - s[1], out=out[1])
         np.multiply(1.0 - p.beta, f * f - s[2], out=out[2])
-    return f, cache
 
 
 def make_node_rhs(

@@ -114,19 +114,18 @@ def init_field(
     hidden: tuple,
     out_dim: int,
     activation: str = "tanh",
-    time_conditioned: bool = True,
     seed: int = 0,
 ) -> FieldNet:
-    """Build a field with weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
+    """Build a time-conditioned field with weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
-    widths = [state_dim + (1 if time_conditioned else 0), *hidden, out_dim]
+    widths = [state_dim + 1, *hidden, out_dim]
     weights = []
     biases = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return FieldNet(weights, biases, activation=activation, time_conditioned=time_conditioned)
+    return FieldNet(weights, biases, activation=activation)
 
 
 def eval_cached(net: FieldNet, h: np.ndarray, t: float):

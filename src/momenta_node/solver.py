@@ -437,7 +437,7 @@ def solve_rk4(
     out_ys: list[list] = []
     si = 0
     if si < n_samples and samples[si] == t0:
-        out_ts.append(t0)
+        out_ts.append(float(t0))
         out_ys.append(y)
         si += 1
 

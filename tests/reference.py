@@ -157,7 +157,7 @@ def _field_vjp(net, cache, a):
     return (grad_h[0] if squeeze else grad_h), np.concatenate([W.ravel() for W in grads_W] + grads_b)
 
 
-def _derivative(spec, field, t, state, root=None):
+def _derivative(spec, field, t, state):
     kind = spec.kind
     if kind == dyn.SECOND_ORDER:
         f, cache = _field(field, np.concatenate([state.h, state.m], axis=-1), t)
@@ -171,10 +171,8 @@ def _derivative(spec, field, t, state, root=None):
             m = np.clip(m, -spec.saturation_bound, spec.saturation_bound)
         return PackedState(h=-m, m=-spec.hb.gamma * state.m + f), f, cache
     p = spec.adam
-    if root is None:
-        root = np.sqrt(state.v + p.epsilon)
     dstate = PackedState(
-        h=-state.m / root,
+        h=-state.m / np.sqrt(state.v + p.epsilon),
         m=(1.0 - p.alpha) * (-f - state.m),
         v=(1.0 - p.beta) * (f * f - state.v),
     )
@@ -190,16 +188,9 @@ def node_rhs(spec, field, d, batch=1):
     return rhs
 
 
-def _adjoint_core(spec, field, t, st, ast, variant, counters):
+def _adjoint_core(spec, field, t, st, ast, variant):
     kind = spec.kind
-    root = None
-    if kind == dyn.ADAM:
-        v = st.v
-        if np.any(v < 0.0):
-            counters["v_clamps"] += 1
-            v = np.maximum(v, 0.0)
-        root = np.sqrt(v + spec.adam.epsilon)
-    dst, f, cache = _derivative(spec, field, t, st, root)
+    dst, f, cache = _derivative(spec, field, t, st)
     if kind in (dyn.VANILLA, dyn.AUGMENTED):
         g_h, g_th = _field_vjp(field, cache, ast.h)
         return dst, PackedState(h=-g_h), -g_th
@@ -218,6 +209,7 @@ def _adjoint_core(spec, field, t, st, ast, variant, counters):
         d_damp = gamma * (1.0 - gamma) * float(np.sum(ast.m * st.m))
         return dst, PackedState(h=-g_h, m=dash_m), np.concatenate([-g_th, [d_damp]])
     p = spec.adam
+    root = np.sqrt(st.v + p.epsilon)
     if variant == "exact":
         c = (1.0 - p.alpha) * ast.m - (1.0 - p.beta) * (2.0 * f * ast.v)
     else:
@@ -231,20 +223,24 @@ def _adjoint_core(spec, field, t, st, ast, variant, counters):
     return dst, dast, g_th
 
 
-def adjoint_rhs(spec, field, d, batch, variant, counters, forward_of_t=None):
-    """Joint backward right-hand side: ``[state, cotangent, accumulator]``,
-    or ``[cotangent, accumulator]`` with the state read from ``forward_of_t``."""
+def adjoint_rhs(spec, field, d, batch, variant, forward_of_t=None):
+    """Joint backward right-hand side: ``[cotangent, accumulator]`` with the
+    state read from ``forward_of_t``, as the program's adjoint reads its
+    forward record; or, without ``forward_of_t``, ``[state, cotangent,
+    accumulator]``, the state recomputed in reverse inside the joint system
+    (the continuous adjoint that reconstructs its trajectory, kept as an
+    independent oracle)."""
     bd = batch * spec.state_dim(d)
 
     def rhs(t, joint):
         if forward_of_t is None:
             st = _unpack(joint[:bd], spec, d, batch)
             ast = _unpack(joint[bd : 2 * bd], spec, d, batch)
-            dst, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
+            dst, dast, dth = _adjoint_core(spec, field, t, st, ast, variant)
             return np.concatenate([pack(dst), pack(dast), dth])
         st = _unpack(forward_of_t(t), spec, d, batch)
         ast = _unpack(joint[:bd], spec, d, batch)
-        _, dast, dth = _adjoint_core(spec, field, t, st, ast, variant, counters)
+        _, dast, dth = _adjoint_core(spec, field, t, st, ast, variant)
         return np.concatenate([pack(dast), dth])
 
     return rhs

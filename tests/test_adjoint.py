@@ -8,9 +8,7 @@ from scipy.linalg import expm
 from momenta_node import adjoint
 from momenta_node import dynamics as dyn
 from momenta_node.adjoint import (
-    AdjointRun,
     BackwardSolveError,
-    ReconstructionDivergence,
     backward,
     gradcheck,
     loss_grad_from_h,
@@ -209,10 +207,7 @@ def test_backward_is_deterministic():
     assert a.backward_nfe == b.backward_nfe
 
 
-@pytest.mark.parametrize("mode", ["store", "recompute"])
-def test_backward_starts_at_h_init_and_reports_the_reverse_h_next(monkeypatch, mode):
-    from momenta_node import adjoint
-
+def test_backward_starts_at_h_init_and_reports_the_reverse_h_next(monkeypatch):
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     field = init_field(2, (6,), 2, seed=8)
     fwd = run_forward(spec, field, [0.3, 0.6], 1.0, tight())
@@ -224,25 +219,30 @@ def test_backward_starts_at_h_init_and_reports_the_reverse_h_next(monkeypatch, m
         return reverse[-1]
 
     monkeypatch.setattr(adjoint, "solve_dopri45", spy)
-    run = backward(fwd, lg, spec, field, tight(), mode=mode, h_init=0.125)
+    run = backward(fwd, lg, spec, field, tight(), h_init=0.125)
     assert reverse[0].step_sizes[0] == -0.125 and reverse[0].rejected_steps == 0
     assert run.h_next == reverse[0].h_next
     assert run.backward_nfe == reverse[0].nfe
 
 
 def test_store_mode_agrees_with_recompute():
+    # The reference's joint system recomputes the forward state in reverse
+    # next to the cotangent; backward reads it from the forward record.
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     field = init_field(2, (6,), 2, seed=5)
     cfg = IntegratorConfig(rtol=1e-9, atol=1e-9, h_min=1e-14)
     fwd = run_forward(spec, field, [0.5, -0.4], 1.0, cfg)
     lg = loss_grad_from_h(spec, np.array([1.0, 0.5]))
-    rec = backward(fwd, lg, spec, field, cfg, mode="recompute")
-    sto = backward(fwd, lg, spec, field, cfg, mode="store")
+    joint = np.concatenate([fwd.y_final, lg, np.zeros(param_count(spec, field))])
+    rec = solve_dopri45(adjoint_rhs(spec, field, 2, 1, "exact"), joint, 1.0, 0.0, cfg)
+    assert rec.ok
+    bd = lg.size
+    np.testing.assert_allclose(rec.y_final[:bd], fwd.step_states[0], rtol=0, atol=1e-7)
+    sto = backward(fwd, lg, spec, field, cfg)
     # Store mode reads the forward state from the forward solve's 4th-order
     # dense output, so agreement is limited by interpolation error.
-    np.testing.assert_allclose(sto.grad_params, rec.grad_params, rtol=1e-4, atol=1e-7)
-    np.testing.assert_allclose(sto.grad_initial_state, rec.grad_initial_state, rtol=1e-4, atol=1e-7)
-    assert sto.forward_state_reconstruction_error == 0.0
+    np.testing.assert_allclose(sto.grad_params, rec.y_final[2 * bd :], rtol=1e-4, atol=1e-7)
+    np.testing.assert_allclose(sto.grad_initial_state, rec.y_final[bd : 2 * bd], rtol=1e-4, atol=1e-7)
 
 
 def test_store_mode_solves_only_in_reverse(monkeypatch):
@@ -258,13 +258,12 @@ def test_store_mode_solves_only_in_reverse(monkeypatch):
         return res
 
     monkeypatch.setattr(adjoint, "solve_dopri45", spy)
-    run = backward(fwd, np.ones(4), spec, field, cfg, mode="store")
+    run = backward(fwd, np.ones(4), spec, field, cfg)
     assert [(t0, t1) for t0, t1, _ in solves] == [(1.0, 0.0)]
     assert run.backward_nfe == solves[0][2]
 
 
-@pytest.mark.parametrize("mode", ["store", "recompute"])
-def test_backward_reads_the_step_record_not_the_samples(mode):
+def test_backward_reads_the_step_record_not_the_samples():
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     field = init_field(2, (5,), 2, seed=4)
     cfg = IntegratorConfig(rtol=1e-7, atol=1e-7, h_min=1e-14)
@@ -272,41 +271,33 @@ def test_backward_reads_the_step_record_not_the_samples(mode):
     sampled = run_forward(spec, field, [0.3, -0.6], 1.0, cfg, sample_times=[0.0, 1.0])
     assert bare.ts.size == 0 and sampled.ts.size == 2
     lg = loss_grad_from_h(spec, np.array([0.7, -1.1]))
-    a = backward(bare, lg, spec, field, cfg, mode=mode)
-    b = backward(sampled, lg, spec, field, cfg, mode=mode)
+    a = backward(bare, lg, spec, field, cfg)
+    b = backward(sampled, lg, spec, field, cfg)
     assert a.grad_params.tobytes() == b.grad_params.tobytes()
     assert a.grad_initial_state.tobytes() == b.grad_initial_state.tobytes()
     assert a.backward_nfe == b.backward_nfe
 
 
-def test_reconstruction_divergence_guard():
-    spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
-    field = init_field(2, (4,), 2, seed=1)
-    fwd = run_forward(spec, field, [1.0, 1.0], 1.0, tight())
-    fwd.step_states[0] = fwd.step_states[0] + 0.5  # inconsistent stored initial state
-    with pytest.raises(ReconstructionDivergence):
-        backward(fwd, np.ones(2), spec, field, tight())
-
-
-def test_reconstruction_error_is_reported_small():
-    spec = dyn.DynamicsSpec(kind=dyn.SECOND_ORDER)
-    field = init_field(4, (6,), 2, seed=9)
-    fwd = run_forward(spec, field, [0.2, -0.1], 2.0, tight())
-    run = backward(fwd, np.ones(4), spec, field, tight())
-    h0 = np.linalg.norm(dyn.unpack(fwd.step_states[0], spec, 2).h)
-    assert run.forward_state_reconstruction_error < 1e-6 * max(h0, 1.0)
-
-
-def test_v_clamp_guard_counts_and_stays_finite():
+def test_negative_v_in_the_forward_record_fails_as_a_non_finite_state(monkeypatch):
+    # A negative recorded second moment makes sqrt(v + eps) NaN at the
+    # reverse solve's first evaluation: every attempt is non-finite, the
+    # step halves down to h_min, and backward raises a classified error.
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
-    field = init_field(1, (3,), 1, seed=0)
-    counters = {"v_clamps": 0}
-    rhs = make_adjoint_rhs(spec, field, 1, counters=counters)
-    joint = np.zeros(rhs.n_joint)
-    joint[2] = -0.5  # v block pushed negative
-    out = rhs(0.0, joint)
-    assert counters["v_clamps"] == 1
-    assert np.all(np.isfinite(out))
+    field = init_field(2, (5,), 2, seed=0)
+    fwd = run_forward(spec, field, [0.4, -0.3], 1.0, tight())
+    dyn.unpack(fwd.step_states[-1], spec, 2).v[:] = -1.0
+    reverse = []
+
+    def spy(*args, **kw):
+        reverse.append(solve_dopri45(*args, **kw))
+        return reverse[-1]
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", spy)
+    with pytest.raises(BackwardSolveError) as err:
+        backward(fwd, loss_grad_from_h(spec, np.ones(2)), spec, field)
+    assert err.value.status is SolveStatus.NON_FINITE_STATE
+    # log2(H_INIT / h_min) halvings, about 33, then the failure.
+    assert reverse[0].accepted_steps == 0 and reverse[0].rejected_steps <= 40
 
 
 def test_backward_rejects_failed_forward():
@@ -363,7 +354,7 @@ def rhs_field(spec, activation="tanh", seed=0):
 def flat_states(spec, batch, rng):
     """Flat states of every kind of entry the solvers hand a right-hand side:
     ordinary values, momenta beyond the saturation bound, second moments
-    below zero (the clamp), and inf and NaN."""
+    below zero (a NaN divisor), and inf and NaN."""
     n = batch * spec.state_dim(RHS_D)
     w = spec.width(RHS_D)
     plain = rng.normal(size=n) * 2.0
@@ -380,13 +371,10 @@ def flat_states(spec, batch, rng):
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("kind", dyn.ALL_KINDS)
 def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
-    # The forward right-hand side and both adjoint modes, against the
-    # block-by-block array forms in reference.py: the same bits, NaN
-    # positions included, and the same count of v clamps.
+    # The forward and adjoint right-hand sides, against the block-by-block
+    # array forms in reference.py: the same bits, NaN positions included.
     spec = rhs_spec(kind)
     rng = np.random.default_rng(batch)
-    n = batch * spec.state_dim(RHS_D)
-    ours, theirs = {"v_clamps": 0}, {"v_clamps": 0}
     with np.errstate(all="ignore"):
         for activation in ("tanh", "relu", "hardtanh"):
             field = rhs_field(spec, activation, seed=batch)
@@ -395,23 +383,17 @@ def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
             for y in states:
                 got = dyn.make_node_rhs(spec, field, RHS_D, batch)(0.3, y)
                 assert got.tobytes() == node_rhs(spec, field, RHS_D, batch)(0.3, y).tobytes()
+
+                def forward_of_t(t):
+                    return y.copy()
+
                 for a in states:
                     for variant in ("exact", "literal"):
-                        args = (spec, field, RHS_D, batch, variant)
-                        joint = np.concatenate([y, a, rng.normal(size=n_par)])
-                        got = make_adjoint_rhs(*args, ours)(0.3, joint)
-                        want = adjoint_rhs(*args, theirs)(0.3, joint)
+                        args = (spec, field, RHS_D, batch, variant, forward_of_t)
+                        joint = np.concatenate([a, rng.normal(size=n_par)])
+                        got = make_adjoint_rhs(*args)(0.3, joint)
+                        want = adjoint_rhs(*args)(0.3, joint)
                         assert got.tobytes() == want.tobytes()
-
-                        def forward_of_t(t):
-                            return y.copy()
-
-                        joint = joint[n:]
-                        got = make_adjoint_rhs(*args, ours, forward_of_t=forward_of_t)(0.3, joint)
-                        want = adjoint_rhs(*args, theirs, forward_of_t=forward_of_t)(0.3, joint)
-                        assert got.tobytes() == want.tobytes()
-                        assert ours == theirs
-    assert not spec.has_v or ours["v_clamps"] > 0
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -428,8 +410,7 @@ def test_right_hand_sides_return_fresh_arrays(kind, batch):
     acc = np.zeros(param_count(spec, field))
     cases = [
         (dyn.make_node_rhs(spec, field, RHS_D, batch), y),
-        (make_adjoint_rhs(spec, field, RHS_D, batch), np.concatenate([y, a, acc])),
-        (make_adjoint_rhs(spec, field, RHS_D, batch, forward_of_t=lambda t: y), np.concatenate([a, acc])),
+        (make_adjoint_rhs(spec, field, RHS_D, batch, "exact", lambda t: y), np.concatenate([a, acc])),
     ]
     for rhs, z in cases:
         first = rhs(0.1, z)

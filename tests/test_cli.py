@@ -109,7 +109,8 @@ def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
 # The efficacy hashes are those of training with warm-started solves
 # (each starts with the last step its role's previous solve proposed), the
 # gradcheck hashes those of differences taken as paired rows of one
-# batched solve, and the stability hash that of a Duffing probe solved only
+# batched solve and of an adjoint that reads gradcheck's own forward
+# record, and the stability hash that of a Duffing probe solved only
 # to its last sample read, the 4th, which a step now lands on.
 PINNED_EFFICACY_5 = {
     "node": "53c96dcb0e8524c46764c83effa563635de1dcc7d405e16d50a4d77c398f21d2",
@@ -120,12 +121,12 @@ PINNED_EFFICACY_5 = {
     "adamnode": "78551c15c78cd33da545af0374d635b2ca5035dad6dbe8d652cc6f84ba8b7ab5",
 }
 PINNED_GRADCHECK_0 = {
-    "node": "2b262ad4e07012deeaa0d659d66b453edb24888a5579bdaa2a23e264eabb82ee",
-    "anode": "8d1222587f0d1814a863685459784c0a1a275d8ac36dfbdcbf382191e46da78f",
-    "sonode": "e4d7edfe173f243d7012f811d4c19688987c829d8513efd9bc03c1d6d837fd9b",
-    "hbnode": "c518f4cfc4bb9ac174bb9f151d0554144c32f3a820856b566a5db752a38cbb65",
-    "ghbnode": "993b5fe3dd6b1aa4ac0b210252a6f06c447584da23bf6e46c94f64138219bdb2",
-    "adamnode": "b4bb5fb058cbf84bfbc623a7a1014d82144c0062c90ef68fca35fa0cc2fe2beb",
+    "node": "f8bbeff8e44b4d673678c51efb9d8aeb4679dd65d8f64e0d488e5967f322daa5",
+    "anode": "ce878e9a0de57eaa986d8edbafa52cf1750292e6d99b8dfa4aced99d43ebe3cb",
+    "sonode": "adf1ed4a3132bb5d044ca9b594cc44d617af5753108f4e42b7e551412b84f54b",
+    "hbnode": "ca9635c3e5677bad48121d9aed7e8715dc27a730066d3d5b876063e62e892364",
+    "ghbnode": "a503568419fc0bd5322bc0cfa0275ce473efb48569516f8318d1879c366cfbdc",
+    "adamnode": "962faf68233d0be2c53cdb3ece7cd281e51f02b5c1ac98c4981441809ebcb25f",
 }
 PINNED_STABILITY_T64 = "87dc69e8cf052bf376b27237dd9603285e04c51d8b92ff9a8a59afba666cb6fc"
 
@@ -324,6 +325,19 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
     assert report["max_rel_err"] < 1e-3
     printed = json.loads(capsys.readouterr().out)
     assert printed == report
+
+
+@pytest.mark.parametrize("model", ["adamnode", "hbnode"])
+def test_gradcheck_passes_over_a_long_horizon(tmp_path, model, capsys):
+    # At t1 = 400 the forward state cannot be re-integrated in reverse (it
+    # drifts by about 3e5 on a state of norm 0.9); the adjoint reads the
+    # forward record instead.
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--model", model, "--t1", "400", "--seed", "1", "--out", str(out)) == 0
+    capsys.readouterr()
+    report = strict_json(out / "gradcheck_report.json")
+    assert report["max_rel_err"] < 1e-3
+    assert report["init_state_max_rel_err"] < 1e-3
 
 
 def test_gradcheck_unattainable_tolerance_exits_1(tmp_path, capsys):

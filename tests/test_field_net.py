@@ -179,7 +179,7 @@ def test_params_round_trip():
 
 
 def test_time_slot_is_dropped_from_input_vjp():
-    net = init_field(2, (4,), 2, time_conditioned=True, seed=6)
+    net = init_field(2, (4,), 2, seed=6)
     g = vjp_input(net, np.array([0.1, -0.2]), 0.5, np.array([1.0, 1.0]))
     assert g.shape == (2,)
 

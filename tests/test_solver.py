@@ -400,6 +400,13 @@ def test_rk4_result_has_no_step_record():
         res.dense_state(0.5)
 
 
+def test_rk4_sample_times_are_float_for_an_int_start():
+    for samples in ([0], [0, 1]):
+        res = solve_rk4(lambda t, y: y, np.ones(1), 0, 1, 4, sample_times=samples)
+        assert res.ts.dtype == np.float64
+        assert res.ts.tolist() == samples
+
+
 def _damped_duffing(t, y):
     return [y[1], math.sin(t) - 0.1 * y[1] - y[0] * y[0] * y[0]]
 
