@@ -23,6 +23,12 @@ bounds it below by ``v(t0) exp(-(1-beta) (t - t0))``.
 
 Every formulation's trainable parameters are the field's flat vector,
 with the damping pre-activation appended for the heavy-ball family.
+
+:func:`gradcheck` checks :func:`backward` against central finite
+differences.  Its forward work is one batched solve
+(:func:`central_differences`): the unperturbed base and both sides of
+every parameter's and initial-state entry's difference are rows of it,
+and the adjoint reads the base row's record.
 """
 
 from dataclasses import dataclass, replace
@@ -234,65 +240,80 @@ def backward(
 FD_STACK_BYTES = 8 * 2**20
 
 
-def _solve_loss(spec, field, y0, t1, c, cfg):
-    rhs = dyn.make_node_rhs(spec, field, field.out_dim - spec.aug_width)
-    res = solve_dopri45(rhs, y0, 0.0, t1, cfg)
-    if res.status is not SolveStatus.SUCCESS:
-        raise ForwardSolveError(res.status)
-    return float(c @ res.y_final), res
+def _row_record(res: SolveResult, shape: tuple) -> SolveResult:
+    """Row 0 of a batched solve's record, as the record of a batch-1 solve.
 
-
-def _paired_differences(spec, field, y0, t1, c, cfg, delta, entries):
-    """Central differences of ``c . y(t1)`` in ``entries``, from one batched solve.
-
-    Entry ``i`` is field parameter ``i`` below ``field.n_params`` and
-    initial-state entry ``i - field.n_params`` from there on.  Rows ``2k``
-    and ``2k + 1`` of the batch move entry ``entries[k]`` by ``+delta`` and
-    ``-delta``, with every other parameter and state entry at its base
-    value, so each pair is integrated on one shared step sequence.
+    ``shape`` is the batch's block layout ``(n_blocks, rows, width)``.  The
+    row keeps the batch's step times and sizes, counters, status and
+    ``h_next``; its states and dense-output coefficients are row 0's
+    slices, so its :meth:`~SolveResult.dense_state` is row 0's.
     """
-    n_field = field.n_params
-    rows = 2 * entries.size
-    moves = np.zeros((rows, n_field + y0.size))
-    moves[np.arange(rows), entries.repeat(2)] = np.tile([delta, -delta], entries.size)
-    stacked = fn.vec_to_params(field, fn.params_to_vec(field) + moves[:, :n_field])
-    states = y0 + moves[:, n_field:]
-    # The solver's batched layout: block by block, each (rows, width).
-    d = field.out_dim - spec.aug_width
-    blocks = (rows, spec.n_blocks, spec.width(d))
-    rhs = dyn.make_node_rhs(spec, stacked, d, batch=rows)
-    res = solve_dopri45(rhs, states.reshape(blocks).transpose(1, 0, 2).ravel(), 0.0, t1, cfg)
-    if res.status is not SolveStatus.SUCCESS:
-        raise ForwardSolveError(res.status)
-    losses = res.y_final.reshape(blocks[1], rows, blocks[2]).transpose(1, 0, 2).reshape(rows, -1) @ c
-    return (losses[0::2] - losses[1::2]) / (2.0 * delta)
+
+    def row(y):
+        return y.reshape(shape + y.shape[1:])[:, 0].reshape((-1,) + y.shape[1:])
+
+    return replace(
+        res,
+        states=res.states.reshape((-1,) + shape)[:, :, 0].reshape(res.ts.size, shape[0] * shape[2]),
+        y_final=row(res.y_final),
+        step_states=[row(y) for y in res.step_states],
+        step_coeffs=[row(q) for q in res.step_coeffs],
+    )
 
 
 def central_differences(spec, field, y0, t1, c, cfg, delta):
-    """Central differences of the loss ``c . y(t1)``: ``(g_fd, g0_fd)``.
+    """Central differences of the loss ``c . y(t1)``: ``(g_fd, g0_fd, base)``.
 
-    ``g_fd`` follows :func:`param_count` order (the field's parameters,
-    then the heavy-ball damping) and ``g0_fd`` the flat initial state.
-    The field parameters and the state entries are differenced in batched
-    solves of at most :data:`FD_STACK_BYTES` of stacked parameters each
-    (all in one solve at the sizes gradcheck pins); the damping is
-    differenced by two scalar solves.
+    Entry ``k`` is, in :func:`param_count` order, a field parameter, then
+    the heavy-ball damping (where the formulation has one), and from there
+    on an initial-state entry.  ``g_fd`` holds the differences in the
+    parameters and ``g0_fd`` those in the flat initial state.
+
+    Every entry is differenced in batched solves of at most
+    :data:`FD_STACK_BYTES` of stacked parameters each (all in one solve at
+    the sizes gradcheck pins), on a stacked field and, for the damping, a
+    ``(rows, 1)`` column of ``theta``.  Row 0 of the first solve is the
+    unperturbed base; after it, rows ``2k + 1`` and ``2k + 2`` move entry
+    ``k`` by ``+delta`` and ``-delta`` (rows ``2k`` and ``2k + 1`` in a
+    later solve), with everything else at its base value, so each pair is
+    integrated on one shared step sequence.  ``base`` is the base row's
+    record as a batch-1 :class:`SolveResult` (:func:`_row_record`), which
+    :func:`backward` reads.
+
+    Raises
+    ------
+    ForwardSolveError
+        If a batched solve fails.
     """
     n_field = field.n_params
-    n_entries = n_field + y0.size
+    n_par = n_field + spec.extra_param_count
+    n_entries = n_par + y0.size
     per_solve = max(1, FD_STACK_BYTES // (2 * 8 * n_field))
-    diffs = np.concatenate([
-        _paired_differences(spec, field, y0, t1, c, cfg, delta, np.arange(lo, min(lo + per_solve, n_entries)))
-        for lo in range(0, n_entries, per_solve)
-    ])
-    g_fd = diffs[:n_field]
-    if spec.extra_param_count:
-        sp = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + delta))
-        sm = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta - delta))
-        lp, _ = _solve_loss(sp, field, y0, t1, c, cfg)
-        lm, _ = _solve_loss(sm, field, y0, t1, c, cfg)
-        g_fd = np.append(g_fd, (lp - lm) / (2.0 * delta))
-    return g_fd, diffs[n_field:]
+    vec = fn.params_to_vec(field)
+    d = field.out_dim - spec.aug_width
+    diffs = []
+    for lo in range(0, n_entries, per_solve):
+        entries = np.arange(lo, min(lo + per_solve, n_entries))
+        lead = int(lo == 0)
+        rows = lead + 2 * entries.size
+        moves = np.zeros((rows, n_entries))
+        moves[np.arange(lead, rows), entries.repeat(2)] = np.tile([delta, -delta], entries.size)
+        row_spec = spec
+        if spec.extra_param_count:
+            row_spec = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + moves[:, n_field:n_par]))
+        # The solver's batched layout: block by block, each (rows, width).
+        shape = (spec.n_blocks, rows, spec.width(d))
+        states = (y0 + moves[:, n_par:]).reshape(rows, shape[0], shape[2]).transpose(1, 0, 2)
+        rhs = dyn.make_node_rhs(row_spec, fn.vec_to_params(field, vec + moves[:, :n_field]), d, batch=rows)
+        res = solve_dopri45(rhs, states.ravel(), 0.0, t1, cfg)
+        if res.status is not SolveStatus.SUCCESS:
+            raise ForwardSolveError(res.status)
+        losses = res.y_final.reshape(shape).transpose(1, 0, 2).reshape(rows, -1) @ c
+        diffs.append((losses[lead::2] - losses[lead + 1 :: 2]) / (2.0 * delta))
+        if lead:
+            base = _row_record(res, shape)
+    diffs = np.concatenate(diffs)
+    return diffs[:n_par], diffs[n_par:], base
 
 
 def gradcheck(
@@ -309,19 +330,20 @@ def gradcheck(
     """Compare adjoint gradients against central finite differences.
 
     Builds a small field from ``seed``, takes a random linear loss over
-    the full terminal state, runs :func:`backward` on the base solve's own
-    record, and differences every trainable parameter
+    the full terminal state, and differences every trainable parameter
     and every initial-state entry with step ``delta``
-    (:func:`central_differences`).  Each ``+delta``/``-delta`` pair is
-    integrated as two rows of one batched solve, on one shared step
-    sequence, so the solver's step placement does not enter the
-    difference quotient (internal numerical differentiation).  Relative
+    (:func:`central_differences`).  That is one batched forward solve:
+    row 0 is the unperturbed base, and each ``+delta``/``-delta`` pair is
+    two more rows on the same step sequence, so the solver's step
+    placement does not enter the difference quotient (internal numerical
+    differentiation).  :func:`backward` then reads the base row's record,
+    so the check costs one forward and one reverse solve.  Relative
     errors use denominator ``max(|adjoint|, |difference|, 1e-8)``.
 
     Raises
     ------
     ForwardSolveError
-        If the base solve or any differencing solve fails.
+        If the batched forward solve fails.
     BackwardSolveError
         If the adjoint solve fails.
     """
@@ -334,10 +356,9 @@ def gradcheck(
     c = rng.normal(size=y0.size)
     cfg = IntegratorConfig(rtol=solver_tol, atol=solver_tol, h_min=1e-14, max_steps=1_000_000)
 
-    _, fwd = _solve_loss(spec, field, y0, t1, c, cfg)
-    run = backward(fwd, c, spec, field, cfg, variant=variant)
+    g_fd, g0_fd, base = central_differences(spec, field, y0, t1, c, cfg, delta)
+    run = backward(base, c, spec, field, cfg, variant=variant)
     g_adj = run.grad_params
-    g_fd, g0_fd = central_differences(spec, field, y0, t1, c, cfg, delta)
 
     denom = np.maximum(np.maximum(np.abs(g_adj), np.abs(g_fd)), 1e-8)
     rel = np.abs(g_adj - g_fd) / denom

@@ -34,6 +34,13 @@ from momenta_node.field_net import (
 from momenta_node.solver import H_INIT, IntegratorConfig, solve_dopri45
 
 
+# Smallest step of every training solve (forward, evaluation and
+# backward).  At the default rate none of them accepts a step below
+# H_INIT, while a diverging field drives the step towards zero: the floor
+# ends such a solve as STEP_UNDERFLOW within a few hundred attempts,
+# where it would otherwise grind through the whole step budget.
+TRAIN_H_MIN = 1e-8
+
 # The spirals' number of turns, and the standard deviation of the Gaussian
 # noise added to every point of each dataset.
 SPIRAL_TURNS = 1.0
@@ -183,7 +190,7 @@ class ODEClassifier:
         self.spec = spec
         self.d = cfg.d
         self.t1 = cfg.t1
-        self.solver_cfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol, max_steps=40_000)
+        self.solver_cfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol, h_min=TRAIN_H_MIN, max_steps=40_000)
         self.first_step = {"train": H_INIT, "eval": H_INIT, "backward": H_INIT}
         rng = np.random.default_rng(cfg.seed)
         self.field = init_field(

@@ -72,14 +72,18 @@ class HeavyBallParams:
     """Trainable damping: gamma = sigmoid(theta).
 
     Frozen, so ``gamma`` is computed once per value of ``theta``; training
-    swaps in a new instance when ``theta`` moves.
+    swaps in a new instance when ``theta`` moves.  ``theta`` is a scalar,
+    or a ``(rows, 1)`` column that gives each row of a batch its own
+    damping (gradcheck differences the damping that way); ``gamma`` then
+    is the column of the rows' dampings, which :func:`derivative`
+    broadcasts over each row's width.
     """
 
-    theta: float = -3.0
+    theta: float | np.ndarray = -3.0
 
     @cached_property
-    def gamma(self) -> float:
-        return float(sigmoid(self.theta))
+    def gamma(self) -> float | np.ndarray:
+        return sigmoid(self.theta)
 
 
 @dataclass

@@ -22,10 +22,11 @@ import numpy as np
 
 from momenta_node import dynamics as dyn
 from momenta_node import field_net as fn
-from momenta_node.adjoint import _solve_loss
+from momenta_node.adjoint import ForwardSolveError
 from momenta_node.benchmarks.stability import StabilityProbe, _field_param_count
 from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
+from momenta_node.solver import SolveStatus, solve_dopri45
 
 def gradient_flow_rhs(t: float, x: np.ndarray, grad_f: GradFn) -> np.ndarray:
     return -np.asarray(grad_f(x), dtype=float)
@@ -263,6 +264,15 @@ def fair_hidden_widths_scan(specs, d, base_hidden, tolerance=0.10):
     return widths
 
 
+def solve_loss(spec, field, y0, t1, c, cfg):
+    """The loss ``c . y(t1)`` of one batch-1 solve, and the solve."""
+    rhs = dyn.make_node_rhs(spec, field, field.out_dim - spec.aug_width)
+    res = solve_dopri45(rhs, y0, 0.0, t1, cfg)
+    if res.status is not SolveStatus.SUCCESS:
+        raise ForwardSolveError(res.status)
+    return float(c @ res.y_final), res
+
+
 def central_differences_per_solve(spec, field, y0, t1, c, cfg, delta):
     """:func:`momenta_node.adjoint.central_differences` with one batch-1
     solve per perturbed value: two per parameter and two per
@@ -277,13 +287,13 @@ def central_differences_per_solve(spec, field, y0, t1, c, cfg, delta):
             vm = base_vec.copy()
             vp[i] += delta
             vm[i] -= delta
-            lp, _ = _solve_loss(spec, fn.vec_to_params(field, vp), y0, t1, c, cfg)
-            lm, _ = _solve_loss(spec, fn.vec_to_params(field, vm), y0, t1, c, cfg)
+            lp, _ = solve_loss(spec, fn.vec_to_params(field, vp), y0, t1, c, cfg)
+            lm, _ = solve_loss(spec, fn.vec_to_params(field, vm), y0, t1, c, cfg)
         else:
             sp = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + delta))
             sm = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta - delta))
-            lp, _ = _solve_loss(sp, field, y0, t1, c, cfg)
-            lm, _ = _solve_loss(sm, field, y0, t1, c, cfg)
+            lp, _ = solve_loss(sp, field, y0, t1, c, cfg)
+            lm, _ = solve_loss(sm, field, y0, t1, c, cfg)
         g_fd[i] = (lp - lm) / (2.0 * delta)
 
     g0_fd = np.zeros(y0.size)
@@ -292,7 +302,7 @@ def central_differences_per_solve(spec, field, y0, t1, c, cfg, delta):
         ym = y0.copy()
         yp[i] += delta
         ym[i] -= delta
-        lp, _ = _solve_loss(spec, field, yp, t1, c, cfg)
-        lm, _ = _solve_loss(spec, field, ym, t1, c, cfg)
+        lp, _ = solve_loss(spec, field, yp, t1, c, cfg)
+        lm, _ = solve_loss(spec, field, ym, t1, c, cfg)
         g0_fd[i] = (lp - lm) / (2.0 * delta)
     return g_fd, g0_fd

@@ -15,9 +15,10 @@ from momenta_node.adjoint import (
     make_adjoint_rhs,
     param_count,
 )
+from momenta_node.benchmarks.stability import MODEL_SPECS, model_spec
 from momenta_node.field_net import FieldNet, init_field, params_to_vec
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
-from reference import adjoint_rhs, central_differences_per_solve, node_rhs
+from reference import adjoint_rhs, central_differences_per_solve, node_rhs, solve_loss
 
 
 def tight():
@@ -154,39 +155,112 @@ def _max_rel(a, b):
 @pytest.mark.parametrize("kind", dyn.ALL_KINDS)
 def test_batched_differences_match_per_solve_differences(kind):
     problem, (g_fd, g0_fd) = _differenced_problem(kind)
-    batched, batched0 = adjoint.central_differences(*problem)
+    batched, batched0, base = adjoint.central_differences(*problem)
     assert batched.shape == g_fd.shape and batched0.shape == g0_fd.shape
     assert _max_rel(batched, g_fd) < 1e-4
     assert _max_rel(batched0, g0_fd) < 1e-4
+    # The base row is the unperturbed problem, on the batch's steps.
+    spec, field, y0, t1, c, cfg, _ = problem
+    _, lone = solve_loss(spec, field, y0, t1, c, cfg)
+    assert base.ok and base.step_ts[-1] == t1 and base.y_final.shape == y0.shape
+    np.testing.assert_allclose(base.y_final, lone.y_final, rtol=0, atol=1e-8)
+
+
+def _stack_moves(spec, field, y0, rhs_args, starts):
+    """Each batched solve's rows as moves off the base: one column per
+    entry in param_count order, then the initial-state entries."""
+    vec = params_to_vec(field)
+    width = y0.size // spec.n_blocks
+    out = []
+    for (row_spec, stacked, rows), start in zip(rhs_args, starts):
+        params = np.concatenate([W.reshape(rows, -1) for W in stacked.weights] + stacked.biases, axis=1)
+        parts = [params - vec]
+        if spec.extra_param_count:
+            parts.append(row_spec.hb.theta - spec.hb.theta)
+        states = start.reshape(spec.n_blocks, rows, width).transpose(1, 0, 2).reshape(rows, -1)
+        out.append(np.concatenate(parts + [states - y0], axis=1))
+    return out
 
 
 @pytest.mark.parametrize("kind", dyn.ALL_KINDS)
 def test_bounded_stacks_split_between_pairs(kind, monkeypatch):
     problem, (g_fd, g0_fd) = _differenced_problem(kind)
-    spec, field, y0 = problem[:3]
-    # Seven perturbed entries per solve.
+    spec, field, y0, delta = problem[0], problem[1], problem[2], problem[-1]
+    # Seven differenced entries per solve.
     monkeypatch.setattr(adjoint, "FD_STACK_BYTES", 7 * 2 * 8 * field.n_params)
-    starts = []
-    solve = adjoint.solve_dopri45
+    starts, rhs_args = [], []
+    solve, make_rhs = adjoint.solve_dopri45, dyn.make_node_rhs
 
-    def recording(rhs, start, *args, **kwargs):
+    def recording_solve(rhs, start, *args, **kwargs):
         starts.append(start.copy())
         return solve(rhs, start, *args, **kwargs)
 
-    monkeypatch.setattr(adjoint, "solve_dopri45", recording)
-    batched, batched0 = adjoint.central_differences(*problem)
-    # The heavy-ball damping's two scalar solves start at y0 itself.
-    stacks = [s.reshape(spec.n_blocks, -1, y0.size // spec.n_blocks) for s in starts if s.size > y0.size]
-    assert len(stacks) == -(-(field.n_params + y0.size) // 7)
-    assert sum(s.shape[1] for s in stacks) == 2 * (field.n_params + y0.size)
-    for s in stacks:
-        rows = s.transpose(1, 0, 2).reshape(s.shape[1], -1)
-        # Rows 2k and 2k+1 are one entry moved up and down: their mean is y0.
-        assert rows.shape[0] % 2 == 0
-        means = (rows[0::2] + rows[1::2]) / 2.0
-        np.testing.assert_allclose(means, np.tile(y0, (means.shape[0], 1)), rtol=0, atol=1e-15)
+    def recording_rhs(row_spec, stacked, d, batch):
+        rhs_args.append((row_spec, stacked, batch))
+        return make_rhs(row_spec, stacked, d, batch)
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", recording_solve)
+    monkeypatch.setattr(dyn, "make_node_rhs", recording_rhs)
+    batched, batched0, _ = adjoint.central_differences(*problem)
+    n_entries = param_count(spec, field) + y0.size
+    # Every solve is a stack: no scalar solve is left, not even for the damping.
+    assert len(starts) == len(rhs_args) == -(-n_entries // 7)
+    moves = _stack_moves(spec, field, y0, rhs_args, starts)
+    # The base row leads the first stack only, and moves nothing.
+    assert moves[0][0].tobytes() == np.zeros(n_entries).tobytes()
+    pairs = np.concatenate([moves[0][1:]] + moves[1:])
+    # Then rows 2k and 2k + 1 move entry k, the damping included, by
+    # +delta and -delta, and nothing else.
+    want = np.zeros((2 * n_entries, n_entries))
+    want[np.arange(2 * n_entries), np.arange(n_entries).repeat(2)] = np.tile([delta, -delta], n_entries)
+    np.testing.assert_allclose(pairs, want, rtol=0, atol=1e-15)
+    # Seven pairs to a stack, so no pair is split between two solves.
+    sizes = [m.shape[0] for m in moves]
+    assert sizes[:-1] == [15] + [14] * (len(sizes) - 2) and sizes[-1] % 2 == 0
     assert _max_rel(batched, g_fd) < 1e-4
     assert _max_rel(batched0, g0_fd) < 1e-4
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+def test_gradcheck_is_one_forward_and_one_reverse_solve(model, monkeypatch):
+    solves = []
+    solve = adjoint.solve_dopri45
+
+    def spy(rhs, y0, t0, t1, *args, **kwargs):
+        solves.append((t0, t1, y0.size))
+        return solve(rhs, y0, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", spy)
+    spec = model_spec(model)
+    report = gradcheck(spec, seed=0)
+    field = init_field(spec.field_in_dim(2), (8,), spec.width(2), seed=0)
+    n = spec.state_dim(2)
+    rows = 1 + 2 * (param_count(spec, field) + n)
+    assert solves == [(0.0, 1.0, rows * n), (1.0, 0.0, n + param_count(spec, field))]
+    assert report["max_rel_err"] < 1e-3 and report["init_state_max_rel_err"] < 1e-3
+
+
+@pytest.mark.parametrize("kind", [dyn.VANILLA, dyn.HEAVY_BALL, dyn.ADAM])
+def test_the_base_row_record_is_row_0_of_the_batch_bit_for_bit(kind, monkeypatch):
+    problem, _ = _differenced_problem(kind)
+    spec, y0 = problem[0], problem[2]
+    batches = []
+    solve = adjoint.solve_dopri45
+
+    def spy(*args, **kwargs):
+        batches.append(solve(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(adjoint, "solve_dopri45", spy)
+    *_, base = adjoint.central_differences(*problem)
+    batch = batches[0]
+    shape = (spec.n_blocks, -1, y0.size // spec.n_blocks)
+    assert base.step_ts == batch.step_ts and base.step_sizes == batch.step_sizes
+    assert (base.nfe, base.h_next) == (batch.nfe, batch.h_next)
+    mids = [(a + b) / 2.0 for a, b in zip(batch.step_ts, batch.step_ts[1:])]
+    for t in sorted(set(np.linspace(0.0, 1.0, 37).tolist() + batch.step_ts + mids)):
+        assert base.dense_state(t).tobytes() == batch.dense_state(t).reshape(shape)[:, 0].ravel().tobytes()
+    assert base.y_final.tobytes() == batch.y_final.reshape(shape)[:, 0].ravel().tobytes()
 
 
 def test_loose_solver_tolerance_envelope():

@@ -108,9 +108,10 @@ def test_trajectory_outputs_match_pinned_hashes(tmp_path, landscape):
 # --seed 0`'s curves.  Cheaper right-hand sides must reproduce every byte.
 # The efficacy hashes are those of training with warm-started solves
 # (each starts with the last step its role's previous solve proposed), the
-# gradcheck hashes those of differences taken as paired rows of one
-# batched solve and of an adjoint that reads gradcheck's own forward
-# record, and the stability hash that of a Duffing probe solved only
+# gradcheck hashes those of one batched forward solve, whose row 0 is the
+# unperturbed base and whose further rows are the paired differences, the
+# damping's included, and of an adjoint that reads the base row's record
+# (on the batch's step sequence), and the stability hash that of a Duffing probe solved only
 # to its last sample read, the 4th, which a step now lands on.
 PINNED_EFFICACY_5 = {
     "node": "53c96dcb0e8524c46764c83effa563635de1dcc7d405e16d50a4d77c398f21d2",
@@ -121,12 +122,12 @@ PINNED_EFFICACY_5 = {
     "adamnode": "78551c15c78cd33da545af0374d635b2ca5035dad6dbe8d652cc6f84ba8b7ab5",
 }
 PINNED_GRADCHECK_0 = {
-    "node": "f8bbeff8e44b4d673678c51efb9d8aeb4679dd65d8f64e0d488e5967f322daa5",
-    "anode": "ce878e9a0de57eaa986d8edbafa52cf1750292e6d99b8dfa4aced99d43ebe3cb",
-    "sonode": "adf1ed4a3132bb5d044ca9b594cc44d617af5753108f4e42b7e551412b84f54b",
-    "hbnode": "ca9635c3e5677bad48121d9aed7e8715dc27a730066d3d5b876063e62e892364",
-    "ghbnode": "a503568419fc0bd5322bc0cfa0275ce473efb48569516f8318d1879c366cfbdc",
-    "adamnode": "962faf68233d0be2c53cdb3ece7cd281e51f02b5c1ac98c4981441809ebcb25f",
+    "node": "5efeebc73242253bae84678a3191816b91605c96344b58426cbd3b39e61f934c",
+    "anode": "5083aa793778833babf9b10b4351585ee40f6d02b1c464ecfad1f672396241cb",
+    "sonode": "b92602b77902b106984fd2126651f52d290220bfb26c7a02d6c9bf4d62b0516b",
+    "hbnode": "7fafac33e8e60e8a26778e4b4963401957a1d5f858f38a4c6dc173334c246ad5",
+    "ghbnode": "2efb7236f9cdf0e1985ac3a1476a7039f1fed54f440cd571a2509b2f5ef2f5b0",
+    "adamnode": "c1a8c88532066530315e93277393ce481a2af5b1526aae24db91c9c303fac36f",
 }
 PINNED_STABILITY_T64 = "87dc69e8cf052bf376b27237dd9603285e04c51d8b92ff9a8a59afba666cb6fc"
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from momenta_node import dynamics as dyn
+from momenta_node import field_net as fn
 from momenta_node.benchmarks.landscapes import get_landscape
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45
@@ -100,6 +101,26 @@ def test_sonode_field_sees_position_and_velocity():
     out = rhs(0.3, y)
     np.testing.assert_allclose(out[0], 0.5)
     np.testing.assert_allclose(out[1], forward(field, np.array([0.2, 0.5]), 0.3))
+
+
+@pytest.mark.parametrize("kind", [dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL])
+def test_a_damping_column_damps_each_row_as_its_scalar_spec(kind):
+    # A (rows, 1) theta on a stacked field: each row of the right-hand
+    # side is, bit for bit, the scalar spec's on that row's own field.
+    d, rows = 3, 5
+    field = init_field(d, (6,), d, seed=1)
+    rng = np.random.default_rng(0)
+    vecs = fn.params_to_vec(field) + 0.1 * rng.normal(size=(rows, field.n_params))
+    thetas = rng.normal(size=(rows, 1))
+    column = dyn.DynamicsSpec(kind=kind, hb=dyn.HeavyBallParams(theta=thetas))
+    # Momenta on both sides of the generalized form's saturation bound.
+    y = 2.0 * rng.normal(size=(column.n_blocks, rows, d))
+    got = dyn.make_node_rhs(column, fn.vec_to_params(field, vecs), d, batch=rows)(0.3, y.ravel())
+    got = got.reshape(y.shape)
+    for r in range(rows):
+        scalar = dyn.DynamicsSpec(kind=kind, hb=dyn.HeavyBallParams(theta=float(thetas[r, 0])))
+        want = dyn.make_node_rhs(scalar, fn.vec_to_params(field, vecs[r]), d)(0.3, y[:, r].ravel())
+        assert got[:, r].ravel().tobytes() == want.tobytes()
 
 
 def test_ghb_saturation_bound_is_never_exceeded():
