@@ -6,17 +6,18 @@ family), ``train`` (small classification run with efficacy tracking),
 ``gradcheck`` (adjoint-vs-finite-difference gate), and ``plot``
 (regenerate an SVG from any previously emitted CSV).
 
-Every command resolves its parameters from built-in defaults, then an
-optional ``--config`` JSON file, then explicit flags (flags win), echoes
-the result to ``<out>/config.resolved.json`` once its inputs are checked,
-before any other output, and writes only files under its output
-directory.  ``plot``, whose ``--out`` names the SVG, writes its echo
-beside it, named after it (``replot.svg`` echoes to ``replot.plot.json``),
-so replotting into another command's directory leaves that command's
-echo alone.  Exit codes are a stable contract: 0 success, 1 verification
-failure, 2 usage or config error, 3 a solver failed (every flow of
-``trajectory``, or a solve that ``gradcheck`` needs), 4 training
-diverged.
+Each command's parameters are the rows of its table in :data:`PARAMS`.
+A command resolves them from the table's defaults, then an optional
+``--config`` JSON file, then explicit flags (flags win), checks each
+against its row's rule, echoes the result to
+``<out>/config.resolved.json`` before any other output, and writes only
+files under its output directory.  ``plot``, whose ``--out`` names the
+SVG, writes its echo beside it, named after it (``replot.svg`` echoes to
+``replot.plot.json``), so replotting into another command's directory
+leaves that command's echo alone.  Exit codes are a stable contract: 0
+success, 1 verification failure, 2 usage or config error, 3 a solver
+failed (every flow of ``trajectory``, or a solve that ``gradcheck``
+needs), 4 training diverged.
 """
 
 from __future__ import annotations
@@ -61,31 +62,17 @@ class ConfigError(ValueError):
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
-
-
-def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags; unknown file keys are errors."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
-    return resolved
 
 
 def _finite_or_null(value):
@@ -126,31 +113,108 @@ def _is_int(v):
 
 
 def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # Finite as a float: a JSON integer may exceed every float.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-# What each kind of numeric parameter must be, and the test for it.
+# Each kind of parameter: what it must be, the type its flag parses with,
+# and the test for it.
 _RULES = {
-    "count": ("a positive integer", lambda v: _is_int(v) and v > 0),
-    "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
-    "positive": ("a finite number above 0", lambda v: _is_real(v) and v > 0),
-    "nonnegative": ("a finite number at least 0", lambda v: _is_real(v) and v >= 0),
+    "count": ("a positive integer", int, lambda v: _is_int(v) and v > 0),
+    "natural": ("a nonnegative integer", int, lambda v: _is_int(v) and v >= 0),
+    "positive": ("a finite number above 0", float, lambda v: _is_real(v) and v > 0),
+    "nonnegative": ("a finite number at least 0", float, lambda v: _is_real(v) and v >= 0),
+    "string": ("a string", str, lambda v: isinstance(v, str)),
+}
+
+_MODELS = tuple(sorted(MODEL_SPECS))
+
+# Every parameter of every command, one row per key: (key, default, rule,
+# help).  A rule is a kind in _RULES, a tuple of the allowed names (the
+# flag's choices), or None for a key its command parses itself.  A help
+# text may show the default as ``{default}``.  The parser, the defaults,
+# the checks and the config.resolved.json echo all come from these rows;
+# a key's flag is ``--key`` with each ``_`` written ``-``.
+PARAMS = {
+    "trajectory": (
+        ("out", "out/trajectory", "string", "output directory"),
+        ("landscape", "rosenbrock", tuple(sorted(LANDSCAPES)), None),
+        ("x0", None, None, "start point 'a,b' (default: the landscape's standard start)"),
+        ("T", DEFAULT_HORIZON, "positive", "time horizon (default {default:g})"),
+        ("method", "rk4", ("rk4", "dopri45"), None),
+        ("step", DEFAULT_STEP, "positive", "rk4 step size (default {default:g})"),
+        ("rtol", 1e-8, "positive", None),
+        ("atol", 1e-8, "positive", None),
+    ),
+    "stability": (
+        ("out", "out/stability", "string", "output directory"),
+        ("t1", 64.0, "positive", "probe horizon (default {default:g})"),
+        ("probe", "synthetic", "string", "series whose first d outputs seed the hidden state: 'synthetic' "
+         "(a forced Duffing oscillator) or 'csv:PATH' with a t,input,output series"),
+        ("models", "all", None, "'all' or comma-separated model names"),
+        ("d", 4, "count", "hidden-block dimension, and the number of probe outputs that seed it "
+         "(default {default})"),
+        ("seed", 0, "natural", None),
+        ("rtol", PROBE_SOLVER.rtol, "positive", None),
+        ("atol", PROBE_SOLVER.atol, "positive", None),
+    ),
+    "train": (
+        ("out", "out/train", "string", "output directory"),
+        ("dataset", "spirals", ("spirals", "moons"), None),
+        ("model", "adamnode", _MODELS, None),
+        ("epochs", 100, "natural", None),
+        ("lr", 1e-3, "positive", None),
+        ("batch", 32, "count", None),
+        ("seed", 0, "natural", None),
+        ("rtol", 1e-3, "positive", None),
+        ("atol", 1e-6, "positive", None),
+    ),
+    "gradcheck": (
+        ("out", "out/gradcheck", "string", "output directory"),
+        ("model", "adamnode", _MODELS, None),
+        ("seed", 0, "natural", None),
+        # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
+        ("tol", 1e-3, "nonnegative",
+         "pass threshold on max_rel_err and init_state_max_rel_err (default {default:g})"),
+        ("d", 2, "count", None),
+        ("t1", 1.0, "positive", None),
+        ("delta", 1e-5, "positive", "finite-difference step (default {default:g})"),
+        ("solver_tol", 1e-10, "positive", None),
+    ),
+    "plot": (
+        ("in", None, "string", "input CSV path"),
+        ("kind", None, ("trajectory", "stability", "efficacy"), None),
+        ("out", None, "string", "output SVG path"),
+    ),
 }
 
 
-def _check_numbers(cfg: dict, rules: dict) -> None:
-    """Raise ConfigError unless every ``cfg[key]`` obeys ``_RULES[rules[key]]``."""
-    for key, rule in rules.items():
-        what, ok = _RULES[rule]
+def _checked(command: str, args: argparse.Namespace) -> dict:
+    """``command``'s parameters: its defaults <- config file <- explicit flags.
+
+    Unknown file keys are errors, and each value must obey its row's rule;
+    both raise ConfigError.
+    """
+    rows = PARAMS[command]
+    cfg = {key: default for key, default, _, _ in rows}
+    if args.config:
+        file_cfg = _load_config_file(args.config)
+        unknown = set(file_cfg) - set(cfg)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        cfg.update(file_cfg)
+    for key, _, rule, _ in rows:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        if rule is None:
+            continue
+        if isinstance(rule, tuple):
+            what, ok = f"one of {', '.join(rule)}", rule.__contains__
+        else:
+            what, _, ok = _RULES[rule]
         if not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
-
-
-def _check_strings(cfg: dict, keys) -> None:
-    """Raise ConfigError unless every ``cfg[key]`` is a string."""
-    for key in keys:
-        if not isinstance(cfg[key], str):
-            raise ConfigError(f"{key} must be a string, got {cfg[key]!r}")
+    return cfg
 
 
 def _parse_x0(text: str) -> tuple:
@@ -166,23 +230,7 @@ def _parse_x0(text: str) -> tuple:
 # ------------------------------------------------------------------ commands
 
 def cmd_trajectory(args) -> int:
-    defaults = {
-        "landscape": "rosenbrock",
-        "x0": None,
-        "T": DEFAULT_HORIZON,
-        "method": "rk4",
-        "step": DEFAULT_STEP,
-        "rtol": 1e-8,
-        "atol": 1e-8,
-        "out": "out/trajectory",
-    }
-    cfg = _resolve(defaults, args)
-    _check_strings(cfg, ("landscape", "method", "out"))
-    if cfg["landscape"] not in LANDSCAPES:
-        raise ConfigError(
-            f"unknown landscape {cfg['landscape']!r}; expected one of: {', '.join(LANDSCAPES)}"
-        )
-    _check_numbers(cfg, {"T": "positive", "step": "positive", "rtol": "positive", "atol": "positive"})
+    cfg = _checked("trajectory", args)
     if isinstance(cfg["x0"], str):
         cfg["x0"] = _parse_x0(cfg["x0"])
     elif cfg["x0"] is not None and not (
@@ -232,22 +280,9 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    defaults = {
-        "t1": 64.0,
-        "probe": "synthetic",
-        "models": "all",
-        "d": 4,
-        "seed": 0,
-        "rtol": PROBE_SOLVER.rtol,
-        "atol": PROBE_SOLVER.atol,
-        "out": "out/stability",
-    }
-    cfg = _resolve(defaults, args)
-    _check_numbers(cfg, {"t1": "positive", "d": "count", "seed": "natural",
-                         "rtol": "positive", "atol": "positive"})
+    cfg = _checked("stability", args)
     if not isinstance(cfg["models"], str):
         raise ConfigError(f"--models expects 'all' or a comma-separated list, got {cfg['models']!r}")
-    _check_strings(cfg, ("probe", "out"))
 
     if cfg["probe"] == "synthetic":
         probe = duffing_probe(int(cfg["seed"]), float(cfg["t1"]), int(cfg["d"]))
@@ -300,23 +335,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_train(args) -> int:
-    defaults = {
-        "dataset": "spirals",
-        "model": "adamnode",
-        "epochs": 100,
-        "lr": 1e-3,
-        "batch": 32,
-        "seed": 0,
-        "rtol": 1e-3,
-        "atol": 1e-6,
-        "out": "out/train",
-    }
-    cfg = _resolve(defaults, args)
-    _check_strings(cfg, ("dataset", "model", "out"))
-    _check_numbers(cfg, {"epochs": "natural", "lr": "positive", "batch": "count", "seed": "natural",
-                         "rtol": "positive", "atol": "positive"})
+    cfg = _checked("train", args)
+    spec = model_spec(cfg["model"])
     try:
-        spec = model_spec(cfg["model"])
         train_cfg = TrainConfig(
             epochs=int(cfg["epochs"]),
             lr=float(cfg["lr"]),
@@ -359,25 +380,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    defaults = {
-        "model": "adamnode",
-        "seed": 0,
-        "tol": 1e-3,
-        "d": 2,
-        "t1": 1.0,
-        "delta": 1e-5,
-        "solver_tol": 1e-10,
-        "out": "out/gradcheck",
-    }
-    cfg = _resolve(defaults, args)
-    _check_strings(cfg, ("model", "out"))
-    try:
-        spec = model_spec(cfg["model"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
-    _check_numbers(cfg, {"seed": "natural", "tol": "nonnegative", "d": "count", "t1": "positive",
-                         "delta": "positive", "solver_tol": "positive"})
+    cfg = _checked("gradcheck", args)
+    spec = model_spec(cfg["model"])
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir / RESOLVED, "gradcheck", cfg)
 
@@ -405,14 +409,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    defaults = {"in": None, "kind": None, "out": None}
-    cfg = _resolve(defaults, args)
-    for key in ("in", "kind", "out"):
-        if cfg[key] is None:
-            raise ConfigError(f"plot requires --{key}")
-    _check_strings(cfg, ("in", "kind", "out"))
-    if cfg["kind"] not in ("trajectory", "stability", "efficacy"):
-        raise ConfigError(f"--kind must be trajectory, stability, or efficacy, got {cfg['kind']!r}")
+    cfg = _checked("plot", args)
     out_path = Path(cfg["out"])
     if out_path.is_dir() or out_path.name == "..":
         raise ConfigError(f"--out must name a file, got the directory {cfg['out']!r}")
@@ -447,66 +444,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Continuous-depth model experiments: trajectories, stability, training, gradient checks, plots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, func, text in (
+        ("trajectory", cmd_trajectory, "integrate the optimization flows on a test landscape"),
+        ("stability", cmd_stability, "probe hidden-norm growth across the model family"),
+        ("train", cmd_train, "train a small classifier and track efficacy"),
+        ("gradcheck", cmd_gradcheck, "adjoint-vs-finite-difference gradient gate"),
+        ("plot", cmd_plot, "regenerate an SVG from a previously emitted CSV"),
+    ):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; explicit flags override its values")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("trajectory", help="integrate the optimization flows on a test landscape")
-    add_common(p)
-    p.add_argument("--landscape", choices=sorted(LANDSCAPES))
-    p.add_argument("--x0", help="start point 'a,b' (default: the landscape's standard start)")
-    p.add_argument("--T", type=float, help=f"time horizon (default {DEFAULT_HORIZON:g})")
-    p.add_argument("--method", choices=["rk4", "dopri45"])
-    p.add_argument("--step", type=float, help=f"rk4 step size (default {DEFAULT_STEP:g})")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.set_defaults(func=cmd_trajectory)
-
-    p = sub.add_parser("stability", help="probe hidden-norm growth across the model family")
-    add_common(p)
-    p.add_argument("--t1", type=float, help="probe horizon (default 64)")
-    p.add_argument("--probe", help="series whose first d outputs seed the hidden state: 'synthetic' "
-                   "(a forced Duffing oscillator) or 'csv:PATH' with a t,input,output series")
-    p.add_argument("--models", help="'all' or comma-separated model names")
-    p.add_argument("--d", type=int, help="hidden-block dimension, and the number of probe outputs "
-                   "that seed it (default 4)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("train", help="train a small classifier and track efficacy")
-    add_common(p)
-    p.add_argument("--dataset", choices=["spirals", "moons"])
-    p.add_argument("--model", choices=sorted(MODEL_SPECS))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("gradcheck", help="adjoint-vs-finite-difference gradient gate")
-    add_common(p)
-    p.add_argument("--model", choices=sorted(MODEL_SPECS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float,
-                   help="pass threshold on max_rel_err and init_state_max_rel_err (default 1e-3)")
-    p.add_argument("--d", type=int)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--delta", type=float, help="finite-difference step (default 1e-5)")
-    p.add_argument("--solver-tol", dest="solver_tol", type=float)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("plot", help="regenerate an SVG from a previously emitted CSV")
-    p.add_argument("--config", help="JSON config file; explicit flags override its values")
-    p.add_argument("--in", dest="in", help="input CSV path")
-    p.add_argument("--kind", choices=["trajectory", "stability", "efficacy"])
-    p.add_argument("--out", help="output SVG path")
-    p.set_defaults(func=cmd_plot)
-
+        for key, default, rule, help_text in PARAMS[command]:
+            parse = {"choices": rule} if isinstance(rule, tuple) else {"type": rule and _RULES[rule][1]}
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=help_text and help_text.format(default=default), **parse)
+        p.set_defaults(func=func)
     return parser
 
 

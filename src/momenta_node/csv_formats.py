@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 
 import numpy as np
 
@@ -56,6 +57,11 @@ class CsvFormatError(ValueError):
         self.line = line
 
 
+# The stand-ins ``errors="surrogateescape"`` decodes bytes that are not
+# UTF-8 to; an ASCII line, as the program writes them, cannot hold one.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -68,12 +74,15 @@ def _parse_table(path, header, n_numeric):
     equal ``header`` and at least one row must follow; every row needs
     ``len(header)`` fields whose first ``n_numeric`` parse as floats.
     ``rows`` holds ``(lineno, numbers, rest)`` per row.  A missing header
-    or body is reported at the line after the last.
+    or body is reported at the line after the last, and text that is not
+    UTF-8 at the line of its first bad byte.
     """
     comments, rows, found = [], [], None
     lineno = 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and _UNDECODED.search(line):
+                raise CsvFormatError("not UTF-8 text", lineno)
             line = line.rstrip("\n")
             if not line:
                 continue

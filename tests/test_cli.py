@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momenta_node import adjoint, cli
+from momenta_node import adjoint, cli, solver
 from momenta_node.benchmarks import trajectories
 from momenta_node.csv_formats import (
     EFFICACY_HEADER,
@@ -490,6 +491,28 @@ def test_runner_refusal_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
     assert os.listdir(tmp_path) == ["series.csv"]
 
 
+# Input files that are not UTF-8 text (their first bytes are a UTF-16 byte
+# order mark), and the line each refusal names.
+UNDECODABLE_INPUTS = {
+    "trajectory-config": (["trajectory", "--config", "bad.json", "--out", "out"], "not UTF-8"),
+    "stability-probe-series": (["stability", "--probe", "csv:bad.csv", "--out", "out"], "(line 1)"),
+    "plot-trajectory": (["plot", "--in", "badtr.csv", "--kind", "trajectory", "--out", "plot/out.svg"], "(line 3)"),
+    "plot-efficacy": (["plot", "--in", "bad.csv", "--kind", "efficacy", "--out", "plot/out.svg"], "(line 1)"),
+}
+
+
+@pytest.mark.parametrize("argv,where", UNDECODABLE_INPUTS.values(), ids=UNDECODABLE_INPUTS.keys())
+def test_undecodable_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv, where):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(b"\xff\xfe{}")
+    Path("bad.csv").write_bytes(b"\xff\xfet,input,output\n0.0,1.0,2.0\n")
+    Path("badtr.csv").write_bytes(b"# minimizer,1.0,1.0\nt,x,y,dynamics\n\xff\xfe0.0,0.0,0.0,ode\n")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.csv", "bad.json", "badtr.csv"]
+
+
 # An output path that cannot be written: under a regular file, the regular
 # file itself, or (for plot's one SVG) an existing directory or a `..`.
 UNUSABLE_OUTPUTS = {
@@ -532,6 +555,16 @@ def test_gradcheck_failed_forward_solve_exits_3(tmp_path, capsys):
     out = tmp_path / "gc"
     assert run_cli("gradcheck", "--solver-tol", "1e-300", "--out", str(out)) == 3
     assert "step_underflow" in capsys.readouterr().err
+    assert not (out / "gradcheck_report.json").exists()
+
+
+def test_gradcheck_out_of_step_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # gradcheck's step record grows with --t1, so its solves keep the
+    # solver's default attempt budget; a small one here stands in for it.
+    monkeypatch.setattr(adjoint, "IntegratorConfig", partial(solver.IntegratorConfig, max_steps=200))
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--model", "node", "--t1", "1e4", "--out", str(out)) == 3
+    assert "step_budget_exhausted" in capsys.readouterr().err
     assert not (out / "gradcheck_report.json").exists()
 
 
@@ -653,3 +686,29 @@ def test_kept_parser_exits_as_a_fresh_one(tmp_path, monkeypatch, capsys):
     assert kept == fresh
     assert not Path("kept-bad").exists()
     assert Path("kept-plot/t.svg").read_bytes() == Path("fresh-plot/t.svg").read_bytes()
+
+
+def test_each_key_is_declared_once_in_its_commands_table(tmp_path, monkeypatch, capsys):
+    # The parser's flags, the table's keys and the config.resolved.json
+    # echo are one set per command, and --help names every key.
+    monkeypatch.chdir(tmp_path)
+    runs = {
+        "trajectory": (["--T", "0.05", "--out", "tr"], "tr/config.resolved.json"),
+        "stability": (["--t1", "0.5", "--models", "node", "--out", "st"], "st/config.resolved.json"),
+        "train": (["--epochs", "0", "--out", "train"], "train/config.resolved.json"),
+        "gradcheck": (["--out", "gc"], "gc/config.resolved.json"),
+        "plot": (["--in", "tr/trajectory.csv", "--kind", "trajectory", "--out", "tr/re.svg"], "tr/re.plot.json"),
+    }
+    assert set(runs) == set(cli.PARAMS)
+    for command, (argv, echo) in runs.items():
+        keys = {key for key, _, _, _ in cli.PARAMS[command]}
+        assert len(keys) == len(cli.PARAMS[command]), command
+        parsed = vars(cli._build_parser().parse_args([command]))
+        assert set(parsed) - {"command", "config", "func"} == keys, command
+        assert run_cli(command, *argv) == 0
+        assert set(strict_json(echo)) - {"command"} == keys, command
+        capsys.readouterr()
+        assert run_cli(command, "--help") == 0
+        help_text = capsys.readouterr().out
+        for key in keys:
+            assert f"--{key.replace('_', '-')} " in help_text, (command, key)
