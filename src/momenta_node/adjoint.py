@@ -10,16 +10,14 @@ no repair of it.  For state ``z' = g(z, theta, t)`` the cotangent obeys
 from ``a(t1) = dL/dz(t1)`` and ``q(t1) = 0``, the solve lands on
 ``a(t0) = dL/dz(t0)`` and ``q(t0) = dL/dtheta``.
 
-For the adaptive-moment formulation two cotangent systems are available.
-The default (``variant="exact"``) contracts against the true Jacobian of
-the forward equations, including the ``1 - alpha`` / ``1 - beta`` rate
-factors and the ``2 f`` chain factor from the squared-field term; it is
-the variant that passes finite-difference verification.  A simplified
-variant (``variant="literal"``) drops those factors from the rows that
-contract the field Jacobian and is kept only for comparison; expect it to
-fail :func:`gradcheck`.  Both divide by ``sqrt(v + eps)`` of the recorded
-``v``, which stays positive on a forward solve: ``dv/dt >= -(1-beta) v``
-bounds it below by ``v(t0) exp(-(1-beta) (t - t0))``.
+For the adaptive-moment formulation the cotangent contracts against the
+exact Jacobian of the forward equations, including the ``1 - alpha`` /
+``1 - beta`` rate factors and the ``2 f`` chain factor from the
+squared-field term (dropping those factors from the rows that contract
+the field Jacobian gives a system that fails finite-difference
+verification).  It divides by ``sqrt(v + eps)`` of the recorded ``v``,
+which stays positive on a forward solve: ``dv/dt >= -(1-beta) v`` bounds
+it below by ``v(t0) exp(-(1-beta) (t - t0))``.
 
 Every formulation's trainable parameters are the field's flat vector,
 with the damping pre-activation appended for the heavy-ball family.
@@ -90,7 +88,7 @@ def param_count(spec: dyn.DynamicsSpec, field: fn.FieldNet) -> int:
     return field.n_params + spec.extra_param_count
 
 
-def _cotangent(spec, field, s, a, f, cache, variant, da, acc):
+def _cotangent(spec, field, s, a, f, cache, da, acc):
     """Write the cotangent derivatives into ``da`` and the accumulator's into ``acc``.
 
     ``s``, ``a`` and ``da`` are block arrays ``(n_blocks, batch, width)``
@@ -115,7 +113,7 @@ def _cotangent(spec, field, s, a, f, cache, variant, da, acc):
         if kind == dyn.HEAVY_BALL:
             np.add(a[0], gamma * a[1], out=da[1])
         else:
-            mask = (np.abs(s[1]) < spec.saturation_bound).astype(float)
+            mask = (np.abs(s[1]) < dyn.SATURATION_BOUND).astype(float)
             np.add(mask * a[0], gamma * a[1], out=da[1])
         np.negative(acc[:-1], out=acc[:-1])
         # d(gamma)/d(theta) = gamma (1 - gamma); the damping enters as -gamma m.
@@ -124,27 +122,20 @@ def _cotangent(spec, field, s, a, f, cache, variant, da, acc):
         p = spec.adam
         root = np.sqrt(s[2] + p.epsilon)
         rated_m = (1.0 - p.alpha) * a[1]
-        if variant == "exact":
-            c = rated_m - (1.0 - p.beta) * (2.0 * f * a[2])
-        else:
-            c = a[1] - a[2]
+        c = rated_m - (1.0 - p.beta) * (2.0 * f * a[2])
         g_h, _ = fn.vjp_from_cache(field, cache, c, out=acc)
         da[0] = g_h
         np.add(a[0] / root, rated_m, out=da[1])
         np.add(-a[0] * s[1] / (2.0 * root**3), (1.0 - p.beta) * a[2], out=da[2])
 
 
-def make_adjoint_rhs(
-    spec: dyn.DynamicsSpec, field: fn.FieldNet, d: int, batch: int, variant: str, forward_of_t
-):
+def make_adjoint_rhs(spec: dyn.DynamicsSpec, field: fn.FieldNet, d: int, batch: int, forward_of_t):
     """Flat RHS of the joint backward system ``[cotangent, accumulator]``.
 
     The forward state at time ``t`` is ``forward_of_t(t)``, flat in the
     state's layout; only the field is evaluated there.  Each call returns
     a fresh flat array.
     """
-    if variant not in ("exact", "literal"):
-        raise ValueError("variant must be 'exact' or 'literal'")
     shape = (spec.n_blocks, batch, spec.width(d))
     bd = batch * spec.state_dim(d)
     n_joint = bd + param_count(spec, field)
@@ -154,7 +145,7 @@ def make_adjoint_rhs(
         s = forward_of_t(t).reshape(shape)
         f, cache = fn.eval_cached(field, dyn.field_input(spec, s), t)
         a, da = joint[:bd].reshape(shape), out[:bd].reshape(shape)
-        _cotangent(spec, field, s, a, f, cache, variant, da, out[bd:])
+        _cotangent(spec, field, s, a, f, cache, da, out[bd:])
         return out
 
     return rhs
@@ -173,7 +164,6 @@ def backward(
     spec: dyn.DynamicsSpec,
     field: fn.FieldNet,
     cfg: IntegratorConfig | None = None,
-    variant: str = "exact",
     h_init: float = H_INIT,
 ) -> AdjointRun:
     """Gradients of a terminal loss through one forward solve.
@@ -191,8 +181,6 @@ def backward(
     spec, field : dynamics description and its field network.
     cfg : IntegratorConfig, optional
         Tolerances for the backward solve (defaults if omitted).
-    variant : str
-        ``"exact"`` (default) or ``"literal"``; see the module docstring.
     h_init : float
         First step of the reverse solve (see
         :func:`~momenta_node.solver.solve_dopri45`); a previous run's
@@ -220,7 +208,7 @@ def backward(
     if loss_grad.shape != y1.shape:
         raise ValueError("loss_grad must match the flat state shape")
 
-    rhs = make_adjoint_rhs(spec, field, d, batch, variant, forward.dense_state)
+    rhs = make_adjoint_rhs(spec, field, d, batch, forward.dense_state)
     joint0 = np.concatenate([loss_grad, np.zeros(param_count(spec, field))])
     res = solve_dopri45(rhs, joint0, t1, t0, cfg, h_init=h_init)
     if res.status is not SolveStatus.SUCCESS:
@@ -316,22 +304,24 @@ def central_differences(spec, field, y0, t1, c, cfg, delta):
     return diffs[:n_par], diffs[n_par:], base
 
 
+# Hidden widths of the field gradcheck builds.
+GRADCHECK_HIDDEN = (8,)
+
+
 def gradcheck(
     spec: dyn.DynamicsSpec,
     d: int = 2,
-    hidden: tuple = (8,),
-    activation: str = "tanh",
     seed: int = 0,
     t1: float = 1.0,
     delta: float = 1e-5,
     solver_tol: float = 1e-10,
-    variant: str = "exact",
 ) -> dict:
     """Compare adjoint gradients against central finite differences.
 
-    Builds a small field from ``seed``, takes a random linear loss over
-    the full terminal state, and differences every trainable parameter
-    and every initial-state entry with step ``delta``
+    Builds a small tanh field of hidden widths ``GRADCHECK_HIDDEN`` from
+    ``seed``, takes a random linear loss over the full terminal state, and
+    differences every trainable parameter and every initial-state entry
+    with step ``delta``
     (:func:`central_differences`).  That is one batched forward solve:
     row 0 is the unperturbed base, and each ``+delta``/``-delta`` pair is
     two more rows on the same step sequence, so the solver's step
@@ -347,9 +337,7 @@ def gradcheck(
     BackwardSolveError
         If the adjoint solve fails.
     """
-    field = fn.init_field(
-        spec.field_in_dim(d), hidden, spec.width(d), activation=activation, seed=seed
-    )
+    field = fn.init_field(spec.field_in_dim(d), GRADCHECK_HIDDEN, spec.width(d), seed=seed)
     rng = np.random.default_rng(seed)
     h0 = rng.normal(size=d)
     y0 = dyn.initial_state(spec, h0)
@@ -357,7 +345,7 @@ def gradcheck(
     cfg = IntegratorConfig(rtol=solver_tol, atol=solver_tol, h_min=1e-14)
 
     g_fd, g0_fd, base = central_differences(spec, field, y0, t1, c, cfg, delta)
-    run = backward(base, c, spec, field, cfg, variant=variant)
+    run = backward(base, c, spec, field, cfg)
     g_adj = run.grad_params
 
     denom = np.maximum(np.maximum(np.abs(g_adj), np.abs(g_fd)), 1e-8)
@@ -368,7 +356,7 @@ def gradcheck(
     order = np.argsort(rel)[::-1][:5]
     return {
         "formulation": spec.kind,
-        "variant": variant,
+        "variant": "exact",  # the one adjoint; the key keeps the report's schema
         "seed": seed,
         "n_params": int(g_fd.size),
         "max_rel_err": float(rel.max()),

@@ -41,8 +41,16 @@ from momenta_node.solver import H_INIT, IntegratorConfig, solve_dopri45
 # where it would otherwise grind through the whole step budget.
 TRAIN_H_MIN = 1e-8
 
-# The spirals' number of turns, and the standard deviation of the Gaussian
-# noise added to every point of each dataset.
+# The model's hidden-block width, its field's hidden widths and
+# activation, and the depth horizon [0, TRAIN_T1].
+TRAIN_D = 6
+TRAIN_HIDDEN = (32,)
+TRAIN_ACTIVATION = "tanh"
+TRAIN_T1 = 1.0
+
+# Points drawn per dataset, the spirals' number of turns, and the standard
+# deviation of the Gaussian noise added to every point of each dataset.
+N_POINTS = 256
 SPIRAL_TURNS = 1.0
 SPIRAL_NOISE = 0.06
 MOONS_NOISE = 0.08
@@ -128,13 +136,8 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 32
     seed: int = 0
-    d: int = 6
-    hidden: tuple = (32,)
-    activation: str = "tanh"
-    t1: float = 1.0
     rtol: float = 1e-3
     atol: float = 1e-6
-    n_points: int = 256
     dataset: str = "spirals"
 
     def validate(self):
@@ -188,21 +191,19 @@ class ODEClassifier:
 
     def __init__(self, spec: DynamicsSpec, cfg: TrainConfig):
         self.spec = spec
-        self.d = cfg.d
-        self.t1 = cfg.t1
         self.solver_cfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol, h_min=TRAIN_H_MIN, max_steps=40_000)
         self.first_step = {"train": H_INIT, "eval": H_INIT, "backward": H_INIT}
         rng = np.random.default_rng(cfg.seed)
         self.field = init_field(
-            spec.field_in_dim(cfg.d),
-            cfg.hidden,
-            spec.width(cfg.d),
-            activation=cfg.activation,
+            spec.field_in_dim(TRAIN_D),
+            TRAIN_HIDDEN,
+            spec.width(TRAIN_D),
+            activation=TRAIN_ACTIVATION,
             seed=cfg.seed,
         )
-        w = spec.width(cfg.d)
+        w = spec.width(TRAIN_D)
         self.embed = LinearStateMap(
-            W=rng.uniform(-1.0, 1.0, size=(cfg.d, 2)) / np.sqrt(2.0), b=np.zeros(cfg.d)
+            W=rng.uniform(-1.0, 1.0, size=(TRAIN_D, 2)) / np.sqrt(2.0), b=np.zeros(TRAIN_D)
         )
         # Zero readout: the untrained model emits identical logits, so its
         # accuracy is exactly the test split's class balance.
@@ -248,12 +249,12 @@ class ODEClassifier:
         """
         h0 = self.embed.apply(x)
         y0 = initial_state(self.spec, h0)
-        rhs = make_node_rhs(self.spec, self.field, self.d, batch=x.shape[0])
-        res = solve_dopri45(rhs, y0, 0.0, self.t1, self.solver_cfg, h_init=self.first_step[role])
+        rhs = make_node_rhs(self.spec, self.field, TRAIN_D, batch=x.shape[0])
+        res = solve_dopri45(rhs, y0, 0.0, TRAIN_T1, self.solver_cfg, h_init=self.first_step[role])
         self.first_step[role] = res.h_next
         if not res.ok:
             raise TrainingDiverged(f"forward solve failed: {res.status.value}")
-        terminal = unpack(res.y_final, self.spec, self.d, batch=x.shape[0])
+        terminal = unpack(res.y_final, self.spec, TRAIN_D, batch=x.shape[0])
         return terminal.h, res
 
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
@@ -272,7 +273,7 @@ class ODEClassifier:
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
                        cfg=self.solver_cfg, h_init=self.first_step["backward"])
         self.first_step["backward"] = run.h_next
-        a_h0 = unpack(run.grad_initial_state, self.spec, self.d, batch=x.shape[0]).h[:, : self.d]
+        a_h0 = unpack(run.grad_initial_state, self.spec, TRAIN_D, batch=x.shape[0]).h[:, :TRAIN_D]
         grad_x_unused, grad_embed = self.embed.vjp(x, a_h0)
         grad = np.concatenate([run.grad_params, grad_embed, grad_readout])
         return loss, grad, res.nfe, run.backward_nfe
@@ -307,7 +308,7 @@ def run_classification(spec: DynamicsSpec, cfg: TrainConfig) -> ClassificationRu
     are returned with the divergence epoch flagged.
     """
     cfg.validate()
-    xs, ys = DATASETS[cfg.dataset](n=cfg.n_points, seed=cfg.seed)
+    xs, ys = DATASETS[cfg.dataset](n=N_POINTS, seed=cfg.seed)
     # Stratified 80/20 split keeps the test set class-balanced, so the
     # zero-readout baseline sits exactly at chance.
     train_sel, test_sel = [], []

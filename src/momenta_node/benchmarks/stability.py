@@ -8,13 +8,14 @@ root-mean-square and stays tame with no bounded activation anywhere.
 The probe records log10 of the hidden-block norm on a shared time grid
 and flags finite-time blow-ups.
 
-The models are not driven by any signal: the first ``d`` outputs of a
-probe series seed every model's initial hidden state.  The series is a
-forced Duffing oscillator's response by default, integrated only as far
-as the last sample read; an external series can be supplied instead
-(read from a `t,input,output` CSV by
-:func:`momenta_node.csv_formats.read_series_csv`) and is resampled onto a
-uniform grid.
+The models are not driven by any signal: a probe is its initial state,
+the first ``d`` outputs of a series, which seed every model's hidden
+block.  The series is a forced Duffing oscillator's response by default,
+integrated only as far as the last sample read
+(:func:`duffing_probe`); an external series can be supplied instead, read
+from a `t,input,output` CSV by
+:func:`momenta_node.csv_formats.read_series_csv`, whose first ``d``
+outputs are taken as read, whatever its time stamps.
 """
 
 from __future__ import annotations
@@ -56,46 +57,15 @@ WIDTH_TOLERANCE = 0.10
 PROBE_SOLVER = IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=200_000)
 
 
-@dataclass
-class StabilityProbe:
-    """A forcing/response series plus the probe horizon.
-
-    ``times``/``inputs``/``outputs`` describe the series; its first ``d``
-    output values seed the models' initial hidden state, and nothing else
-    of it reaches the models.
-    """
-
-    times: np.ndarray
-    inputs: np.ndarray
-    outputs: np.ndarray
-    t1: float = 64.0
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.inputs = np.asarray(self.inputs, dtype=float)
-        self.outputs = np.asarray(self.outputs, dtype=float)
-        if not (self.times.size == self.inputs.size == self.outputs.size):
-            raise ValueError("times, inputs, and outputs must have equal length")
-        if self.times.size == 0:
-            raise ValueError("probe series is empty")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("probe series times must be strictly increasing")
-        if self.t1 <= 0:
-            raise ValueError("probe horizon t1 must be positive")
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t1, N_GRID)
-
-
-def duffing_probe(seed: int, t1: float, samples: int) -> StabilityProbe:
-    """The first ``samples`` points of a forced Duffing oscillator response.
+def duffing_probe(seed: int, samples: int) -> np.ndarray:
+    """The first ``samples`` outputs of a forced Duffing oscillator response.
 
     x'' + delta x' + a x + b x^3 = A cos(omega t), with the initial
-    condition and forcing phase drawn from ``seed``, on the uniform grid
-    of ``N_SERIES`` points over ``[0, T_SERIES]``; a larger ``samples``
-    returns the whole grid.  The solve ends at the last point returned,
-    so a probe that reads a few samples pays only for those.
+    condition and forcing phase drawn from ``seed``, sampled on the
+    uniform grid of ``N_SERIES`` points over ``[0, T_SERIES]``; a larger
+    ``samples`` returns the whole grid's outputs.  The solve ends at the
+    last point returned, so a probe that reads a few samples pays only
+    for those.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -113,37 +83,11 @@ def duffing_probe(seed: int, t1: float, samples: int) -> StabilityProbe:
     ts = np.linspace(0.0, T_SERIES, N_SERIES)[:samples]
     if ts.size == 1:
         # The lone sample is the start, and a solve needs t1 != t0.
-        outputs = x0[:1]
-    else:
-        res = solve_dopri45(
-            rhs, x0, 0.0, ts[-1], IntegratorConfig(rtol=1e-9, atol=1e-9), sample_times=ts
-        )
-        if not res.ok:
-            raise RuntimeError(f"probe generator failed: {res.status.name}")
-        outputs = res.states[:, 0]
-    return StabilityProbe(
-        times=ts,
-        inputs=amp * np.cos(omega * ts + phase),
-        outputs=outputs,
-        t1=t1,
-    )
-
-
-def series_probe(times, inputs, outputs, t1: float) -> StabilityProbe:
-    """Build a probe from a measured series, as ``read_series_csv`` returns it.
-
-    Non-uniform time stamps are resampled onto a uniform grid of the
-    same length; already-uniform series pass through untouched so a
-    write/read round trip is exact.
-    """
-    if times.size >= 3:
-        dt = np.diff(times)
-        if np.max(np.abs(dt - dt.mean())) > 1e-9 * max(dt.mean(), 1e-300):
-            uniform = np.linspace(times[0], times[-1], times.size)
-            inputs = np.interp(uniform, times, inputs)
-            outputs = np.interp(uniform, times, outputs)
-            times = uniform
-    return StabilityProbe(times=times, inputs=inputs, outputs=outputs, t1=t1)
+        return x0[:1]
+    res = solve_dopri45(rhs, x0, 0.0, ts[-1], IntegratorConfig(rtol=1e-9, atol=1e-9), sample_times=ts)
+    if not res.ok:
+        raise RuntimeError(f"probe generator failed: {res.status.name}")
+    return res.states[:, 0]
 
 
 MODEL_SPECS: dict[str, DynamicsSpec] = {
@@ -205,7 +149,6 @@ def _scaled_field(spec: DynamicsSpec, d: int, hidden: int, seed: int) -> FieldNe
         weights=[GAIN * W for W in base.weights],
         biases=[b.copy() for b in base.biases],
         activation=base.activation,
-        time_conditioned=base.time_conditioned,
     )
 
 
@@ -222,34 +165,34 @@ class StabilityResult:
 
 
 def run_stability_probe(
-    probe: StabilityProbe,
-    models: dict[str, DynamicsSpec] | None = None,
-    d: int = 4,
-    seed: int = 0,
-    cfg: IntegratorConfig = PROBE_SOLVER,
+    h0: np.ndarray,
+    t1: float,
+    models: dict[str, DynamicsSpec],
+    seed: int,
+    cfg: IntegratorConfig,
 ) -> StabilityResult:
-    """Integrate every model from the same start and record norm growth.
+    """Integrate every model from the same start ``h0`` to ``t1`` and record norm growth.
 
-    All models share the init seed and a parameter-fair hidden width
+    The hidden-block dimension is ``d = h0.size``, and the norms are
+    sampled on ``N_GRID`` uniform points over ``[0, t1]``.  All models
+    share the init seed and a parameter-fair hidden width
     (``fair_hidden_widths`` at ``BASE_HIDDEN``); every field uses
     ``ACTIVATION`` and has its initial weights scaled by ``GAIN``.
     A model whose solve dies (overflow, step underflow) gets its failure
     time recorded in ``blowup_at``; its curve holds the last finite
     value so the grid stays rectangular.
     """
-    if models is None:
-        models = dict(MODEL_SPECS)
-    if probe.outputs.size < d:
-        raise ValueError(f"probe series has {probe.outputs.size} samples; need at least d={d}")
-    grid = probe.grid
-    h0 = probe.outputs[:d]
+    if t1 <= 0:
+        raise ValueError("probe horizon t1 must be positive")
+    d = h0.size
+    grid = np.linspace(0.0, t1, N_GRID)
     widths = fair_hidden_widths(models, d, BASE_HIDDEN)
 
     def run_one(name, spec):
         fld = _scaled_field(spec, d, widths[name], seed)
         rhs = make_node_rhs(spec, fld, d)
         y0 = initial_state(spec, h0)
-        res = solve_dopri45(rhs, y0, 0.0, probe.t1, cfg, sample_times=grid)
+        res = solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=grid)
         w = spec.width(d)
         if len(res.states) > 0:
             states = np.asarray(res.states)

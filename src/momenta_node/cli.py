@@ -40,7 +40,6 @@ from momenta_node.benchmarks.stability import (
     duffing_probe,
     model_spec,
     run_stability_probe,
-    series_probe,
 )
 from momenta_node.benchmarks.trajectories import (
     DEFAULT_HORIZON,
@@ -131,10 +130,11 @@ _MODELS = tuple(sorted(MODEL_SPECS))
 
 # Every parameter of every command, one row per key: (key, default, rule,
 # help).  A rule is a kind in _RULES, a tuple of the allowed names (the
-# flag's choices), or None for a key its command parses itself.  A help
-# text may show the default as ``{default}``.  The parser, the defaults,
-# the checks and the config.resolved.json echo all come from these rows;
-# a key's flag is ``--key`` with each ``_`` written ``-``.
+# flag's choices), a range of the allowed integers, or None for a key its
+# command parses itself.  A help text may show the default as
+# ``{default}``.  The parser, the defaults, the checks and the
+# config.resolved.json echo all come from these rows; a key's flag is
+# ``--key`` with each ``_`` written ``-``.
 PARAMS = {
     "trajectory": (
         ("out", "out/trajectory", "string", "output directory"),
@@ -176,7 +176,9 @@ PARAMS = {
         # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
         ("tol", 1e-3, "nonnegative",
          "pass threshold on max_rel_err and init_state_max_rel_err (default {default:g})"),
-        ("d", 2, "count", None),
+        # The batched difference solve's step record grows as d^2 per step:
+        # at --t1 100, --d 32 peaks at about 380 MB and --d 64 at 1.6 GB.
+        ("d", 2, range(1, 33), None),
         ("t1", 1.0, "positive", None),
         ("delta", 1e-5, "positive", "finite-difference step (default {default:g})"),
         ("solver_tol", 1e-10, "positive", None),
@@ -210,6 +212,8 @@ def _checked(command: str, args: argparse.Namespace) -> dict:
             continue
         if isinstance(rule, tuple):
             what, ok = f"one of {', '.join(rule)}", rule.__contains__
+        elif isinstance(rule, range):
+            what, ok = f"an integer from {rule[0]} to {rule[-1]}", lambda v: _is_int(v) and v in rule
         else:
             what, _, ok = _RULES[rule]
         if not ok(cfg[key]):
@@ -284,11 +288,12 @@ def cmd_stability(args) -> int:
     if not isinstance(cfg["models"], str):
         raise ConfigError(f"--models expects 'all' or a comma-separated list, got {cfg['models']!r}")
 
+    d = int(cfg["d"])
     if cfg["probe"] == "synthetic":
-        probe = duffing_probe(int(cfg["seed"]), float(cfg["t1"]), int(cfg["d"]))
+        outputs = duffing_probe(int(cfg["seed"]), d)
     elif cfg["probe"].startswith("csv:"):
         try:
-            probe = series_probe(*csv_formats.read_series_csv(cfg["probe"][4:]), t1=float(cfg["t1"]))
+            outputs = csv_formats.read_series_csv(cfg["probe"][4:])[2]
         except (OSError, csv_formats.CsvFormatError) as exc:
             raise ConfigError(f"bad probe series: {exc}") from exc
     else:
@@ -304,16 +309,18 @@ def cmd_stability(args) -> int:
             models = {n: model_spec(n) for n in names}
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    if outputs.size < d:
+        raise ConfigError(f"probe series has {outputs.size} samples; need at least d={d}")
 
     try:
         result = run_stability_probe(
-            probe,
-            models=models,
-            d=int(cfg["d"]),
-            seed=int(cfg["seed"]),
-            cfg=replace(PROBE_SOLVER, rtol=float(cfg["rtol"]), atol=float(cfg["atol"])),
+            outputs[:d],
+            float(cfg["t1"]),
+            models,
+            int(cfg["seed"]),
+            replace(PROBE_SOLVER, rtol=float(cfg["rtol"]), atol=float(cfg["atol"])),
         )
-    except ValueError as exc:  # d wider than the probe series, or no parameter-fair widths
+    except ValueError as exc:  # a non-positive horizon, or no parameter-fair widths
         raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir / RESOLVED, "stability", cfg)
@@ -454,7 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; explicit flags override its values")
         for key, default, rule, help_text in PARAMS[command]:
-            parse = {"choices": rule} if isinstance(rule, tuple) else {"type": rule and _RULES[rule][1]}
+            if isinstance(rule, tuple):
+                parse = {"choices": rule}
+            else:
+                parse = {"type": int if isinstance(rule, range) else rule and _RULES[rule][1]}
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            help=help_text and help_text.format(default=default), **parse)
         p.set_defaults(func=func)

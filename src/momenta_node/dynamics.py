@@ -10,8 +10,9 @@ Six trainable formulations share a common packed-state convention
 * ``second_order`` -- dh/dt = m, dm/dt = f([h, m], t)
 * ``heavy_ball`` -- dh/dt = -m, dm/dt = -gamma*m + f(h, t) with
   gamma = sigmoid(theta) and theta trainable
-* ``generalized_heavy_ball`` -- heavy ball with the momentum saturated
-  elementwise inside the h-equation
+* ``generalized_heavy_ball`` -- heavy ball with the momentum clipped
+  elementwise to ``[-SATURATION_BOUND, SATURATION_BOUND]`` inside the
+  h-equation
 * ``adam`` -- dh/dt = -m/sqrt(v + eps), dm/dt = (1-alpha)(-f(h, t) - m),
   dv/dt = (1-beta)(f(h, t)^2 - v)
 
@@ -20,9 +21,10 @@ Three pure-optimization flows driven by an explicit objective gradient
 ``m`` chases grad F instead of ``-f``) live here as well, as plain-float
 2-d right-hand sides for the fixed-step solver (:func:`make_flow_rhs`).
 
-All block arrays may carry a leading batch axis; the flat layout
-concatenates the blocks in order, each row-major, so a single sample
-packs as ``[h, m, v]``.
+Every trainable formulation starts at rest: the momentum block starts at
+zero and the second moment at one.  All block arrays may carry a leading
+batch axis; the flat layout concatenates the blocks in order, each
+row-major, so a single sample packs as ``[h, m, v]``.
 """
 
 from dataclasses import dataclass
@@ -46,6 +48,9 @@ ALL_KINDS = (VANILLA, AUGMENTED, SECOND_ORDER, HEAVY_BALL, GENERALIZED_HEAVY_BAL
 # Which kinds carry which auxiliary blocks.
 _HAS_M = {SECOND_ORDER, HEAVY_BALL, GENERALIZED_HEAVY_BALL, ADAM}
 _HAS_V = {ADAM}
+
+# The generalized heavy ball's clip on the momentum its h-equation reads.
+SATURATION_BOUND = 1.0
 
 
 def sigmoid(x):
@@ -88,19 +93,12 @@ class HeavyBallParams:
 
 @dataclass
 class DynamicsSpec:
-    """One formulation and its constants.
-
-    ``m0``/``v0`` are the scalar fills used when building initial states
-    (momentum defaults to rest, second moment to one).
-    """
+    """One formulation and its constants."""
 
     kind: str = VANILLA
     adam: AdamParams | None = None
     hb: HeavyBallParams | None = None
     aug_width: int = 0
-    saturation_bound: float = 1.0
-    m0: float = 0.0
-    v0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -113,10 +111,6 @@ class DynamicsSpec:
             raise ValueError("augmented dynamics need aug_width >= 1")
         if self.kind != AUGMENTED:
             self.aug_width = 0
-        if self.kind == GENERALIZED_HEAVY_BALL and self.saturation_bound <= 0.0:
-            raise ValueError("saturation_bound must be positive")
-        if self.v0 < 0.0:
-            raise ValueError("v0 must be non-negative")
         if self.adam is not None:
             self.adam.validate()
 
@@ -192,8 +186,8 @@ def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
     """Build the flat initial state from data ``h0``.
 
     Augmented dynamics append ``aug_width`` zero channels; momentum blocks
-    fill with ``spec.m0`` and second-moment blocks with ``spec.v0``.
-    ``h0`` may be ``(d,)`` or ``(batch, d)``.
+    fill with zeros and second-moment blocks with ones.  ``h0`` may be
+    ``(d,)`` or ``(batch, d)``.
     """
     h0 = np.asarray(h0, dtype=float)
     if spec.kind == AUGMENTED:
@@ -201,9 +195,9 @@ def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
         h0 = np.concatenate([h0, np.zeros(zshape)], axis=-1)
     blocks = [h0]
     if spec.has_m:
-        blocks.append(np.full_like(h0, spec.m0))
+        blocks.append(np.zeros_like(h0))
     if spec.has_v:
-        blocks.append(np.full_like(h0, spec.v0))
+        blocks.append(np.ones_like(h0))
     return np.concatenate([b.ravel() for b in blocks])
 
 
@@ -239,7 +233,7 @@ def derivative(spec: DynamicsSpec, field: fn.FieldNet, t: float, s: np.ndarray, 
     elif kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL):
         m = s[1]
         if kind == GENERALIZED_HEAVY_BALL:
-            m = m.clip(-spec.saturation_bound, spec.saturation_bound)
+            m = m.clip(-SATURATION_BOUND, SATURATION_BOUND)
         np.negative(m, out=out[0])
         np.add(-spec.hb.gamma * s[1], f, out=out[1])
     else:
@@ -257,7 +251,7 @@ def make_node_rhs(
     Each call returns a fresh flat array, so a solver may keep it across
     later calls.
     """
-    expected = spec.field_in_dim(d) + (1 if field.time_conditioned else 0)
+    expected = spec.field_in_dim(d) + 1
     if field.in_dim != expected:
         raise ValueError(f"field consumes {field.in_dim} inputs, dynamics supply {expected}")
     w = spec.width(d)

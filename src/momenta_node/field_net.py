@@ -6,9 +6,9 @@ the forward map, the module provides exact reverse-mode contractions
 (vector-Jacobian products) against the input and against the parameters;
 those are the only derivatives the adjoint machinery needs.
 
-Inputs may be single vectors ``(n,)`` or batches ``(B, n)``.  When a
-network is time-conditioned, the scalar time is appended as one extra
-input coordinate and its cotangent slot is dropped again on the way back.
+Inputs may be single vectors ``(n,)`` or batches ``(B, n)``.  Every
+network is time-conditioned: the scalar time is appended as one extra
+input coordinate, and its cotangent slot is dropped again on the way back.
 
 A network's parameters may also be stacked: every weight ``(R, out, in)``
 and every bias ``(R, out)``, so one forward pass evaluates input row ``r``
@@ -40,19 +40,9 @@ def _relu_deriv(z):
     return (z > 0.0).astype(float)
 
 
-def _hardtanh(z):
-    return np.clip(z, -1.0, 1.0)
-
-
-def _hardtanh_deriv(z):
-    # Subgradient 0 exactly at |z| = 1, matching the clipped forward value.
-    return (np.abs(z) < 1.0).astype(float)
-
-
 ACTIVATIONS = {
     "tanh": (_tanh, _tanh_deriv),
     "relu": (_relu, _relu_deriv),
-    "hardtanh": (_hardtanh, _hardtanh_deriv),
 }
 
 
@@ -64,12 +54,12 @@ class FieldNet:
     ``(out_l,)``; consecutive layers must chain.  A stacked network gives
     every layer the same leading row axis, ``(R, out_l, in_l)`` and
     ``(R, out_l)``.  ``activation`` applies to every layer except the last.
+    The first layer's last input is the time.
     """
 
     weights: list
     biases: list
     activation: str = "tanh"
-    time_conditioned: bool = True
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -91,13 +81,13 @@ class FieldNet:
 
     @property
     def in_dim(self) -> int:
-        """First-layer input width, including the time slot if present."""
+        """First-layer input width, the time slot included."""
         return self.weights[0].shape[-1]
 
     @property
     def state_dim(self) -> int:
         """Width of the state input ``h`` (time slot excluded)."""
-        return self.in_dim - (1 if self.time_conditioned else 0)
+        return self.in_dim - 1
 
     @property
     def out_dim(self) -> int:
@@ -116,7 +106,7 @@ def init_field(
     activation: str = "tanh",
     seed: int = 0,
 ) -> FieldNet:
-    """Build a time-conditioned field with weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
+    """Build a field with weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
     widths = [state_dim + 1, *hidden, out_dim]
     weights = []
@@ -131,10 +121,9 @@ def init_field(
 def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     """Forward pass returning ``(f, cache)`` for later VJP sweeps.
 
-    ``h`` is one state ``(n,)`` or a batch of rows ``(B, n)``.  A
-    time-conditioned network reads a fresh ``(B, n + 1)`` copy of the rows
-    with ``t`` in the last column; otherwise the rows themselves are the
-    first layer's input, and the cache refers to them.  A stacked network
+    ``h`` is one state ``(n,)`` or a batch of rows ``(B, n)``; the first
+    layer reads a fresh ``(B, n + 1)`` copy of the rows with ``t`` in the
+    last column.  A stacked network
     takes ``(R, n)``, one row per parameter set, and its cache holds each
     layer as ``(R, 1, width)``.
     """
@@ -143,12 +132,9 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     if n != net.state_dim:
         raise ValueError(f"input width {n} != expected {net.state_dim}")
     rows = 1 if squeeze else h.shape[0]
-    if net.time_conditioned:
-        u = np.empty((rows, n + 1))
-        u[:, :n] = h
-        u[:, n] = t
-    else:
-        u = h.reshape(rows, n)
+    u = np.empty((rows, n + 1))
+    u[:, :n] = h
+    u[:, n] = t
     biases = net.biases
     stacked = net.param_rows is not None
     if stacked:
@@ -200,7 +186,7 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray | None =
         if l > 0:
             d = dact(pre[l - 1])
             g = np.multiply(g, d, out=d)
-    grad_h = g[:, : net.state_dim] if net.time_conditioned else g
+    grad_h = g[:, : net.state_dim]
     if squeeze:
         grad_h = grad_h[0]
     return grad_h, np.concatenate([W.ravel() for W in grads_W] + grads_b, out=out)

@@ -23,7 +23,7 @@ import numpy as np
 from momenta_node import dynamics as dyn
 from momenta_node import field_net as fn
 from momenta_node.adjoint import ForwardSolveError
-from momenta_node.benchmarks.stability import StabilityProbe, _field_param_count
+from momenta_node.benchmarks.stability import _field_param_count
 from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
 from momenta_node.solver import SolveStatus, solve_dopri45
@@ -96,11 +96,11 @@ def vjp_params(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndar
     return grad_theta
 
 
-def write_series_csv(path, probe: StabilityProbe) -> None:
+def write_series_csv(path, times, inputs, outputs) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "input", "output"])
-        for t, u, y in zip(probe.times, probe.inputs, probe.outputs):
+        for t, u, y in zip(times, inputs, outputs):
             writer.writerow([repr(float(t)), repr(float(u)), repr(float(y))])
 
 
@@ -122,8 +122,7 @@ def _field(net, h, t):
     """Field forward pass: ``(f, cache)`` as :func:`_field_vjp` reads it."""
     squeeze = h.ndim == 1
     u = h.reshape(1, -1) if squeeze else h
-    if net.time_conditioned:
-        u = np.concatenate([u, np.full((u.shape[0], 1), float(t))], axis=1)
+    u = np.concatenate([u, np.full((u.shape[0], 1), float(t))], axis=1)
     act, _ = ACTIVATIONS[net.activation]
     layer_in, pre, x = [u], [], u
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
@@ -150,11 +149,9 @@ def _field_vjp(net, cache, a):
             if act == "tanh":
                 c = np.cosh(z)
                 g = g * (1.0 / (c * c))
-            elif act == "relu":
-                g = g * (z > 0.0).astype(float)
             else:
-                g = g * (np.abs(z) < 1.0).astype(float)
-    grad_h = g[:, : net.state_dim] if net.time_conditioned else g
+                g = g * (z > 0.0).astype(float)
+    grad_h = g[:, : net.state_dim]
     return (grad_h[0] if squeeze else grad_h), np.concatenate([W.ravel() for W in grads_W] + grads_b)
 
 
@@ -169,7 +166,7 @@ def _derivative(spec, field, t, state):
     if kind in (dyn.HEAVY_BALL, dyn.GENERALIZED_HEAVY_BALL):
         m = state.m
         if kind == dyn.GENERALIZED_HEAVY_BALL:
-            m = np.clip(m, -spec.saturation_bound, spec.saturation_bound)
+            m = np.clip(m, -dyn.SATURATION_BOUND, dyn.SATURATION_BOUND)
         return PackedState(h=-m, m=-spec.hb.gamma * state.m + f), f, cache
     p = spec.adam
     dstate = PackedState(
@@ -205,7 +202,7 @@ def _adjoint_core(spec, field, t, st, ast, variant):
         if kind == dyn.HEAVY_BALL:
             dash_m = ast.h + gamma * ast.m
         else:
-            mask = (np.abs(st.m) < spec.saturation_bound).astype(float)
+            mask = (np.abs(st.m) < dyn.SATURATION_BOUND).astype(float)
             dash_m = mask * ast.h + gamma * ast.m
         d_damp = gamma * (1.0 - gamma) * float(np.sum(ast.m * st.m))
         return dst, PackedState(h=-g_h, m=dash_m), np.concatenate([-g_th, [d_damp]])

@@ -9,11 +9,12 @@ import numpy as np
 
 from momenta_node import cli
 from momenta_node import dynamics as dyn
-from momenta_node.adjoint import gradcheck
+from momenta_node.adjoint import GRADCHECK_HIDDEN, gradcheck
 from momenta_node.benchmarks.classify import TrainConfig, run_classification
 from momenta_node.benchmarks import stability
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
+    PROBE_SOLVER,
     duffing_probe,
     run_stability_probe,
 )
@@ -39,8 +40,9 @@ def _verdict(name, ok, detail, elapsed, budget):
 def test_adjoint_gradients_match_finite_differences():
     t0 = time.perf_counter()
     worst = {}
+    assert GRADCHECK_HIDDEN == (8,)
     for name, spec in MODEL_SPECS.items():
-        rep = gradcheck(spec, d=2, hidden=(8,), seed=0, delta=1e-5, solver_tol=1e-10)
+        rep = gradcheck(spec, d=2, seed=0, delta=1e-5, solver_tol=1e-10)
         assert rep["n_params"] <= 200, (name, rep["n_params"])
         worst[name] = max(rep["max_rel_err"], rep["init_state_max_rel_err"])
     ok = all(err < 1e-3 for err in worst.values())
@@ -87,8 +89,7 @@ def test_norm_growth_separation_across_seeds():
     # relu only: the separation may not lean on a bounded activation.
     assert stability.ACTIVATION == "relu"
     for seed in (0, 1, 2):
-        probe = duffing_probe(seed, 64.0, 4)
-        res = run_stability_probe(probe, seed=seed)
+        res = run_stability_probe(duffing_probe(seed, 4), 64.0, dict(MODEL_SPECS), seed, PROBE_SOLVER)
         gap = res.log10_norms["hbnode"][-1] - res.log10_norms["adamnode"][-1]
         gaps.append(gap)
         adam_ok &= res.statuses["adamnode"] == "SUCCESS"
@@ -148,10 +149,11 @@ def test_dynamics_invariants():
     floor = 0.0
     for _ in range(20):
         d = int(rng.integers(1, 4))
-        spec = dyn.DynamicsSpec(kind=dyn.ADAM, v0=float(rng.choice([0.0, 0.5, 1.0])))
+        spec = dyn.DynamicsSpec(kind=dyn.ADAM)
+        v0 = float(rng.choice([0.0, 0.5, 1.0]))
         field = init_field(d, (6,), d, seed=int(rng.integers(1 << 30)))
         rhs = dyn.make_node_rhs(spec, field, d)
-        y0 = dyn.initial_state(spec, rng.normal(size=d))
+        y0 = dyn.pack(dyn.PackedState(h=rng.normal(size=d), m=np.zeros(d), v=np.full(d, v0)))
         res = solve_dopri45(rhs, y0, 0.0, 5.0, cfg, sample_times=np.linspace(0.0, 5.0, 51))
         assert res.ok
         floor = min(floor, float(res.states[:, 2 * d:].min()))
@@ -159,13 +161,12 @@ def test_dynamics_invariants():
 
     # Saturating momentum variant never exceeds its bound.
     hb = dyn.HeavyBallParams(theta=2.0)
-    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb, saturation_bound=1.0, m0=0.0)
+    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb)
     field = init_field(2, (8,), 2, seed=7)
     field = FieldNet(
         weights=[W * (50.0 if i == len(field.weights) - 1 else 1.0)
                  for i, W in enumerate(field.weights)],
         biases=field.biases, activation=field.activation,
-        time_conditioned=field.time_conditioned,
     )
     rhs = dyn.make_node_rhs(spec, field, 2)
     peak = {"v": 0.0}

@@ -25,16 +25,20 @@ def tight():
     return IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14, max_steps=1_000_000)
 
 
-def zero_field(state_dim, out_dim, time_conditioned=True):
-    inw = state_dim + (1 if time_conditioned else 0)
-    return FieldNet([np.zeros((out_dim, inw))], [np.zeros(out_dim)], time_conditioned=time_conditioned)
+def zero_field(state_dim, out_dim):
+    return FieldNet([np.zeros((out_dim, state_dim + 1))], [np.zeros(out_dim)])
+
+
+def run_forward_from(spec, field, y0, t1, cfg, sample_times=()):
+    """Solve from the flat state ``y0``."""
+    rhs = dyn.make_node_rhs(spec, field, field.out_dim - spec.aug_width)
+    return solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=sample_times)
 
 
 def run_forward(spec, field, h0, t1, cfg, sample_times=()):
-    d = field.out_dim - spec.aug_width
-    rhs = dyn.make_node_rhs(spec, field, d)
+    """Solve from data ``h0``, the other blocks at their initial fill."""
     y0 = dyn.initial_state(spec, np.asarray(h0, dtype=float))
-    return solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=sample_times)
+    return run_forward_from(spec, field, y0, t1, cfg, sample_times)
 
 
 def test_zero_cotangent_gives_zero_gradients():
@@ -47,10 +51,10 @@ def test_zero_cotangent_gives_zero_gradients():
 
 
 def test_linear_field_adjoint_matches_matrix_exponential():
-    # f = W h  (no bias update, no time slot): a(t0) = expm(W^T (t1-t0)) a(t1).
+    # f = W h  (no bias update, a zero time column): a(t0) = expm(W^T (t1-t0)) a(t1).
     rng = np.random.default_rng(3)
     W = rng.normal(size=(3, 3)) * 0.5
-    field = FieldNet([W.copy()], [np.zeros(3)], time_conditioned=False)
+    field = FieldNet([np.hstack([W, np.zeros((3, 1))])], [np.zeros(3)])
     spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
     t1 = 1.5
     fwd = run_forward(spec, field, rng.normal(size=3), t1, tight())
@@ -64,10 +68,11 @@ def test_linear_field_adjoint_matches_matrix_exponential():
 def test_heavy_ball_zero_field_closed_form():
     hb = dyn.HeavyBallParams(theta=0.3)
     gamma = hb.gamma
-    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb, m0=0.8)
+    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
     field = zero_field(1, 1)
     T = 2.0
-    fwd = run_forward(spec, field, [0.5], T, tight())
+    y0 = dyn.pack(dyn.PackedState(h=np.array([0.5]), m=np.array([0.8])))
+    fwd = run_forward_from(spec, field, y0, T, tight())
     p, q = 1.3, -0.7  # terminal cotangents for h and m
     run = backward(fwd, np.array([p, q]), spec, field, tight())
     a_m0 = (q + p / gamma) * np.exp(-gamma * T) - p / gamma
@@ -78,15 +83,17 @@ def test_heavy_ball_zero_field_closed_form():
 
 def test_adam_zero_field_matches_quadrature():
     p = dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1e-3)
-    spec = dyn.DynamicsSpec(kind=dyn.ADAM, adam=p, m0=0.4, v0=1.0)
+    spec = dyn.DynamicsSpec(kind=dyn.ADAM, adam=p)
     field = zero_field(1, 1)
     T = 2.0
-    fwd = run_forward(spec, field, [0.2], T, tight())
+    m0, v0 = 0.4, 1.0
+    y0 = dyn.pack(dyn.PackedState(h=np.array([0.2]), m=np.array([m0]), v=np.array([v0])))
+    fwd = run_forward_from(spec, field, y0, T, tight())
     ah, am, av = 0.9, -0.5, 0.3
     run = backward(fwd, np.array([ah, am, av]), spec, field, tight())
 
     # With f = 0 the h cotangent is constant and v(t) decays exponentially.
-    v = lambda t: spec.v0 * np.exp(-(1.0 - p.beta) * t)
+    v = lambda t: v0 * np.exp(-(1.0 - p.beta) * t)
     la = 1.0 - p.alpha
     integral, _ = quad(lambda u: np.exp(la * (0.0 - u)) * ah / np.sqrt(v(u) + p.epsilon), T, 0.0)
     expected_am0 = np.exp(la * (0.0 - T)) * am + integral
@@ -95,7 +102,7 @@ def test_adam_zero_field_matches_quadrature():
     np.testing.assert_allclose(a0.m, [expected_am0], rtol=1e-6)
 
     # a_v via quadrature too: a_v' = -a_h m(t)/(2 (v+eps)^{3/2}) + (1-beta) a_v.
-    m = lambda t: spec.m0 * np.exp(-la * t)
+    m = lambda t: m0 * np.exp(-la * t)
     lb = 1.0 - p.beta
     src = lambda u: -ah * m(u) / (2.0 * (v(u) + p.epsilon) ** 1.5)
     integral_v, _ = quad(lambda u: np.exp(lb * (0.0 - u)) * src(u), T, 0.0)
@@ -114,25 +121,36 @@ ALL_SPECS = [
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.kind for s in ALL_SPECS])
-def test_gradcheck_all_formulations(spec):
-    report = gradcheck(spec, d=2, hidden=(6,), seed=1)
+def test_gradcheck_all_formulations(spec, monkeypatch):
+    monkeypatch.setattr(adjoint, "GRADCHECK_HIDDEN", (6,))
+    report = gradcheck(spec, d=2, seed=1)
     assert report["max_rel_err"] < 1e-3, report["per_param_worst"]
     assert report["init_state_max_rel_err"] < 1e-3
     assert report["n_params"] <= 200
 
 
-def test_literal_variant_fails_where_exact_passes():
+def test_literal_variant_fails_where_exact_passes(monkeypatch):
+    # gradcheck's problem at seed 4 with a (6,) field; the literal
+    # cotangent rows live only in the reference, so its adjoint is that
+    # system integrated on the base row's record, as backward reads it.
+    monkeypatch.setattr(adjoint, "GRADCHECK_HIDDEN", (6,))
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
-    exact = gradcheck(spec, d=2, hidden=(6,), seed=4, variant="exact")
-    literal = gradcheck(spec, d=2, hidden=(6,), seed=4, variant="literal")
+    exact = gradcheck(spec, d=2, seed=4)
+    field = init_field(2, (6,), 2, seed=4)
+    rng = np.random.default_rng(4)
+    y0 = dyn.initial_state(spec, rng.normal(size=2))
+    c = rng.normal(size=y0.size)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14)
+    g_fd, _, base = adjoint.central_differences(spec, field, y0, 1.0, c, cfg, 1e-5)
+    rhs = adjoint_rhs(spec, field, 2, 1, "literal", forward_of_t=base.dense_state)
+    rec = solve_dopri45(rhs, np.concatenate([c, np.zeros(g_fd.size)]), 1.0, 0.0, cfg)
+    assert rec.ok
+    literal = _max_rel(rec.y_final[y0.size :], g_fd)
     assert exact["max_rel_err"] < 1e-3
     # Recorded for documentation: the simplified cotangent rows miss the
     # rate and chain factors, so their gradients are not the true ones.
-    assert literal["max_rel_err"] > 10.0 * exact["max_rel_err"]
-    print(
-        f"adaptive-moment gradcheck: exact {exact['max_rel_err']:.3e}, "
-        f"literal {literal['max_rel_err']:.3e}"
-    )
+    assert literal > 10.0 * exact["max_rel_err"]
+    print(f"adaptive-moment gradcheck: exact {exact['max_rel_err']:.3e}, literal {literal:.3e}")
 
 
 @cache
@@ -263,9 +281,10 @@ def test_the_base_row_record_is_row_0_of_the_batch_bit_for_bit(kind, monkeypatch
     assert base.y_final.tobytes() == batch.y_final.reshape(shape)[:, 0].ravel().tobytes()
 
 
-def test_loose_solver_tolerance_envelope():
+def test_loose_solver_tolerance_envelope(monkeypatch):
+    monkeypatch.setattr(adjoint, "GRADCHECK_HIDDEN", (6,))
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
-    report = gradcheck(spec, d=2, hidden=(6,), seed=1, solver_tol=1e-3)
+    report = gradcheck(spec, d=2, seed=1, solver_tol=1e-3)
     assert report["max_rel_err"] < 1e-1
 
 
@@ -450,7 +469,7 @@ def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
     spec = rhs_spec(kind)
     rng = np.random.default_rng(batch)
     with np.errstate(all="ignore"):
-        for activation in ("tanh", "relu", "hardtanh"):
+        for activation in ("tanh", "relu"):
             field = rhs_field(spec, activation, seed=batch)
             n_par = param_count(spec, field)
             states = flat_states(spec, batch, rng)
@@ -462,12 +481,10 @@ def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
                     return y.copy()
 
                 for a in states:
-                    for variant in ("exact", "literal"):
-                        args = (spec, field, RHS_D, batch, variant, forward_of_t)
-                        joint = np.concatenate([a, rng.normal(size=n_par)])
-                        got = make_adjoint_rhs(*args)(0.3, joint)
-                        want = adjoint_rhs(*args)(0.3, joint)
-                        assert got.tobytes() == want.tobytes()
+                    joint = np.concatenate([a, rng.normal(size=n_par)])
+                    got = make_adjoint_rhs(spec, field, RHS_D, batch, forward_of_t)(0.3, joint)
+                    want = adjoint_rhs(spec, field, RHS_D, batch, "exact", forward_of_t)(0.3, joint)
+                    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -484,7 +501,7 @@ def test_right_hand_sides_return_fresh_arrays(kind, batch):
     acc = np.zeros(param_count(spec, field))
     cases = [
         (dyn.make_node_rhs(spec, field, RHS_D, batch), y),
-        (make_adjoint_rhs(spec, field, RHS_D, batch, "exact", lambda t: y), np.concatenate([a, acc])),
+        (make_adjoint_rhs(spec, field, RHS_D, batch, lambda t: y), np.concatenate([a, acc])),
     ]
     for rhs, z in cases:
         first = rhs(0.1, z)

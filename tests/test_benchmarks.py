@@ -1,19 +1,20 @@
-import copy
-
 import numpy as np
 import pytest
 
+from momenta_node.benchmarks import classify
 from momenta_node.benchmarks.classify import TrainConfig, run_classification, two_moons, two_spirals
 from momenta_node.benchmarks.landscapes import LANDSCAPES, get_landscape
 from momenta_node.benchmarks import stability
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
+    N_GRID,
     N_SERIES,
+    PROBE_SOLVER,
+    T_SERIES,
     duffing_probe,
     fair_hidden_widths,
     model_spec,
     run_stability_probe,
-    series_probe,
 )
 from momenta_node.benchmarks import trajectories
 from momenta_node.benchmarks.trajectories import FLOWS, run_trajectory_experiment
@@ -158,57 +159,64 @@ def test_trajectory_csv_rejects_garbage(tmp_path):
 
 # ------------------------------------------------------------------- stability
 
+def run_probe(seed, models=MODEL_SPECS):
+    """The stability probe at the CLI's defaults: d = 4 and t1 = 64."""
+    return run_stability_probe(duffing_probe(seed, 4), 64.0, dict(models), seed, PROBE_SOLVER)
+
+
 def test_duffing_probe_deterministic():
-    p1 = duffing_probe(3, 64.0, N_SERIES)
-    p2 = duffing_probe(3, 64.0, N_SERIES)
-    np.testing.assert_array_equal(p1.outputs, p2.outputs)
-    p3 = duffing_probe(4, 64.0, N_SERIES)
-    assert not np.array_equal(p1.outputs, p3.outputs)
+    p1 = duffing_probe(3, N_SERIES)
+    p2 = duffing_probe(3, N_SERIES)
+    np.testing.assert_array_equal(p1, p2)
+    p3 = duffing_probe(4, N_SERIES)
+    assert not np.array_equal(p1, p3)
 
 
 def test_duffing_probe_integrates_only_the_samples_it_returns(monkeypatch):
-    nfe = []
+    nfe, sample_times = [], []
 
     def counted(*args, **kwargs):
         res = solve_dopri45(*args, **kwargs)
         nfe.append(res.nfe)
+        sample_times.append(kwargs["sample_times"])
         return res
 
     monkeypatch.setattr(stability, "solve_dopri45", counted)
     for seed in range(4):
-        short = duffing_probe(seed, 64.0, 4)
+        short = duffing_probe(seed, 4)
         assert nfe[-1] < 100
-        full = duffing_probe(seed, 64.0, N_SERIES)
+        full = duffing_probe(seed, N_SERIES)
         assert nfe[-1] > 1000
-        np.testing.assert_array_equal(short.times, full.times[:4])
-        np.testing.assert_array_equal(short.inputs, full.inputs[:4])
-        np.testing.assert_allclose(short.outputs, full.outputs[:4], rtol=0.0, atol=1e-8)
+        np.testing.assert_array_equal(sample_times[-2], sample_times[-1][:4])
+        np.testing.assert_allclose(short, full[:4], rtol=0.0, atol=1e-8)
 
 
 def test_duffing_probe_sample_count_edges(monkeypatch):
-    start = duffing_probe(0, 64.0, 2).outputs[0]
+    start = duffing_probe(0, 2)[0]
 
     def solver_reached(*args, **kwargs):
         raise AssertionError("the solver was reached")
 
     with monkeypatch.context() as m:
         m.setattr(stability, "solve_dopri45", solver_reached)
-        one = duffing_probe(0, 64.0, 1)
-    assert one.times.tolist() == [0.0] and one.outputs.tolist() == [start]
+        one = duffing_probe(0, 1)
+    assert one.tolist() == [start]
     # More samples than the series has return the whole series.
-    assert duffing_probe(0, 64.0, N_SERIES + 1).outputs.size == N_SERIES
+    assert duffing_probe(0, N_SERIES + 1).size == N_SERIES
     with pytest.raises(ValueError, match="at least 1"):
-        duffing_probe(0, 64.0, 0)
+        duffing_probe(0, 0)
 
 
 def test_series_csv_round_trip_exact(tmp_path):
-    probe = duffing_probe(5, 64.0, N_SERIES)
+    times = np.linspace(0.0, T_SERIES, N_SERIES)
+    inputs = 0.5 * np.cos(1.2 * times + 0.3)
+    outputs = duffing_probe(5, N_SERIES)
     path = tmp_path / "series.csv"
-    write_series_csv(path, probe)
-    back = series_probe(*read_series_csv(path), t1=probe.t1)
-    np.testing.assert_array_equal(back.times, probe.times)
-    np.testing.assert_array_equal(back.inputs, probe.inputs)
-    np.testing.assert_array_equal(back.outputs, probe.outputs)
+    write_series_csv(path, times, inputs, outputs)
+    back = read_series_csv(path)
+    np.testing.assert_array_equal(back[0], times)
+    np.testing.assert_array_equal(back[1], inputs)
+    np.testing.assert_array_equal(back[2], outputs)
 
 
 def test_ingest_rejects_with_line_numbers(tmp_path):
@@ -256,27 +264,11 @@ def test_series_reader_skips_blank_and_comment_lines(tmp_path):
     np.testing.assert_array_equal(ys, [2.0, 2.5])
 
 
-def test_ingest_resamples_non_uniform(tmp_path):
-    ts = np.array([0.0, 0.1, 0.4, 1.0])
-    us = np.array([0.0, 1.0, 2.0, 3.0])
-    ys = np.array([5.0, 4.0, 3.0, 2.0])
-    path = tmp_path / "irregular.csv"
-    with open(path, "w") as fh:
-        fh.write("t,input,output\n")
-        for t, u, y in zip(ts, us, ys):
-            fh.write(f"{float(t)!r},{float(u)!r},{float(y)!r}\n")
-    probe = series_probe(*read_series_csv(path), t1=64.0)
-    np.testing.assert_allclose(probe.times, np.linspace(0.0, 1.0, 4), atol=1e-15)
-    np.testing.assert_allclose(probe.inputs, np.interp(probe.times, ts, us), atol=1e-15)
-    np.testing.assert_allclose(probe.outputs, np.interp(probe.times, ts, ys), atol=1e-15)
-
-
 def test_fair_hidden_widths_parity():
     widths = fair_hidden_widths(MODEL_SPECS, d=4, base_hidden=16)
     assert widths["node"] == 16
     assert all(w >= 1 for w in widths.values())
-    probe = duffing_probe(0, 64.0, 4)
-    res = run_stability_probe(probe, seed=0)
+    res = run_probe(0)
     counts = list(res.param_counts.values())
     assert (max(counts) - min(counts)) / min(counts) < 0.10
 
@@ -297,44 +289,42 @@ def test_zero_field_keeps_hidden_norm_constant(monkeypatch):
     # Zero weights with the stock initial fills give every formulation a
     # motionless hidden block, whatever else the moment blocks do.
     monkeypatch.setattr(stability, "GAIN", 0.0)
-    probe = duffing_probe(1, 64.0, 4)
-    res = run_stability_probe(probe, seed=1)
+    res = run_probe(1)
     for name, curve in res.log10_norms.items():
         np.testing.assert_allclose(curve, curve[0], rtol=0.0, atol=1e-9)
 
 
 def test_blowup_curve_carries_last_value(monkeypatch):
     monkeypatch.setattr(stability, "GAIN", 16.0)
-    probe = duffing_probe(0, 64.0, 4)
-    res = run_stability_probe(probe, models={"sonode": model_spec("sonode")}, seed=0)
+    res = run_probe(0, {"sonode": model_spec("sonode")})
     assert res.statuses["sonode"] != "SUCCESS"
     assert "sonode" in res.blowup_at
     assert 0.0 < res.blowup_at["sonode"] < 64.0
     curve = res.log10_norms["sonode"]
-    assert curve.size == probe.grid.size
+    assert curve.size == res.grid.size == N_GRID
     assert np.all(curve[-5:] == curve[-5])
 
 
 def test_stability_probe_leaves_its_input_unchanged(monkeypatch):
     monkeypatch.setattr(stability, "GAIN", 16.0)
-    probe = duffing_probe(0, 64.0, 4)
-    before = copy.deepcopy(probe)
+    h0 = duffing_probe(0, 4)
+    before = h0.copy()
     models = {"node": model_spec("node"), "sonode": model_spec("sonode")}
-    res = run_stability_probe(probe, models=models, seed=0)
+    res = run_stability_probe(h0, 64.0, models, 0, PROBE_SOLVER)
     assert res.blowup_at  # the run has a blow-up to record somewhere
-    assert vars(probe).keys() == vars(before).keys()
-    for key, value in vars(before).items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(getattr(probe, key), value)
-        else:
-            assert getattr(probe, key) == value, key
+    assert h0.tobytes() == before.tobytes()
+
+
+def test_probe_refuses_a_non_positive_horizon():
+    for t1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t1 must be positive"):
+            run_stability_probe(duffing_probe(0, 4), t1, dict(MODEL_SPECS), 0, PROBE_SOLVER)
 
 
 def test_probe_shares_one_grid():
-    probe = duffing_probe(2, 64.0, 4)
     models = {"node": model_spec("node"), "adamnode": model_spec("adamnode")}
-    res = run_stability_probe(probe, models=models, seed=2)
-    np.testing.assert_array_equal(res.grid, probe.grid)
+    res = run_probe(2, models)
+    np.testing.assert_array_equal(res.grid, np.linspace(0.0, 64.0, N_GRID))
     assert list(res.log10_norms) == list(models)
     for curve in res.log10_norms.values():
         assert curve.shape == res.grid.shape
@@ -348,6 +338,13 @@ def test_model_spec_rejects_unknown_name():
 
 # -------------------------------------------------------------- classification
 
+@pytest.fixture
+def small_training(monkeypatch):
+    """64 points and an (8,) field instead of the program's 256 and (32,)."""
+    monkeypatch.setattr(classify, "N_POINTS", 64)
+    monkeypatch.setattr(classify, "TRAIN_HIDDEN", (8,))
+
+
 def test_datasets_are_balanced_and_deterministic():
     for maker in (two_spirals, two_moons):
         xs, ys = maker(n=64, seed=9)
@@ -359,8 +356,8 @@ def test_datasets_are_balanced_and_deterministic():
         np.testing.assert_array_equal(ys, ys2)
 
 
-def test_untrained_model_sits_exactly_at_chance():
-    cfg = TrainConfig(epochs=0, n_points=64, hidden=(8,))
+def test_untrained_model_sits_exactly_at_chance(small_training):
+    cfg = TrainConfig(epochs=0)
     run = run_classification(DynamicsSpec(kind=VANILLA), cfg)
     assert not run.diverged
     assert len(run.records) == 1
@@ -372,8 +369,8 @@ def test_untrained_model_sits_exactly_at_chance():
     assert r.efficacy_bwd == 0.0
 
 
-def test_nfe_counters_and_efficacy_quotients():
-    cfg = TrainConfig(epochs=2, n_points=64, hidden=(8,), seed=1)
+def test_nfe_counters_and_efficacy_quotients(small_training):
+    cfg = TrainConfig(epochs=2, seed=1)
     run = run_classification(DynamicsSpec(kind=VANILLA), cfg)
     assert not run.diverged
     recs = run.records
@@ -392,17 +389,16 @@ def test_nfe_counters_and_efficacy_quotients():
         np.testing.assert_allclose(cur.efficacy_bwd, cur.test_accuracy / mean_bwd, rtol=1e-12)
 
 
-def test_training_is_seed_reproducible():
-    cfg = TrainConfig(epochs=1, n_points=64, hidden=(8,), seed=4)
+def test_training_is_seed_reproducible(small_training):
+    cfg = TrainConfig(epochs=1, seed=4)
     r1 = run_classification(model_spec("hbnode"), cfg)
     r2 = run_classification(model_spec("hbnode"), cfg)
     assert r1.records == r2.records
     assert r1.param_count == r2.param_count
 
 
-def test_each_solve_starts_where_the_last_solve_in_its_role_ended(monkeypatch):
+def test_each_solve_starts_where_the_last_solve_in_its_role_ended(monkeypatch, small_training):
     from momenta_node import adjoint
-    from momenta_node.benchmarks import classify
 
     solves = []  # (role, first step tried, h_next) in call order
     role = None
@@ -423,7 +419,7 @@ def test_each_solve_starts_where_the_last_solve_in_its_role_ended(monkeypatch):
     monkeypatch.setattr(adjoint, "solve_dopri45", spy)
     for method, name in (("loss_and_grad", "train"), ("predict", "eval"), ("eval_loss", "eval")):
         monkeypatch.setattr(classify.ODEClassifier, method, entering(name, getattr(classify.ODEClassifier, method)))
-    run = run_classification(model_spec("adamnode"), TrainConfig(epochs=1, n_points=64, hidden=(8,)))
+    run = run_classification(model_spec("adamnode"), TrainConfig(epochs=1))
     assert not run.diverged
 
     last = {}

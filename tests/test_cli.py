@@ -242,6 +242,23 @@ def test_stability_csv_probe_and_bad_probe(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_stability_csv_probe_takes_its_outputs_as_read_whatever_the_times(tmp_path, capsys):
+    # The same outputs on a uniform and a non-uniform grid: the first d
+    # outputs seed h0 in both, so every output file is the same.
+    outputs = [float(np.sin(0.3 * i)) for i in range(12)]
+    grids = {"uniform": [0.1 * i for i in range(12)], "non-uniform": [(0.1 * i) ** 1.5 for i in range(12)]}
+    for name, times in grids.items():
+        with open(tmp_path / f"{name}.csv", "w") as fh:
+            fh.write("t,input,output\n")
+            for t, y in zip(times, outputs):
+                fh.write(f"{t!r},{0.0!r},{y!r}\n")
+        assert run_cli("stability", "--t1", "2", "--d", "6", "--probe", f"csv:{tmp_path / name}.csv",
+                       "--models", "node,adamnode", "--out", str(tmp_path / name)) == 0
+    capsys.readouterr()
+    for output in ("stability.csv", "summary.json"):
+        assert (tmp_path / "uniform" / output).read_bytes() == (tmp_path / "non-uniform" / output).read_bytes()
+
+
 def test_stability_d_runs_from_one_probe_sample_to_the_whole_series(tmp_path, capsys):
     # The synthetic probe series has 256 samples, and d of them seed h0.
     for d in ("1", "256"):
@@ -408,6 +425,7 @@ def test_bad_numeric_parameter_in_config_exits_2(tmp_path, capsys, cmd, key, kin
     ("stability", "--rtol", "nan"),
     ("stability", "--d", "300"),  # the probe series has 256 samples
     ("gradcheck", "--d", "0"),
+    ("gradcheck", "--d", "33"),  # above the ceiling the step record's memory sets
     ("gradcheck", "--seed", "-1"),
     ("gradcheck", "--delta", "inf"),
     ("train", "--seed", "-1"),
@@ -478,6 +496,7 @@ RUNNER_REFUSALS = {
     "stability-unknown-probe": ["stability", "--probe", "bogus", "--out", "out"],
     "stability-missing-series": ["stability", "--probe", "csv:missing.csv", "--out", "out"],
     "stability-repeated-times": ["stability", "--probe", "csv:series.csv", "--out", "out"],
+    "stability-csv-shorter-than-d": ["stability", "--probe", "csv:short.csv", "--d", "6", "--out", "out"],
     "plot-missing-input": ["plot", "--in", "missing.csv", "--kind", "trajectory", "--out", "plot/out.svg"],
 }
 
@@ -486,9 +505,10 @@ RUNNER_REFUSALS = {
 def test_runner_refusal_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     Path("series.csv").write_text("t,input,output\n0.0,1.0,2.0\n0.0,1.0,2.0\n")
+    Path("short.csv").write_text("t,input,output\n" + "".join(f"{i}.0,0.0,{i}.5\n" for i in range(5)))
     assert run_cli(*argv) == 2
     capsys.readouterr()
-    assert os.listdir(tmp_path) == ["series.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["series.csv", "short.csv"]
 
 
 # Input files that are not UTF-8 text (their first bytes are a UTF-16 byte

@@ -47,6 +47,8 @@ def _valid(rule, value) -> bool:
     """Whether ``rule`` admits ``value``, written apart from the CLI's checks."""
     if isinstance(rule, tuple):
         return isinstance(value, str) and value in rule
+    if isinstance(rule, range):
+        return isinstance(value, int) and not isinstance(value, bool) and rule.start <= value < rule.stop
     if rule == "string":
         return isinstance(value, str)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -62,7 +64,7 @@ def _flag_valid(rule, text: str) -> bool:
     if isinstance(rule, tuple) or rule == "string":
         return _valid(rule, text)
     try:
-        value = (int if rule in INTEGER_RULES else float)(text)
+        value = (int if isinstance(rule, range) or rule in INTEGER_RULES else float)(text)
     except ValueError:
         return False
     return _valid(rule, value)
@@ -79,11 +81,14 @@ OWN = [(cmd, key) for cmd, rows in cli.PARAMS.items() for key, _, rule, _ in row
 assert {key for _, key in OWN} == set(OWN_PARSING)
 
 # Wrong type, null, bool, fraction, NaN, +-inf, 0, negative, unknown name,
-# and a JSON integer beyond every float; then anything of those types.
+# and a JSON integer beyond every float; then integers above each ceiling
+# a range rule sets, and anything of those types.
 SPECIAL = ["x", "nope", "", None, True, False, [], {"a": 1}, 1.5, -1.5, 0, -1, 0.0, -0.0,
            math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+CEILINGS = sorted({rule.stop for rows in cli.PARAMS.values() for _, _, rule, _ in rows if isinstance(rule, range)})
 VALUES = st.one_of(
     st.sampled_from(SPECIAL),
+    *[st.integers(min_value=stop, max_value=stop + 1000) for stop in CEILINGS],
     st.integers(),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=6),
@@ -132,6 +137,8 @@ def _rule(command, key):
 @settings(max_examples=300, **SETTINGS)
 @given(case=st.sampled_from(RULED + OWN), value=VALUES, pick=st.integers(0, 100))
 @example(case=("trajectory", "T"), value=10**400, pick=0)
+@example(case=("gradcheck", "d"), value=10**400, pick=0)
+@example(case=("gradcheck", "d"), value=33, pick=0)
 def test_invalid_value_exits_2_and_writes_nothing(case, value, pick):
     command, key = case
     rule = _rule(command, key)

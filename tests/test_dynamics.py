@@ -11,13 +11,8 @@ from momenta_node.solver import IntegratorConfig, solve_dopri45
 from reference import adam_ode_rhs, discrete_adam_step, forward, gradient_flow_rhs, hb_ode_rhs
 
 
-def zero_field(d, out=None, time_conditioned=True):
-    inw = d + (1 if time_conditioned else 0)
-    return FieldNet(
-        [np.zeros(((out or d), inw))],
-        [np.zeros(out or d)],
-        time_conditioned=time_conditioned,
-    )
+def zero_field(d, out=None):
+    return FieldNet([np.zeros(((out or d), d + 1))], [np.zeros(out or d)])
 
 
 def test_adam_ode_rhs_hand_values():
@@ -49,10 +44,11 @@ def test_heavy_ball_gamma_from_theta():
     np.testing.assert_allclose(out.m, [-2.0 * hb.gamma])
 
 
-def test_generalized_heavy_ball_hand_values():
+def test_generalized_heavy_ball_hand_values(monkeypatch):
     # Zero field: dh = -clip(m, -b, b) on both sides of the bound, dm = -gamma m.
+    monkeypatch.setattr(dyn, "SATURATION_BOUND", 1.5)
     hb = dyn.HeavyBallParams(theta=-3.0)
-    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb, saturation_bound=1.5)
+    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb)
     m = np.array([2.0, -3.0, 0.5])
     out = dyn.unpack(dyn.make_node_rhs(spec, zero_field(3), 3)(0.0, np.concatenate([np.zeros(3), m])), spec, 3)
     np.testing.assert_allclose(out.h, [-1.5, 1.5, -0.5])
@@ -62,10 +58,10 @@ def test_generalized_heavy_ball_hand_values():
 def test_heavy_ball_momentum_decay_closed_form():
     # With f = 0, m(t) = m0 * exp(-gamma t).
     hb = dyn.HeavyBallParams(theta=0.5)
-    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb, m0=2.0)
+    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
     f = zero_field(1)
     rhs = dyn.make_node_rhs(spec, f, 1)
-    y0 = dyn.initial_state(spec, np.array([1.0]))
+    y0 = dyn.pack(dyn.PackedState(h=np.array([1.0]), m=np.array([2.0])))
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14)
     res = solve_dopri45(rhs, y0, 0.0, 3.0, cfg, sample_times=[3.0])
     m_final = res.states[-1][1]
@@ -78,9 +74,9 @@ def test_second_order_pair_matches_scalar_reduction():
     hb = dyn.HeavyBallParams(theta=-1.0)
     gamma = hb.gamma
     field = init_field(1, (6,), 1, seed=3)
-    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb, m0=0.7)
+    spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
     rhs_pair = dyn.make_node_rhs(spec, field, 1)
-    y0 = dyn.initial_state(spec, np.array([0.3]))
+    y0 = dyn.pack(dyn.PackedState(h=np.array([0.3]), m=np.array([0.7])))
 
     def rhs_scalar(t, y):
         h, w = y[:1], y[1:]
@@ -95,7 +91,7 @@ def test_second_order_pair_matches_scalar_reduction():
 
 def test_sonode_field_sees_position_and_velocity():
     field = init_field(2, (4,), 1, seed=1)
-    spec = dyn.DynamicsSpec(kind=dyn.SECOND_ORDER, m0=0.5)
+    spec = dyn.DynamicsSpec(kind=dyn.SECOND_ORDER)
     rhs = dyn.make_node_rhs(spec, field, 1)
     y = np.array([0.2, 0.5])
     out = rhs(0.3, y)
@@ -125,7 +121,7 @@ def test_a_damping_column_damps_each_row_as_its_scalar_spec(kind):
 
 def test_ghb_saturation_bound_is_never_exceeded():
     hb = dyn.HeavyBallParams(theta=2.0)
-    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb, saturation_bound=1.0, m0=0.0)
+    spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb)
     field = init_field(2, (8,), 2, seed=7)
     # Scale the last layer up so momentum would swing far past the bound.
     field.weights[-1] *= 50.0
@@ -150,11 +146,12 @@ def test_v_block_stays_nonnegative():
     floor = 0.0
     for trial in range(20):
         d = int(rng.integers(1, 4))
-        spec = dyn.DynamicsSpec(kind=dyn.ADAM, v0=float(rng.choice([0.0, 0.5, 1.0])))
+        spec = dyn.DynamicsSpec(kind=dyn.ADAM)
+        v0 = float(rng.choice([0.0, 0.5, 1.0]))
         field = init_field(d, (6,), d, seed=int(rng.integers(1 << 30)))
         rhs = dyn.make_node_rhs(spec, field, d)
         h0 = rng.normal(size=d)
-        y0 = dyn.initial_state(spec, h0)
+        y0 = dyn.pack(dyn.PackedState(h=h0, m=np.zeros(d), v=np.full(d, v0)))
         res = solve_dopri45(rhs, y0, 0.0, 5.0, cfg, sample_times=np.linspace(0.0, 5.0, 51))
         assert res.ok
         v_samples = res.states[:, 2 * d :]
@@ -230,7 +227,7 @@ def test_pack_unpack_batched():
 
 
 def test_initial_state_fills():
-    spec = dyn.DynamicsSpec(kind=dyn.ADAM, m0=0.0, v0=1.0)
+    spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     y0 = dyn.initial_state(spec, np.array([2.0, -1.0]))
     np.testing.assert_array_equal(y0, [2.0, -1.0, 0.0, 0.0, 1.0, 1.0])
     aug = dyn.DynamicsSpec(kind=dyn.AUGMENTED, aug_width=2)

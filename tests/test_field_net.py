@@ -17,7 +17,7 @@ from reference import forward, vjp_input, vjp_params
 
 def slow_forward(net, h, t):
     # Deliberately naive re-implementation: scalar loops, no numpy matmul.
-    x = list(h) + ([t] if net.time_conditioned else [])
+    x = list(h) + [t]
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         z = []
         for r in range(W.shape[0]):
@@ -28,10 +28,8 @@ def slow_forward(net, h, t):
         if l < len(net.weights) - 1:
             if net.activation == "tanh":
                 x = [math.tanh(v) for v in z]
-            elif net.activation == "relu":
-                x = [max(v, 0.0) for v in z]
             else:
-                x = [min(max(v, -1.0), 1.0) for v in z]
+                x = [max(v, 0.0) for v in z]
         else:
             x = z
     return np.array(x)
@@ -63,7 +61,7 @@ def fd_vjp_params(net, h, t, a, delta=1e-6):
 
 def test_forward_matches_naive_evaluator():
     rng = np.random.default_rng(7)
-    for act in ("tanh", "relu", "hardtanh"):
+    for act in ("tanh", "relu"):
         net = init_field(3, (5, 4), 2, activation=act, seed=11)
         for _ in range(10):
             h = rng.normal(size=3)
@@ -72,9 +70,10 @@ def test_forward_matches_naive_evaluator():
 
 
 def test_single_affine_layer():
-    W = np.array([[1.0, 2.0], [0.0, -1.0]])
+    # A zero time column: the layer ignores t.
+    W = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 0.0]])
     b = np.array([0.5, 0.0])
-    net = FieldNet([W], [b], time_conditioned=False)
+    net = FieldNet([W], [b])
     np.testing.assert_allclose(forward(net, np.array([1.0, 1.0]), 0.0), [3.5, -1.0])
 
 
@@ -88,7 +87,7 @@ def test_batched_forward_matches_loop():
         np.testing.assert_allclose(out[i], forward(net, H[i], 0.7), atol=1e-14)
 
 
-@pytest.mark.parametrize("act,tol", [("tanh", 1e-6), ("relu", 1e-4), ("hardtanh", 1e-4)])
+@pytest.mark.parametrize("act,tol", [("tanh", 1e-6), ("relu", 1e-4)])
 def test_vjps_match_finite_differences(act, tol):
     rng = np.random.default_rng(42)
     hits = 0
@@ -99,13 +98,11 @@ def test_vjps_match_finite_differences(act, tol):
         net = init_field(3, (6, 5), 2, activation=act, seed=int(rng.integers(1 << 30)))
         h = rng.normal(size=3)
         t = float(rng.uniform(0, 1))
-        if act in ("relu", "hardtanh"):
-            # Stay away from activation kinks where the derivative jumps.
+        if act == "relu":
+            # Stay away from the activation's kink, where the derivative jumps.
             _, cache = eval_cached(net, h, t)
             pre = cache[1]
             margins = [np.min(np.abs(z)) for z in pre[:-1]]
-            if act == "hardtanh":
-                margins += [np.min(np.abs(np.abs(z) - 1.0)) for z in pre[:-1]]
             if margins and min(margins) < 1e-3:
                 continue
         a = rng.normal(size=2)
