@@ -310,11 +310,11 @@ GRADCHECK_HIDDEN = (8,)
 
 def gradcheck(
     spec: dyn.DynamicsSpec,
-    d: int = 2,
-    seed: int = 0,
-    t1: float = 1.0,
-    delta: float = 1e-5,
-    solver_tol: float = 1e-10,
+    d: int,
+    seed: int,
+    t1: float,
+    delta: float,
+    solver_tol: float,
 ) -> dict:
     """Compare adjoint gradients against central finite differences.
 

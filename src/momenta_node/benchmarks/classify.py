@@ -56,7 +56,7 @@ SPIRAL_NOISE = 0.06
 MOONS_NOISE = 0.08
 
 
-def two_spirals(n: int = 256, seed: int = 0):
+def two_spirals(n: int, seed: int):
     """Two interleaved Archimedean spirals, labels 0/1, roughly unit scale."""
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -70,7 +70,7 @@ def two_spirals(n: int = 256, seed: int = 0):
     return pts[perm], labels[perm]
 
 
-def two_moons(n: int = 256, seed: int = 0):
+def two_moons(n: int, seed: int):
     """Two interleaved half circles, labels 0/1."""
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -132,29 +132,18 @@ class EfficacyRecord:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 32
-    seed: int = 0
-    rtol: float = 1e-3
-    atol: float = 1e-6
-    dataset: str = "spirals"
+    """One training run's settings, as the ``train`` command checked them:
+    ``epochs`` and ``seed`` at least 0, ``batch_size`` at least 1, ``lr``,
+    ``rtol`` and ``atol`` finite and above 0, and ``dataset`` a key of
+    :data:`DATASETS`."""
 
-    def validate(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        for name in ("rtol", "atol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
-        if self.dataset not in DATASETS:
-            raise ValueError(f"unknown dataset {self.dataset!r}; expected one of: {', '.join(DATASETS)}")
+    epochs: int
+    lr: float
+    batch_size: int
+    seed: int
+    rtol: float
+    atol: float
+    dataset: str
 
 
 @dataclass
@@ -305,9 +294,9 @@ def run_classification(spec: DynamicsSpec, cfg: TrainConfig) -> ClassificationRu
     mean forward (resp. backward) NFE per solve; epoch 0 has no
     backward solves, so its efficacy_bwd is 0 by convention.  On
     divergence (non-finite loss or a failed solve) the records so far
-    are returned with the divergence epoch flagged.
+    are returned with the divergence epoch flagged.  ``cfg`` is taken as
+    the ``train`` command checked it; nothing here checks it again.
     """
-    cfg.validate()
     xs, ys = DATASETS[cfg.dataset](n=N_POINTS, seed=cfg.seed)
     # Stratified 80/20 split keeps the test set class-balanced, so the
     # zero-readout baseline sits exactly at chance.

@@ -102,11 +102,3 @@ LANDSCAPES: dict[str, Landscape] = {
         default_start=np.array([-4.0, -4.0]),
     ),
 }
-
-
-def get_landscape(name: str) -> Landscape:
-    try:
-        return LANDSCAPES[name]
-    except KeyError:
-        known = ", ".join(sorted(LANDSCAPES))
-        raise ValueError(f"unknown landscape {name!r}; expected one of: {known}") from None

@@ -182,8 +182,6 @@ def run_stability_probe(
     time recorded in ``blowup_at``; its curve holds the last finite
     value so the grid stays rectangular.
     """
-    if t1 <= 0:
-        raise ValueError("probe horizon t1 must be positive")
     d = h0.size
     grid = np.linspace(0.0, t1, N_GRID)
     widths = fair_hidden_widths(models, d, BASE_HIDDEN)

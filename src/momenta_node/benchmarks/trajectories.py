@@ -14,6 +14,9 @@ has no such floor: each flow contracts until its per-step increment
 rounds below one ulp and then parks, and the parking distance shrinks
 with the flow's own speed scale near the fixed point.  The adaptive
 path stays available via ``method="dopri45"`` for qualitative runs.
+
+The landscape name, method, horizon and step arrive as the
+``trajectory`` command checked them, and are not checked again here.
 """
 
 from __future__ import annotations
@@ -25,20 +28,16 @@ import numpy as np
 from momenta_node.dynamics import AdamParams, make_flow_rhs
 from momenta_node.solver import IntegratorConfig, SolveResult, solve_dopri45, solve_rk4
 
-from .landscapes import Landscape, get_landscape
+from .landscapes import LANDSCAPES, Landscape
 
 FLOWS = ("ode", "hbode", "adamode")
 
-# Frozen experiment defaults.  gamma sits just above critical damping for
-# the Rosenbrock valley (4*lambda_slow ~ 1.597), which maximizes the slow
+# Frozen flow constants.  gamma sits just above critical damping for the
+# Rosenbrock valley (4*lambda_slow ~ 1.597), which maximizes the slow
 # contraction rate; the adaptive-flow constants trade raw speed for a
-# smooth, well-resolved approach.  The step keeps RK4 stable on the
-# stiffest stretch of the Rosenbrock valley (curvature ~ 4e3 near the
-# default start).
+# smooth, well-resolved approach.
 DEFAULT_GAMMA = 1.28
 DEFAULT_FLOW_ADAM = AdamParams(alpha=0.05, beta=0.05, epsilon=1e-2)
-DEFAULT_HORIZON = 200.0
-DEFAULT_STEP = 6.25e-4
 # The most RK4 steps one flow may take; the grid of 10M nodes takes 80 MB.
 MAX_RK4_STEPS = 10_000_000
 # Radius of the ball around the minimizer whose first entry is reported.
@@ -73,12 +72,12 @@ class TrajectoryExperiment:
 
 
 def run_trajectory_experiment(
-    landscape: str | Landscape,
-    x0=None,
-    t_end: float = DEFAULT_HORIZON,
-    method: str = "rk4",
-    step: float = DEFAULT_STEP,
-    cfg: IntegratorConfig | None = None,
+    landscape: str,
+    x0,
+    t_end: float,
+    method: str,
+    step: float,
+    cfg: IntegratorConfig,
 ) -> TrajectoryExperiment:
     """Race the three flows and summarize proximity to the minimizer.
 
@@ -88,25 +87,19 @@ def run_trajectory_experiment(
     reflects the last accepted state, so a diverged flow reports a huge
     (possibly infinite) distance rather than poisoning the experiment.
 
-    ``method`` selects fixed-step RK4 (``step`` sets the grid) or the
-    adaptive solver (``cfg`` sets tolerances).  Each flow is sampled at
-    ``N_SAMPLES`` evenly spaced times.  Raises ValueError for an unknown
-    landscape, an x0 outside the landscape's domain, or an RK4 step that
-    makes more than ``MAX_RK4_STEPS`` steps.
+    ``landscape`` names an entry of ``LANDSCAPES``, and ``x0`` is a start
+    point or None for the landscape's standard start.  ``method`` is
+    ``"rk4"``, fixed-step RK4 with ``step`` setting the grid, or
+    ``"dopri45"``, the adaptive solver with ``cfg`` setting tolerances.
+    Each flow is sampled at ``N_SAMPLES`` evenly spaced times.  Raises
+    ValueError for an x0 outside the landscape's domain, or an RK4 step
+    that makes more than ``MAX_RK4_STEPS`` steps.
     """
-    land = get_landscape(landscape) if isinstance(landscape, str) else landscape
-    if method not in ("rk4", "dopri45"):
-        raise ValueError("method must be 'rk4' or 'dopri45'")
+    land = LANDSCAPES[landscape]
     x0 = np.asarray(land.default_start if x0 is None else x0, dtype=float)
-    if x0.shape != (2,):
-        raise ValueError("x0 must be a 2-vector")
     if not land.contains(x0):
         raise ValueError(f"x0 {x0.tolist()} lies outside the {land.name} domain {land.domain}")
-    if not 0.0 < t_end < np.inf:
-        raise ValueError("t_end must be finite and positive")
     if method == "rk4":
-        if not 0.0 < step < np.inf:
-            raise ValueError("step must be finite and positive")
         # Refused before solve_rk4 allocates its grid of one node per step.
         if t_end / step > MAX_RK4_STEPS:
             raise ValueError(f"t_end / step asks for more than {MAX_RK4_STEPS} RK4 steps")

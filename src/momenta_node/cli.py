@@ -41,11 +41,7 @@ from momenta_node.benchmarks.stability import (
     model_spec,
     run_stability_probe,
 )
-from momenta_node.benchmarks.trajectories import (
-    DEFAULT_HORIZON,
-    DEFAULT_STEP,
-    run_trajectory_experiment,
-)
+from momenta_node.benchmarks.trajectories import run_trajectory_experiment
 from momenta_node.solver import IntegratorConfig
 
 EXIT_OK = 0
@@ -116,14 +112,14 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-# Each kind of parameter: what it must be, the type its flag parses with,
-# and the test for it.
+# Each kind of parameter: what it must be, the test for it, and its type:
+# the flag parses with it, and a value that passes is handed on as it.
 _RULES = {
-    "count": ("a positive integer", int, lambda v: _is_int(v) and v > 0),
-    "natural": ("a nonnegative integer", int, lambda v: _is_int(v) and v >= 0),
-    "positive": ("a finite number above 0", float, lambda v: _is_real(v) and v > 0),
-    "nonnegative": ("a finite number at least 0", float, lambda v: _is_real(v) and v >= 0),
-    "string": ("a string", str, lambda v: isinstance(v, str)),
+    "count": ("a positive integer", lambda v: _is_int(v) and v > 0, int),
+    "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0, int),
+    "positive": ("a finite number above 0", lambda v: _is_real(v) and v > 0, float),
+    "nonnegative": ("a finite number at least 0", lambda v: _is_real(v) and v >= 0, float),
+    "string": ("a string", lambda v: isinstance(v, str), str),
 }
 
 _MODELS = tuple(sorted(MODEL_SPECS))
@@ -131,29 +127,30 @@ _MODELS = tuple(sorted(MODEL_SPECS))
 # Every parameter of every command, one row per key: (key, default, rule,
 # help).  A rule is a kind in _RULES, a tuple of the allowed names (the
 # flag's choices), a range of the allowed integers, or None for a key its
-# command parses itself.  A help text may show the default as
-# ``{default}``.  The parser, the defaults, the checks and the
-# config.resolved.json echo all come from these rows; a key's flag is
-# ``--key`` with each ``_`` written ``-``.
+# command parses itself.  The parser, its --help, the defaults, the checks,
+# the types and the config.resolved.json echo all come from these rows; a
+# key's flag is ``--key`` with each ``_`` written ``-``.  The library takes
+# the checked values as they are and checks none of them again.
 PARAMS = {
     "trajectory": (
         ("out", "out/trajectory", "string", "output directory"),
         ("landscape", "rosenbrock", tuple(sorted(LANDSCAPES)), None),
         ("x0", None, None, "start point 'a,b' (default: the landscape's standard start)"),
-        ("T", DEFAULT_HORIZON, "positive", "time horizon (default {default:g})"),
+        ("T", 200.0, "positive", "time horizon"),
         ("method", "rk4", ("rk4", "dopri45"), None),
-        ("step", DEFAULT_STEP, "positive", "rk4 step size (default {default:g})"),
+        # The step keeps RK4 stable on the stiffest stretch of the Rosenbrock
+        # valley (curvature ~ 4e3 near the default start).
+        ("step", 6.25e-4, "positive", "rk4 step size"),
         ("rtol", 1e-8, "positive", None),
         ("atol", 1e-8, "positive", None),
     ),
     "stability": (
         ("out", "out/stability", "string", "output directory"),
-        ("t1", 64.0, "positive", "probe horizon (default {default:g})"),
+        ("t1", 64.0, "positive", "probe horizon"),
         ("probe", "synthetic", "string", "series whose first d outputs seed the hidden state: 'synthetic' "
          "(a forced Duffing oscillator) or 'csv:PATH' with a t,input,output series"),
         ("models", "all", None, "'all' or comma-separated model names"),
-        ("d", 4, "count", "hidden-block dimension, and the number of probe outputs that seed it "
-         "(default {default})"),
+        ("d", 4, "count", "hidden-block dimension, and the number of probe outputs that seed it"),
         ("seed", 0, "natural", None),
         ("rtol", PROBE_SOLVER.rtol, "positive", None),
         ("atol", PROBE_SOLVER.atol, "positive", None),
@@ -174,13 +171,12 @@ PARAMS = {
         ("model", "adamnode", _MODELS, None),
         ("seed", 0, "natural", None),
         # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
-        ("tol", 1e-3, "nonnegative",
-         "pass threshold on max_rel_err and init_state_max_rel_err (default {default:g})"),
+        ("tol", 1e-3, "nonnegative", "pass threshold on max_rel_err and init_state_max_rel_err"),
         # The batched difference solve's step record grows as d^2 per step:
         # at --t1 100, --d 32 peaks at about 380 MB and --d 64 at 1.6 GB.
         ("d", 2, range(1, 33), None),
         ("t1", 1.0, "positive", None),
-        ("delta", 1e-5, "positive", "finite-difference step (default {default:g})"),
+        ("delta", 1e-5, "positive", "finite-difference step"),
         ("solver_tol", 1e-10, "positive", None),
     ),
     "plot": (
@@ -191,11 +187,34 @@ PARAMS = {
 }
 
 
+def _rule(rule) -> tuple:
+    """``rule``'s description, test and type (see :data:`PARAMS`)."""
+    if isinstance(rule, tuple):
+        return f"one of {', '.join(rule)}", rule.__contains__, str
+    if isinstance(rule, range):
+        return f"an integer from {rule[0]} to {rule[-1]}", lambda v: _is_int(v) and v in rule, int
+    return _RULES[rule]
+
+
+def _help(default, rule, text) -> str:
+    """A flag's help: its row's text, then what its rule admits and its default."""
+    notes = []
+    if rule is not None:
+        notes.append(_rule(rule)[0])
+    if default is not None:
+        notes.append(f"default {default}")
+    parts = [text] if text else []
+    if notes:
+        parts.append(f"({'; '.join(notes)})")
+    return " ".join(parts)
+
+
 def _checked(command: str, args: argparse.Namespace) -> dict:
     """``command``'s parameters: its defaults <- config file <- explicit flags.
 
     Unknown file keys are errors, and each value must obey its row's rule;
-    both raise ConfigError.
+    both raise ConfigError.  A value with a rule comes back as its rule's
+    type, so a JSON integer given for a float key is a float.
     """
     rows = PARAMS[command]
     cfg = {key: default for key, default, _, _ in rows}
@@ -210,14 +229,10 @@ def _checked(command: str, args: argparse.Namespace) -> dict:
             cfg[key] = getattr(args, key)
         if rule is None:
             continue
-        if isinstance(rule, tuple):
-            what, ok = f"one of {', '.join(rule)}", rule.__contains__
-        elif isinstance(rule, range):
-            what, ok = f"an integer from {rule[0]} to {rule[-1]}", lambda v: _is_int(v) and v in rule
-        else:
-            what, _, ok = _RULES[rule]
+        what, ok, kind = _rule(rule)
         if not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+        cfg[key] = kind(cfg[key])
     return cfg
 
 
@@ -245,10 +260,10 @@ def cmd_trajectory(args) -> int:
         exp = run_trajectory_experiment(
             cfg["landscape"],
             x0=cfg["x0"],
-            t_end=float(cfg["T"]),
+            t_end=cfg["T"],
             method=cfg["method"],
-            step=float(cfg["step"]),
-            cfg=IntegratorConfig(rtol=float(cfg["rtol"]), atol=float(cfg["atol"])),
+            step=cfg["step"],
+            cfg=IntegratorConfig(rtol=cfg["rtol"], atol=cfg["atol"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -288,9 +303,9 @@ def cmd_stability(args) -> int:
     if not isinstance(cfg["models"], str):
         raise ConfigError(f"--models expects 'all' or a comma-separated list, got {cfg['models']!r}")
 
-    d = int(cfg["d"])
+    d = cfg["d"]
     if cfg["probe"] == "synthetic":
-        outputs = duffing_probe(int(cfg["seed"]), d)
+        outputs = duffing_probe(cfg["seed"], d)
     elif cfg["probe"].startswith("csv:"):
         try:
             outputs = csv_formats.read_series_csv(cfg["probe"][4:])[2]
@@ -314,13 +329,9 @@ def cmd_stability(args) -> int:
 
     try:
         result = run_stability_probe(
-            outputs[:d],
-            float(cfg["t1"]),
-            models,
-            int(cfg["seed"]),
-            replace(PROBE_SOLVER, rtol=float(cfg["rtol"]), atol=float(cfg["atol"])),
+            outputs[:d], cfg["t1"], models, cfg["seed"], replace(PROBE_SOLVER, rtol=cfg["rtol"], atol=cfg["atol"])
         )
-    except ValueError as exc:  # a non-positive horizon, or no parameter-fair widths
+    except ValueError as exc:  # no parameter-fair widths
         raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir / RESOLVED, "stability", cfg)
@@ -343,24 +354,19 @@ def cmd_stability(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _checked("train", args)
-    spec = model_spec(cfg["model"])
-    try:
-        train_cfg = TrainConfig(
-            epochs=int(cfg["epochs"]),
-            lr=float(cfg["lr"]),
-            batch_size=int(cfg["batch"]),
-            seed=int(cfg["seed"]),
-            rtol=float(cfg["rtol"]),
-            atol=float(cfg["atol"]),
-            dataset=cfg["dataset"],
-        )
-        train_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    train_cfg = TrainConfig(
+        epochs=cfg["epochs"],
+        lr=cfg["lr"],
+        batch_size=cfg["batch"],
+        seed=cfg["seed"],
+        rtol=cfg["rtol"],
+        atol=cfg["atol"],
+        dataset=cfg["dataset"],
+    )
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir / RESOLVED, "train", cfg)
 
-    run = run_classification(spec, train_cfg)
+    run = run_classification(model_spec(cfg["model"]), train_cfg)
     csv_formats.write_efficacy_csv(out_dir / "efficacy.csv", run.records)
     if run.records:
         cols = {
@@ -394,12 +400,7 @@ def cmd_gradcheck(args) -> int:
 
     try:
         report = gradcheck(
-            spec,
-            d=int(cfg["d"]),
-            seed=int(cfg["seed"]),
-            t1=float(cfg["t1"]),
-            delta=float(cfg["delta"]),
-            solver_tol=float(cfg["solver_tol"]),
+            spec, d=cfg["d"], seed=cfg["seed"], t1=cfg["t1"], delta=cfg["delta"], solver_tol=cfg["solver_tol"]
         )
     except (ForwardSolveError, BackwardSolveError) as exc:
         print(f"gradient check could not solve: {exc}", file=sys.stderr)
@@ -407,7 +408,7 @@ def cmd_gradcheck(args) -> int:
     print(_write_json(out_dir / "gradcheck_report.json", report))
     # Both gradients gate: training chains the initial-state cotangent
     # into the embed.
-    failed = [key for key in ("max_rel_err", "init_state_max_rel_err") if not report[key] < float(cfg["tol"])]
+    failed = [key for key in ("max_rel_err", "init_state_max_rel_err") if not report[key] < cfg["tol"]]
     if not failed:
         return EXIT_OK
     for key in failed:
@@ -464,9 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
             if isinstance(rule, tuple):
                 parse = {"choices": rule}
             else:
-                parse = {"type": int if isinstance(rule, range) else rule and _RULES[rule][1]}
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           help=help_text and help_text.format(default=default), **parse)
+                parse = {"type": rule and _rule(rule)[2]}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_help(default, rule, help_text), **parse)
         p.set_defaults(func=func)
     return parser
 

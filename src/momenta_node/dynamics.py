@@ -289,8 +289,8 @@ def _flow_start(x0) -> np.ndarray:
 def make_flow_rhs(
     flow: str,
     grad_f: GradFn,
-    gamma: float = 0.9,
-    adam: AdamParams | None = None,
+    gamma: float,
+    adam: AdamParams,
 ) -> tuple[Callable[[float, Sequence[float]], tuple], Callable[[np.ndarray], np.ndarray]]:
     """Pure-optimization flow over the gradient ``g = grad F`` of a 2-d objective.
 
@@ -335,8 +335,7 @@ def make_flow_rhs(
 
         return rhs, (lambda x0: np.concatenate([_flow_start(x0), np.zeros(2)]))
     if flow == "adamode":
-        p = adam or AdamParams()
-        eps, rate_m, rate_v = p.epsilon, 1.0 - p.alpha, 1.0 - p.beta
+        eps, rate_m, rate_v = adam.epsilon, 1.0 - adam.alpha, 1.0 - adam.beta
 
         def rhs(t, y):
             _, _, mx, my, vx, vy = y

@@ -17,6 +17,11 @@ import numpy as np
 WIDTH = 640
 HEIGHT = 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62.0, 18.0, 36.0, 48.0
+# Ticks aimed at per axis, the stroke width of a data line, and the outer
+# and inner radii of the minimizer's star, in pixels.
+N_TICKS = 5
+LINE_WIDTH = 1.5
+STAR_OUTER, STAR_INNER = 8.0, 3.2
 
 PALETTE = [
     "#1f66ad",
@@ -65,11 +70,11 @@ class _Canvas:
         return self.py0 + (v - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    """Round tick positions covering [lo, hi]; deterministic."""
+def _ticks(lo: float, hi: float):
+    """Round tick positions covering [lo, hi], about N_TICKS of them; deterministic."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(1, n - 1)
+    raw = (hi - lo) / (N_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
@@ -130,10 +135,10 @@ def _frame(parts, canvas, title, xlabel, ylabel):
     )
 
 
-def _polyline(pts, color, width=1.5, dash=None):
+def _polyline(pts, color, dash=None):
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
+    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{LINE_WIDTH}"{extra}/>'
 
 
 def _legend(parts, entries, x, y):
@@ -148,10 +153,10 @@ def _legend(parts, entries, x, y):
         )
 
 
-def _star(cx, cy, r_outer=8.0, r_inner=3.2):
+def _star(cx, cy):
     pts = []
     for k in range(10):
-        r = r_outer if k % 2 == 0 else r_inner
+        r = STAR_OUTER if k % 2 == 0 else STAR_INNER
         ang = -math.pi / 2 + k * math.pi / 5
         pts.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)

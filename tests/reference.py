@@ -13,6 +13,12 @@ probe's closed-form width choice must agree with
 (:func:`fair_hidden_widths_scan`), and gradcheck's central differences
 by one scalar solve per perturbed value, which the batched differences
 must agree with (:func:`central_differences_per_solve`).
+
+It also holds the library's arguments at the CLI's defaults
+(:func:`cli_defaults`, :func:`gradcheck_args`, :func:`trajectory_args`,
+:func:`train_config`): the library has no defaults of its own, and a
+test that calls it runs at the values the commands run at unless it says
+otherwise.
 """
 
 import csv
@@ -20,13 +26,41 @@ from dataclasses import replace
 
 import numpy as np
 
+from momenta_node import cli
 from momenta_node import dynamics as dyn
 from momenta_node import field_net as fn
 from momenta_node.adjoint import ForwardSolveError
+from momenta_node.benchmarks.classify import TrainConfig
 from momenta_node.benchmarks.stability import _field_param_count
 from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
-from momenta_node.solver import SolveStatus, solve_dopri45
+from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
+
+
+def cli_defaults(command, **overrides) -> dict:
+    """``command``'s parameters at their ``cli.PARAMS`` defaults, with ``overrides``."""
+    return {**{key: default for key, default, _, _ in cli.PARAMS[command]}, **overrides}
+
+
+def gradcheck_args(**overrides) -> dict:
+    """The keyword arguments ``gradcheck`` gets from the ``gradcheck`` command."""
+    p = cli_defaults("gradcheck", **overrides)
+    return {key: p[key] for key in ("d", "seed", "t1", "delta", "solver_tol")}
+
+
+def trajectory_args(**overrides) -> dict:
+    """The keyword arguments ``run_trajectory_experiment`` gets from the
+    ``trajectory`` command; ``overrides`` use the command's keys."""
+    p = cli_defaults("trajectory", **overrides)
+    return dict(x0=p["x0"], t_end=p["T"], method=p["method"], step=p["step"],
+                cfg=IntegratorConfig(rtol=p["rtol"], atol=p["atol"]))
+
+
+def train_config(**overrides) -> TrainConfig:
+    """The ``TrainConfig`` the ``train`` command builds; ``overrides`` use the command's keys."""
+    p = cli_defaults("train", **overrides)
+    return TrainConfig(epochs=p["epochs"], lr=p["lr"], batch_size=p["batch"], seed=p["seed"],
+                       rtol=p["rtol"], atol=p["atol"], dataset=p["dataset"])
 
 def gradient_flow_rhs(t: float, x: np.ndarray, grad_f: GradFn) -> np.ndarray:
     return -np.asarray(grad_f(x), dtype=float)

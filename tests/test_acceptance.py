@@ -10,7 +10,7 @@ import numpy as np
 from momenta_node import cli
 from momenta_node import dynamics as dyn
 from momenta_node.adjoint import GRADCHECK_HIDDEN, gradcheck
-from momenta_node.benchmarks.classify import TrainConfig, run_classification
+from momenta_node.benchmarks.classify import run_classification
 from momenta_node.benchmarks import stability
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
@@ -26,7 +26,7 @@ from momenta_node.csv_formats import (
 )
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45, solve_rk4
-from reference import adam_ode_rhs, discrete_adam_step
+from reference import adam_ode_rhs, discrete_adam_step, gradcheck_args, trajectory_args, train_config
 
 
 def _verdict(name, ok, detail, elapsed, budget):
@@ -42,7 +42,7 @@ def test_adjoint_gradients_match_finite_differences():
     worst = {}
     assert GRADCHECK_HIDDEN == (8,)
     for name, spec in MODEL_SPECS.items():
-        rep = gradcheck(spec, d=2, seed=0, delta=1e-5, solver_tol=1e-10)
+        rep = gradcheck(spec, **gradcheck_args(seed=0))
         assert rep["n_params"] <= 200, (name, rep["n_params"])
         worst[name] = max(rep["max_rel_err"], rep["init_state_max_rel_err"])
     ok = all(err < 1e-3 for err in worst.values())
@@ -55,7 +55,7 @@ def test_flow_ordering_on_both_landscapes():
     horizon = 100.0
     finals, entries = {}, {}
     for land in ("rosenbrock", "beale"):
-        exp = run_trajectory_experiment(land, t_end=horizon)
+        exp = run_trajectory_experiment(land, **trajectory_args(T=horizon))
         finals[land] = {n: r.final_distance_to_min for n, r in exp.runs.items()}
         entries[land] = {
             n: (r.first_time_within_radius if r.first_time_within_radius is not None else np.inf)
@@ -215,8 +215,8 @@ def test_training_efficacy_direction():
     t0 = time.perf_counter()
     accs, eff_adam, eff_node = [], [], []
     for seed in (0, 1, 2):
-        run_a = run_classification(MODEL_SPECS["adamnode"], TrainConfig(seed=seed))
-        run_n = run_classification(MODEL_SPECS["node"], TrainConfig(seed=seed))
+        run_a = run_classification(MODEL_SPECS["adamnode"], train_config(seed=seed))
+        run_n = run_classification(MODEL_SPECS["node"], train_config(seed=seed))
         assert not run_a.diverged and not run_n.diverged
         accs.append(run_a.records[-1].test_accuracy)
         eff_adam.append(run_a.records[-1].efficacy_fwd)

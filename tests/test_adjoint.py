@@ -18,7 +18,7 @@ from momenta_node.adjoint import (
 from momenta_node.benchmarks.stability import MODEL_SPECS, model_spec
 from momenta_node.field_net import FieldNet, init_field, params_to_vec
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
-from reference import adjoint_rhs, central_differences_per_solve, node_rhs, solve_loss
+from reference import adjoint_rhs, central_differences_per_solve, gradcheck_args, node_rhs, solve_loss
 
 
 def tight():
@@ -123,7 +123,7 @@ ALL_SPECS = [
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.kind for s in ALL_SPECS])
 def test_gradcheck_all_formulations(spec, monkeypatch):
     monkeypatch.setattr(adjoint, "GRADCHECK_HIDDEN", (6,))
-    report = gradcheck(spec, d=2, seed=1)
+    report = gradcheck(spec, **gradcheck_args(d=2, seed=1))
     assert report["max_rel_err"] < 1e-3, report["per_param_worst"]
     assert report["init_state_max_rel_err"] < 1e-3
     assert report["n_params"] <= 200
@@ -135,7 +135,7 @@ def test_literal_variant_fails_where_exact_passes(monkeypatch):
     # system integrated on the base row's record, as backward reads it.
     monkeypatch.setattr(adjoint, "GRADCHECK_HIDDEN", (6,))
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
-    exact = gradcheck(spec, d=2, seed=4)
+    exact = gradcheck(spec, **gradcheck_args(d=2, seed=4))
     field = init_field(2, (6,), 2, seed=4)
     rng = np.random.default_rng(4)
     y0 = dyn.initial_state(spec, rng.normal(size=2))
@@ -250,7 +250,7 @@ def test_gradcheck_is_one_forward_and_one_reverse_solve(model, monkeypatch):
 
     monkeypatch.setattr(adjoint, "solve_dopri45", spy)
     spec = model_spec(model)
-    report = gradcheck(spec, seed=0)
+    report = gradcheck(spec, **gradcheck_args(seed=0))
     field = init_field(spec.field_in_dim(2), (8,), spec.width(2), seed=0)
     n = spec.state_dim(2)
     rows = 1 + 2 * (param_count(spec, field) + n)
@@ -284,7 +284,7 @@ def test_the_base_row_record_is_row_0_of_the_batch_bit_for_bit(kind, monkeypatch
 def test_loose_solver_tolerance_envelope(monkeypatch):
     monkeypatch.setattr(adjoint, "GRADCHECK_HIDDEN", (6,))
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
-    report = gradcheck(spec, d=2, seed=1, solver_tol=1e-3)
+    report = gradcheck(spec, **gradcheck_args(d=2, seed=1, solver_tol=1e-3))
     assert report["max_rel_err"] < 1e-1
 
 

@@ -168,6 +168,7 @@ def test_trajectory_summary_is_strict_json_when_a_flow_diverges(tmp_path):
 
 def test_trajectory_bad_inputs_exit_2(tmp_path, capsys):
     assert run_cli("trajectory", "--landscape", "himmelblau", "--out", str(tmp_path / "x")) == 2
+    assert run_cli("trajectory", "--method", "euler", "--out", str(tmp_path / "m")) == 2
     assert run_cli("trajectory", "--x0", "oops", "--out", str(tmp_path / "y")) == 2
     assert run_cli("trajectory", "--x0", "99,99", "--out", str(tmp_path / "z")) == 2
     capsys.readouterr()
@@ -319,6 +320,9 @@ def test_train_invalid_model_exit_2(tmp_path, capsys):
     assert run_cli("train", "--model", "transformer", "--out", str(tmp_path / "x")) == 2
     # argparse reports the valid choices on stderr
     assert "adamnode" in capsys.readouterr().err
+    assert run_cli("train", "--dataset", "cifar", "--out", str(tmp_path / "y")) == 2
+    assert "spirals" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_train_divergence_exits_4_with_partial_records(tmp_path, capsys):
@@ -710,7 +714,8 @@ def test_kept_parser_exits_as_a_fresh_one(tmp_path, monkeypatch, capsys):
 
 def test_each_key_is_declared_once_in_its_commands_table(tmp_path, monkeypatch, capsys):
     # The parser's flags, the table's keys and the config.resolved.json
-    # echo are one set per command, and --help names every key.
+    # echo are one set per command, and --help names every key and every
+    # default that is not None.
     monkeypatch.chdir(tmp_path)
     runs = {
         "trajectory": (["--T", "0.05", "--out", "tr"], "tr/config.resolved.json"),
@@ -729,6 +734,37 @@ def test_each_key_is_declared_once_in_its_commands_table(tmp_path, monkeypatch, 
         assert set(strict_json(echo)) - {"command"} == keys, command
         capsys.readouterr()
         assert run_cli(command, "--help") == 0
-        help_text = capsys.readouterr().out
-        for key in keys:
+        help_text = " ".join(capsys.readouterr().out.split())
+        for key, default, _, _ in cli.PARAMS[command]:
             assert f"--{key.replace('_', '-')} " in help_text, (command, key)
+            if default is not None:
+                assert f"default {default})" in help_text, (command, key)
+    assert run_cli("gradcheck", "--help") == 0
+    assert "--d D (an integer from 1 to 32; default 2)" in " ".join(capsys.readouterr().out.split())
+
+
+# Each command at a small size, as flags, for the tests that read its echo.
+SMALL_RUNS = {
+    "trajectory": {"T": "0.05"},
+    "stability": {"t1": "0.5", "models": "node"},
+    "train": {"epochs": "0"},
+    "gradcheck": {},
+}
+FLOAT_KEYS = [(command, key) for command, rows in cli.PARAMS.items()
+              for key, _, rule, _ in rows if rule in ("positive", "nonnegative")]
+
+
+@pytest.mark.parametrize("command,key", FLOAT_KEYS, ids=[f"{c}-{k}" for c, k in FLOAT_KEYS])
+def test_a_float_key_resolves_to_one_value_from_the_file_or_the_flag(tmp_path, monkeypatch, capsys, command, key):
+    # A JSON integer in --config and the same number as a flag are one
+    # float, echoed byte for byte alike.
+    monkeypatch.chdir(tmp_path)
+    small = [arg for flag, value in SMALL_RUNS[command].items() if flag != key for arg in (f"--{flag}", value)]
+    Path("cfg.json").write_text(json.dumps({key: 1}))
+    echoes = []
+    for source in (["--config", "cfg.json"], [f"--{key.replace('_', '-')}", "1"]):
+        assert run_cli(command, *small, *source, "--out", "out") in (0, 1)
+        echoes.append(Path("out", cli.RESOLVED).read_bytes())
+    capsys.readouterr()
+    assert echoes[0] == echoes[1]
+    assert type(json.loads(echoes[0])[key]) is float

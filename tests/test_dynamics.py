@@ -5,7 +5,7 @@ import pytest
 
 from momenta_node import dynamics as dyn
 from momenta_node import field_net as fn
-from momenta_node.benchmarks.landscapes import get_landscape
+from momenta_node.benchmarks.landscapes import LANDSCAPES
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45
 from reference import adam_ode_rhs, discrete_adam_step, forward, gradient_flow_rhs, hb_ode_rhs
@@ -234,17 +234,21 @@ def test_initial_state_fills():
     np.testing.assert_array_equal(dyn.initial_state(aug, np.array([3.0])), [3.0, 0.0, 0.0])
 
 
+# Damping and adaptive-moment constants for the flow tests that pin none of their own.
+FLOW_CONSTANTS = dict(gamma=0.9, adam=dyn.AdamParams())
+
+
 def test_flow_builders():
     grad = lambda x: 2.0 * x
     for flow, dim in (("ode", 2), ("hbode", 4), ("adamode", 6)):
-        rhs, init = dyn.make_flow_rhs(flow, grad)
+        rhs, init = dyn.make_flow_rhs(flow, grad, **FLOW_CONSTANTS)
         y0 = init(np.array([1.0, -1.0]))
         assert y0.shape == (dim,)
         out = rhs(0.0, y0)
         assert len(out) == dim
         assert all(isinstance(v, float) for v in out)
     with pytest.raises(ValueError):
-        dyn.make_flow_rhs("sgd", grad)
+        dyn.make_flow_rhs("sgd", grad, **FLOW_CONSTANTS)
 
 
 def _array_flow_rhs(flow, grad, gamma, p):
@@ -288,7 +292,7 @@ def _bits(values):
 @pytest.mark.parametrize("landscape", ["rosenbrock", "beale"])
 @pytest.mark.parametrize("flow", ["ode", "hbode", "adamode"])
 def test_float_flow_rhs_matches_array_rhs_bit_for_bit(flow, landscape):
-    grad = get_landscape(landscape).grad
+    grad = LANDSCAPES[landscape].grad
     gamma = 1.28
     p = dyn.AdamParams(alpha=0.05, beta=0.05, epsilon=1e-2)
     rhs, _ = dyn.make_flow_rhs(flow, grad, gamma=gamma, adam=p)
@@ -310,7 +314,7 @@ def test_float_flow_rhs_matches_array_rhs_bit_for_bit(flow, landscape):
 def test_flow_rhs_returns_fresh_sequences(flow):
     # The solvers' contract, as for the model right-hand sides: each call
     # returns a new sequence, and later calls leave earlier returns alone.
-    rhs, init = dyn.make_flow_rhs(flow, get_landscape("rosenbrock").grad)
+    rhs, init = dyn.make_flow_rhs(flow, LANDSCAPES["rosenbrock"].grad, **FLOW_CONSTANTS)
     y1 = init(np.array([-1.5, 2.0]))
     y2 = init(np.array([0.5, -0.5]))
     for first_in, second_in in ((y1, y2), (y1.tolist(), y2.tolist())):
@@ -324,7 +328,7 @@ def test_flow_rhs_returns_fresh_sequences(flow):
 
 
 def test_gradient_flow_descends():
-    rhs, init = dyn.make_flow_rhs("ode", lambda x: x.copy())
+    rhs, init = dyn.make_flow_rhs("ode", lambda x: x.copy(), **FLOW_CONSTANTS)
     x0 = np.array([1.0, -2.0])
     res = solve_dopri45(rhs, init(x0), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14), sample_times=[1.0])
     for i in range(2):
@@ -333,7 +337,7 @@ def test_gradient_flow_descends():
 
 @pytest.mark.parametrize("flow", ["ode", "hbode", "adamode"])
 def test_flow_start_must_be_a_2_vector(flow):
-    _, init = dyn.make_flow_rhs(flow, get_landscape("rosenbrock").grad)
+    _, init = dyn.make_flow_rhs(flow, LANDSCAPES["rosenbrock"].grad, **FLOW_CONSTANTS)
     for x0 in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0):
         with pytest.raises(ValueError, match="2-vector"):
             init(x0)
@@ -352,7 +356,7 @@ def test_flows_descend_on_quadratic():
         # The adaptive flow tracks its moment estimates on 1/(1-alpha)
         # and 1/(1-beta) timescales, so it needs a longer horizon.
         t_end = 200.0 if flow == "adamode" else 30.0
-        rhs, init = dyn.make_flow_rhs(flow, grad)
+        rhs, init = dyn.make_flow_rhs(flow, grad, **FLOW_CONSTANTS)
         res = solve_dopri45(rhs, init(x0), 0.0, t_end, cfg, sample_times=times * (t_end / 30.0))
         assert res.ok
         assert f_of(res.states[-1][:2]) < 1e-4 * f_of(x0)
@@ -367,7 +371,7 @@ def test_stationary_at_minimizer():
     grad = lambda x: x.copy()
     cfg = IntegratorConfig()
     for flow in ("ode", "hbode", "adamode"):
-        rhs, init = dyn.make_flow_rhs(flow, grad)
+        rhs, init = dyn.make_flow_rhs(flow, grad, **FLOW_CONSTANTS)
         res = solve_dopri45(rhs, init(np.zeros(2)), 0.0, 10.0, cfg, sample_times=[10.0])
         assert res.ok
         np.testing.assert_allclose(res.states[-1][:2], 0.0, atol=1e-9)
