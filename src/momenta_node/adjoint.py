@@ -61,7 +61,7 @@ class AdjointRun:
     ``grad_params`` follows :func:`momenta_node.field_net.params_to_vec`
     order, with the scalar damping gradient appended for the heavy-ball
     family.  ``grad_initial_state`` is the cotangent at ``t0``, flat in the
-    state's own layout (:func:`momenta_node.dynamics.unpack` views it).
+    state's own layout (:func:`momenta_node.dynamics.blocks` views it).
     ``h_next`` is the reverse solve's :attr:`SolveResult.h_next`.
     """
 
@@ -73,15 +73,9 @@ class AdjointRun:
 
 def loss_grad_from_h(spec: dyn.DynamicsSpec, a_h: np.ndarray) -> np.ndarray:
     """Flat terminal cotangent for a loss that reads only the h block."""
-    a_h = np.asarray(a_h, dtype=float)
-    zeros = np.zeros_like(a_h)
-    return dyn.pack(
-        dyn.PackedState(
-            h=a_h,
-            m=zeros if spec.has_m else None,
-            v=zeros if spec.has_v else None,
-        )
-    )
+    a = np.zeros((spec.n_blocks,) + np.shape(a_h))
+    a[0] = a_h
+    return a.reshape(-1)
 
 
 def param_count(spec: dyn.DynamicsSpec, field: fn.FieldNet) -> int:
@@ -151,19 +145,12 @@ def make_adjoint_rhs(spec: dyn.DynamicsSpec, field: fn.FieldNet, d: int, batch: 
     return rhs
 
 
-def _infer_batch(spec, d, flat_size):
-    per = spec.state_dim(d)
-    if flat_size % per:
-        raise ValueError(f"state size {flat_size} is not a multiple of {per}")
-    return flat_size // per
-
-
 def backward(
     forward: SolveResult,
     loss_grad: np.ndarray,
     spec: dyn.DynamicsSpec,
     field: fn.FieldNet,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig,
     h_init: float = H_INIT,
 ) -> AdjointRun:
     """Gradients of a terminal loss through one forward solve.
@@ -179,8 +166,8 @@ def backward(
         ``dL/dz(t1)`` over the flat packed state (zeros in the blocks the
         loss ignores).
     spec, field : dynamics description and its field network.
-    cfg : IntegratorConfig, optional
-        Tolerances for the backward solve (defaults if omitted).
+    cfg : IntegratorConfig
+        Tolerances and step control of the backward solve.
     h_init : float
         First step of the reverse solve (see
         :func:`~momenta_node.solver.solve_dopri45`); a previous run's
@@ -203,7 +190,7 @@ def backward(
     t0, t1 = float(forward.step_ts[0]), float(forward.step_ts[-1])
     y1 = forward.step_states[-1]
     d = field.out_dim - spec.aug_width
-    batch = _infer_batch(spec, d, y1.size)
+    batch = y1.size // spec.state_dim(d)
     loss_grad = np.asarray(loss_grad, dtype=float)
     if loss_grad.shape != y1.shape:
         raise ValueError("loss_grad must match the flat state shape")
@@ -220,12 +207,6 @@ def backward(
         backward_nfe=res.nfe,
         h_next=res.h_next,
     )
-
-
-# Most bytes of stacked field parameters one finite-difference solve holds
-# (one copy); further perturbations go to further solves.  A pair of
-# perturbations of one entry is never split across solves.
-FD_STACK_BYTES = 8 * 2**20
 
 
 def _row_record(res: SolveResult, shape: tuple) -> SolveResult:
@@ -257,51 +238,40 @@ def central_differences(spec, field, y0, t1, c, cfg, delta):
     on an initial-state entry.  ``g_fd`` holds the differences in the
     parameters and ``g0_fd`` those in the flat initial state.
 
-    Every entry is differenced in batched solves of at most
-    :data:`FD_STACK_BYTES` of stacked parameters each (all in one solve at
-    the sizes gradcheck pins), on a stacked field and, for the damping, a
-    ``(rows, 1)`` column of ``theta``.  Row 0 of the first solve is the
-    unperturbed base; after it, rows ``2k + 1`` and ``2k + 2`` move entry
-    ``k`` by ``+delta`` and ``-delta`` (rows ``2k`` and ``2k + 1`` in a
-    later solve), with everything else at its base value, so each pair is
-    integrated on one shared step sequence.  ``base`` is the base row's
-    record as a batch-1 :class:`SolveResult` (:func:`_row_record`), which
-    :func:`backward` reads.
+    Every entry is differenced in one batched solve, on a stacked field
+    and, for the damping, a ``(rows, 1)`` column of ``theta``.  Row 0 is
+    the unperturbed base; rows ``2k + 1`` and ``2k + 2`` move entry ``k``
+    by ``+delta`` and ``-delta``, with everything else at its base value,
+    so each pair is integrated on one shared step sequence.  ``base`` is
+    the base row's record as a batch-1 :class:`SolveResult`
+    (:func:`_row_record`), which :func:`backward` reads.
 
     Raises
     ------
     ForwardSolveError
-        If a batched solve fails.
+        If the batched solve fails.
     """
     n_field = field.n_params
     n_par = n_field + spec.extra_param_count
     n_entries = n_par + y0.size
-    per_solve = max(1, FD_STACK_BYTES // (2 * 8 * n_field))
-    vec = fn.params_to_vec(field)
+    rows = 1 + 2 * n_entries
+    moves = np.zeros((rows, n_entries))
+    moves[np.arange(1, rows), np.arange(n_entries).repeat(2)] = np.tile([delta, -delta], n_entries)
+    row_spec = spec
+    if spec.extra_param_count:
+        row_spec = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + moves[:, n_field:n_par]))
     d = field.out_dim - spec.aug_width
-    diffs = []
-    for lo in range(0, n_entries, per_solve):
-        entries = np.arange(lo, min(lo + per_solve, n_entries))
-        lead = int(lo == 0)
-        rows = lead + 2 * entries.size
-        moves = np.zeros((rows, n_entries))
-        moves[np.arange(lead, rows), entries.repeat(2)] = np.tile([delta, -delta], entries.size)
-        row_spec = spec
-        if spec.extra_param_count:
-            row_spec = replace(spec, hb=dyn.HeavyBallParams(theta=spec.hb.theta + moves[:, n_field:n_par]))
-        # The solver's batched layout: block by block, each (rows, width).
-        shape = (spec.n_blocks, rows, spec.width(d))
-        states = (y0 + moves[:, n_par:]).reshape(rows, shape[0], shape[2]).transpose(1, 0, 2)
-        rhs = dyn.make_node_rhs(row_spec, fn.vec_to_params(field, vec + moves[:, :n_field]), d, batch=rows)
-        res = solve_dopri45(rhs, states.ravel(), 0.0, t1, cfg)
-        if res.status is not SolveStatus.SUCCESS:
-            raise ForwardSolveError(res.status)
-        losses = res.y_final.reshape(shape).transpose(1, 0, 2).reshape(rows, -1) @ c
-        diffs.append((losses[lead::2] - losses[lead + 1 :: 2]) / (2.0 * delta))
-        if lead:
-            base = _row_record(res, shape)
-    diffs = np.concatenate(diffs)
-    return diffs[:n_par], diffs[n_par:], base
+    # The solver's batched layout: block by block, each (rows, width).
+    shape = (spec.n_blocks, rows, spec.width(d))
+    states = (y0 + moves[:, n_par:]).reshape(rows, shape[0], shape[2]).transpose(1, 0, 2)
+    vec = fn.params_to_vec(field)
+    rhs = dyn.make_node_rhs(row_spec, fn.vec_to_params(field, vec + moves[:, :n_field]), d, batch=rows)
+    res = solve_dopri45(rhs, states.ravel(), 0.0, t1, cfg)
+    if res.status is not SolveStatus.SUCCESS:
+        raise ForwardSolveError(res.status)
+    losses = res.y_final.reshape(shape).transpose(1, 0, 2).reshape(rows, -1) @ c
+    diffs = (losses[1::2] - losses[2::2]) / (2.0 * delta)
+    return diffs[:n_par], diffs[n_par:], _row_record(res, shape)
 
 
 # Hidden widths of the field gradcheck builds.

@@ -21,9 +21,9 @@ from momenta_node.adjoint import BackwardSolveError, backward, loss_grad_from_h
 from momenta_node.dynamics import (
     HeavyBallParams,
     DynamicsSpec,
+    blocks,
     initial_state,
     make_node_rhs,
-    unpack,
 )
 from momenta_node.field_net import (
     LinearStateMap,
@@ -243,8 +243,7 @@ class ODEClassifier:
         self.first_step[role] = res.h_next
         if not res.ok:
             raise TrainingDiverged(f"forward solve failed: {res.status.value}")
-        terminal = unpack(res.y_final, self.spec, TRAIN_D, batch=x.shape[0])
-        return terminal.h, res
+        return blocks(self.spec, res.y_final, TRAIN_D)[0], res
 
     def loss_and_grad(self, x: np.ndarray, labels: np.ndarray):
         """Cross-entropy plus the full flat gradient; returns nfe counters too.
@@ -262,7 +261,7 @@ class ODEClassifier:
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
                        cfg=self.solver_cfg, h_init=self.first_step["backward"])
         self.first_step["backward"] = run.h_next
-        a_h0 = unpack(run.grad_initial_state, self.spec, TRAIN_D, batch=x.shape[0]).h[:, :TRAIN_D]
+        a_h0 = blocks(self.spec, run.grad_initial_state, TRAIN_D)[0, :, :TRAIN_D]
         grad_x_unused, grad_embed = self.embed.vjp(x, a_h0)
         grad = np.concatenate([run.grad_params, grad_embed, grad_readout])
         return loss, grad, res.nfe, run.backward_nfe

@@ -67,8 +67,6 @@ def duffing_probe(seed: int, samples: int) -> np.ndarray:
     last point returned, so a probe that reads a few samples pays only
     for those.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     delta, a, b = 0.3, -1.0, 1.0
     amp, omega = 0.5, 1.2
@@ -92,7 +90,7 @@ def duffing_probe(seed: int, samples: int) -> np.ndarray:
 
 MODEL_SPECS: dict[str, DynamicsSpec] = {
     "node": DynamicsSpec(kind=VANILLA),
-    "anode": DynamicsSpec(kind=AUGMENTED, aug_width=1),
+    "anode": DynamicsSpec(kind=AUGMENTED),
     "sonode": DynamicsSpec(kind=SECOND_ORDER),
     "hbnode": DynamicsSpec(kind=HEAVY_BALL),
     "ghbnode": DynamicsSpec(kind=GENERALIZED_HEAVY_BALL),

@@ -21,12 +21,12 @@ The landscape name, method, horizon and step arrive as the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from momenta_node.dynamics import AdamParams, make_flow_rhs
-from momenta_node.solver import IntegratorConfig, SolveResult, solve_dopri45, solve_rk4
+from momenta_node.solver import IntegratorConfig, solve_dopri45, solve_rk4
 
 from .landscapes import LANDSCAPES, Landscape
 
@@ -63,8 +63,7 @@ class TrajectoryExperiment:
     landscape: Landscape
     x0: np.ndarray
     t_end: float
-    runs: dict[str, FlowTrajectory] = field(default_factory=dict)
-    results: dict[str, SolveResult] = field(default_factory=dict)
+    runs: dict[str, FlowTrajectory]
 
     @property
     def all_failed(self) -> bool:
@@ -106,8 +105,7 @@ def run_trajectory_experiment(
         n_steps = max(1, int(round(t_end / step)))
 
     sample_times = np.linspace(0.0, t_end, N_SAMPLES)
-    exp = TrajectoryExperiment(landscape=land, x0=x0, t_end=t_end)
-
+    runs = {}
     for name in FLOWS:
         rhs, init = make_flow_rhs(name, land.grad, gamma=DEFAULT_GAMMA, adam=DEFAULT_FLOW_ADAM)
         y0 = init(x0)
@@ -122,8 +120,7 @@ def run_trajectory_experiment(
         finite = np.isfinite(dist)
         hits = np.flatnonzero(finite & (dist <= ENTRY_RADIUS))
         entry = float(res.ts[hits[0]]) if hits.size else None
-        exp.results[name] = res
-        exp.runs[name] = FlowTrajectory(
+        runs[name] = FlowTrajectory(
             dynamics=name,
             ts=res.ts.copy(),
             xs=xs.copy(),
@@ -131,4 +128,4 @@ def run_trajectory_experiment(
             final_distance_to_min=final_distance,
             first_time_within_radius=entry,
         )
-    return exp
+    return TrajectoryExperiment(landscape=land, x0=x0, t_end=t_end, runs=runs)

@@ -172,8 +172,9 @@ PARAMS = {
         ("seed", 0, "natural", None),
         # tol 0 is a gate no gradient can pass: a failed check, not a bad input.
         ("tol", 1e-3, "nonnegative", "pass threshold on max_rel_err and init_state_max_rel_err"),
-        # The batched difference solve's step record grows as d^2 per step:
-        # at --t1 100, --d 32 peaks at about 380 MB and --d 64 at 1.6 GB.
+        # The batched difference solve's step record grows as d^2 per step.
+        # At --t1 100, --d 32 peaks at 290 MB (anode) to 2.2 GB (ghbnode);
+        # node's 380 MB there grows to 1.6 GB at --d 64.
         ("d", 2, range(1, 33), None),
         ("t1", 1.0, "positive", None),
         ("delta", 1e-5, "positive", "finite-difference step"),
@@ -252,10 +253,11 @@ def cmd_trajectory(args) -> int:
     cfg = _checked("trajectory", args)
     if isinstance(cfg["x0"], str):
         cfg["x0"] = _parse_x0(cfg["x0"])
-    elif cfg["x0"] is not None and not (
-        isinstance(cfg["x0"], list) and len(cfg["x0"]) == 2 and all(map(_is_real, cfg["x0"]))
-    ):
-        raise ConfigError(f"x0 must be 'a,b' or a list of two numbers, got {cfg['x0']!r}")
+    elif cfg["x0"] is not None:
+        if not (isinstance(cfg["x0"], list) and len(cfg["x0"]) == 2 and all(map(_is_real, cfg["x0"]))):
+            raise ConfigError(f"x0 must be 'a,b' or a list of two numbers, got {cfg['x0']!r}")
+        # A JSON list is handed on as floats, as the flag is.
+        cfg["x0"] = tuple(map(float, cfg["x0"]))
     try:
         exp = run_trajectory_experiment(
             cfg["landscape"],
@@ -269,7 +271,7 @@ def cmd_trajectory(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     out_dir = Path(cfg["out"])
-    _emit_resolved(out_dir / RESOLVED, "trajectory", {**cfg, "x0": list(cfg["x0"]) if cfg["x0"] else None})
+    _emit_resolved(out_dir / RESOLVED, "trajectory", cfg)
     csv_formats.write_trajectory_csv(out_dir / "trajectory.csv", exp)
     summary = {
         "landscape": exp.landscape.name,

@@ -24,7 +24,8 @@ Three pure-optimization flows driven by an explicit objective gradient
 Every trainable formulation starts at rest: the momentum block starts at
 zero and the second moment at one.  All block arrays may carry a leading
 batch axis; the flat layout concatenates the blocks in order, each
-row-major, so a single sample packs as ``[h, m, v]``.
+row-major, so a single sample packs as ``[h, m, v]``; :func:`blocks`
+views a flat state as its blocks.
 """
 
 from dataclasses import dataclass
@@ -91,14 +92,17 @@ class HeavyBallParams:
         return sigmoid(self.theta)
 
 
+# The zero channels augmented dynamics append to the h block.
+AUG_WIDTH = 1
+
+
 @dataclass
 class DynamicsSpec:
     """One formulation and its constants."""
 
-    kind: str = VANILLA
+    kind: str
     adam: AdamParams | None = None
     hb: HeavyBallParams | None = None
-    aug_width: int = 0
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -107,12 +111,13 @@ class DynamicsSpec:
             self.adam = AdamParams()
         if self.kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL) and self.hb is None:
             self.hb = HeavyBallParams()
-        if self.kind == AUGMENTED and self.aug_width < 1:
-            raise ValueError("augmented dynamics need aug_width >= 1")
-        if self.kind != AUGMENTED:
-            self.aug_width = 0
         if self.adam is not None:
             self.adam.validate()
+
+    @property
+    def aug_width(self) -> int:
+        """Zero channels appended to the h block: ``AUG_WIDTH`` when augmented."""
+        return AUG_WIDTH if self.kind == AUGMENTED else 0
 
     @property
     def has_m(self) -> bool:
@@ -144,48 +149,20 @@ class DynamicsSpec:
         return 2 * w if self.kind == SECOND_ORDER else w
 
 
-@dataclass
-class PackedState:
-    """Named view of the state blocks; absent blocks are None."""
+def blocks(spec: DynamicsSpec, y: np.ndarray, d: int) -> np.ndarray:
+    """The blocks of a flat state ``y`` as a ``(n_blocks, batch, width)`` view.
 
-    h: np.ndarray
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-    def blocks(self):
-        return [b for b in (self.h, self.m, self.v) if b is not None]
-
-
-def pack(state: PackedState) -> np.ndarray:
-    """Concatenate the present blocks into one flat float vector."""
-    return np.concatenate([np.asarray(b, dtype=float).ravel() for b in state.blocks()])
-
-
-def unpack(vec: np.ndarray, spec: DynamicsSpec, d: int, batch: int | None = None) -> PackedState:
-    """Name the ``(h, m, v)`` blocks of a flat state, each of width ``spec.width(d)``.
-
-    With an integer ``batch`` each block is a ``(batch, width)`` array, a
-    batch of one included; with ``batch=None`` the state is one sample and
-    each block a plain vector.  The blocks are views of ``vec`` (one
-    reshape, no copy), so writing to a block writes to the state.
+    ``[0]`` is h, ``[1]`` is m and ``[2]`` is v where present; each block
+    is ``(batch, spec.width(d))``, a batch of one included.  The view
+    shares ``y``'s memory, so writing to a block writes to the state.
     """
-    w = spec.width(d)
-    nb = spec.n_blocks
-    expected = nb * w * (1 if batch is None else batch)
-    if vec.shape != (expected,):
-        raise ValueError(f"flat state has {vec.shape}, expected ({expected},)")
-    blocks = vec.reshape((nb, w) if batch is None else (nb, batch, w))
-    return PackedState(
-        h=blocks[0],
-        m=blocks[1] if spec.has_m else None,
-        v=blocks[-1] if spec.has_v else None,
-    )
+    return y.reshape(spec.n_blocks, -1, spec.width(d))
 
 
 def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
     """Build the flat initial state from data ``h0``.
 
-    Augmented dynamics append ``aug_width`` zero channels; momentum blocks
+    Augmented dynamics append ``AUG_WIDTH`` zero channels; momentum blocks
     fill with zeros and second-moment blocks with ones.  ``h0`` may be
     ``(d,)`` or ``(batch, d)``.
     """
@@ -193,12 +170,12 @@ def initial_state(spec: DynamicsSpec, h0: np.ndarray) -> np.ndarray:
     if spec.kind == AUGMENTED:
         zshape = h0.shape[:-1] + (spec.aug_width,)
         h0 = np.concatenate([h0, np.zeros(zshape)], axis=-1)
-    blocks = [h0]
+    parts = [h0]
     if spec.has_m:
-        blocks.append(np.zeros_like(h0))
+        parts.append(np.zeros_like(h0))
     if spec.has_v:
-        blocks.append(np.ones_like(h0))
-    return np.concatenate([b.ravel() for b in blocks])
+        parts.append(np.ones_like(h0))
+    return np.concatenate([b.ravel() for b in parts])
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class FieldNet:
 
     weights: list
     biases: list
-    activation: str = "tanh"
+    activation: str
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -104,7 +104,8 @@ def init_field(
     hidden: tuple,
     out_dim: int,
     activation: str = "tanh",
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> FieldNet:
     """Build a field with weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
@@ -161,12 +162,12 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     return out, (layer_in, pre, squeeze)
 
 
-def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray | None = None):
+def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray):
     """Reverse sweep: returns ``(a^T df/dh, a^T df/dtheta)`` for cotangent ``a``.
 
     The parameter contraction is summed over the batch and flattened in
-    :func:`params_to_vec` order, into ``out`` when one is given (a
-    ``(n_params,)`` array, which is then the second value returned).
+    :func:`params_to_vec` order into ``out``, a ``(n_params,)`` array,
+    which is the second value returned.
     """
     layer_in, pre, squeeze = cache
     if layer_in[0].ndim != 2:

@@ -232,7 +232,7 @@ def solve_dopri45(
     y0: np.ndarray,
     t0: float,
     t1: float,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig,
     sample_times: Sequence[float] = (),
     h_init: float = H_INIT,
 ) -> SolveResult:
@@ -249,8 +249,8 @@ def solve_dopri45(
     t0, t1 : float
         Integration interval endpoints, ``t0 != t1``.  ``t1 < t0``
         integrates backward in time.
-    cfg : IntegratorConfig, optional
-        Tolerances and step control; defaults are used when omitted.
+    cfg : IntegratorConfig
+        Tolerances and step control.
     sample_times : sequence of float, optional
         Times at which to emit samples.  They must lie inside the interval
         and be strictly monotone in the direction of integration.  They are
@@ -270,8 +270,6 @@ def solve_dopri45(
         count, step counts, the controller's next step ``h_next``, and the
         terminal status.  Failures return partial data rather than raising.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     cfg.validate()
     if not cfg.h_min <= h_init <= H_MAX:
         raise ValueError(f"h_init must lie in [h_min, {H_MAX}], got {h_init!r}")
@@ -408,7 +406,7 @@ def solve_rk4(
     t0: float,
     t1: float,
     n_steps: int,
-    sample_times: Sequence[float] = (),
+    sample_times: Sequence[float],
 ) -> SolveResult:
     """Integrate with classical RK4 on a uniform grid of ``n_steps`` steps.
 

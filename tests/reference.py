@@ -2,7 +2,9 @@
 
 Not collected by pytest (the name does not start with ``test_``); test
 modules import it by name, since pytest puts this directory on
-``sys.path``.  Holds the array forms of the three optimization flows and
+``sys.path``.  Holds a state's blocks as separate named arrays
+(:class:`PackedState`, flattened by :func:`pack`), which the array forms
+below take and return, the array forms of the three optimization flows and
 the discrete adaptive-moment update they are the small-step limit of,
 the one-call field-network wrappers, the writer of the stability
 probe's input series, the block-by-block right-hand sides of the
@@ -22,7 +24,7 @@ otherwise.
 """
 
 import csv
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from momenta_node import field_net as fn
 from momenta_node.adjoint import ForwardSolveError
 from momenta_node.benchmarks.classify import TrainConfig
 from momenta_node.benchmarks.stability import _field_param_count
-from momenta_node.dynamics import AdamParams, GradFn, PackedState, pack
+from momenta_node.dynamics import AdamParams, GradFn
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
 
@@ -61,6 +63,22 @@ def train_config(**overrides) -> TrainConfig:
     p = cli_defaults("train", **overrides)
     return TrainConfig(epochs=p["epochs"], lr=p["lr"], batch_size=p["batch"], seed=p["seed"],
                        rtol=p["rtol"], atol=p["atol"], dataset=p["dataset"])
+
+
+@dataclass
+class PackedState:
+    """Named blocks of a state, each a separate array; absent blocks are None."""
+
+    h: np.ndarray
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+
+def pack(state: PackedState) -> np.ndarray:
+    """The flat state: the present blocks in order ``h, m, v``, each row-major."""
+    blocks = [b for b in (state.h, state.m, state.v) if b is not None]
+    return np.concatenate([np.asarray(b, dtype=float).ravel() for b in blocks])
+
 
 def gradient_flow_rhs(t: float, x: np.ndarray, grad_f: GradFn) -> np.ndarray:
     return -np.asarray(grad_f(x), dtype=float)
@@ -119,14 +137,14 @@ def forward(net: FieldNet, h: np.ndarray, t: float) -> np.ndarray:
 def vjp_input(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
     """Contraction ``a^T df/dh`` at ``(h, t)``; time slot dropped."""
     _, cache = eval_cached(net, h, t)
-    grad_h, _ = vjp_from_cache(net, cache, a)
+    grad_h, _ = vjp_from_cache(net, cache, a, out=np.empty(net.n_params))
     return grad_h
 
 
 def vjp_params(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
     """Contraction ``a^T df/dtheta`` at ``(h, t)`` as a flat vector."""
     _, cache = eval_cached(net, h, t)
-    _, grad_theta = vjp_from_cache(net, cache, a)
+    _, grad_theta = vjp_from_cache(net, cache, a, out=np.empty(net.n_params))
     return grad_theta
 
 

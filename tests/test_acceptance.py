@@ -26,7 +26,15 @@ from momenta_node.csv_formats import (
 )
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45, solve_rk4
-from reference import adam_ode_rhs, discrete_adam_step, gradcheck_args, trajectory_args, train_config
+from reference import (
+    PackedState,
+    adam_ode_rhs,
+    discrete_adam_step,
+    gradcheck_args,
+    pack,
+    trajectory_args,
+    train_config,
+)
 
 
 def _verdict(name, ok, detail, elapsed, budget):
@@ -106,7 +114,7 @@ def test_solver_battery():
     cubic = lambda t, y: np.array([3.0 * t * t])
     res = solve_dopri45(cubic, np.zeros(1), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-10))
     checks["polynomial"] = abs(res.y_final[0] - 1.0) < 1e-12
-    res = solve_rk4(cubic, np.zeros(1), 0.0, 1.0, 10)
+    res = solve_rk4(cubic, np.zeros(1), 0.0, 1.0, 10, ())
     checks["polynomial_rk4"] = abs(res.y_final[0] - 1.0) < 1e-12
 
     res = solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0,
@@ -118,7 +126,7 @@ def test_solver_battery():
                         IntegratorConfig(rtol=1e-10, atol=1e-10))
     checks["oscillator"] = float(np.max(np.abs(res.y_final - [1.0, 0.0]))) < 1e-7
 
-    errs = [abs(solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, n).y_final[0] - np.e)
+    errs = [abs(solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, n, ()).y_final[0] - np.e)
             for n in (8, 16, 32, 64)]
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     checks["rk4_order"] = all(14.0 <= r <= 18.0 for r in ratios)
@@ -132,7 +140,7 @@ def test_solver_battery():
     res = solve_dopri45(counted, np.ones(1), 0.0, 1.0, IntegratorConfig())
     checks["nfe_dopri45"] = res.nfe == counter["n"]
     counter["n"] = 0
-    res = solve_rk4(counted, np.ones(1), 0.0, 1.0, 25)
+    res = solve_rk4(counted, np.ones(1), 0.0, 1.0, 25, ())
     checks["nfe_rk4"] = res.nfe == counter["n"] == 100
 
     ok = all(checks.values())
@@ -153,7 +161,7 @@ def test_dynamics_invariants():
         v0 = float(rng.choice([0.0, 0.5, 1.0]))
         field = init_field(d, (6,), d, seed=int(rng.integers(1 << 30)))
         rhs = dyn.make_node_rhs(spec, field, d)
-        y0 = dyn.pack(dyn.PackedState(h=rng.normal(size=d), m=np.zeros(d), v=np.full(d, v0)))
+        y0 = pack(PackedState(h=rng.normal(size=d), m=np.zeros(d), v=np.full(d, v0)))
         res = solve_dopri45(rhs, y0, 0.0, 5.0, cfg, sample_times=np.linspace(0.0, 5.0, 51))
         assert res.ok
         floor = min(floor, float(res.states[:, 2 * d:].min()))
@@ -185,14 +193,14 @@ def test_dynamics_invariants():
     p = dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1e-5)
     grad = lambda x: x.copy()
     T = 2.0
-    st0 = dyn.PackedState(h=np.array([1.5]), m=np.array([0.0]), v=np.array([1.0]))
+    st0 = PackedState(h=np.array([1.5]), m=np.array([0.0]), v=np.array([1.0]))
 
     def flow_rhs(t, y):
-        st = dyn.PackedState(h=y[:1], m=y[1:2], v=y[2:])
+        st = PackedState(h=y[:1], m=y[1:2], v=y[2:])
         out = adam_ode_rhs(t, st, grad, p)
         return np.concatenate([out.h, out.m, out.v])
 
-    ref = solve_dopri45(flow_rhs, dyn.pack(st0), 0.0, T,
+    ref = solve_dopri45(flow_rhs, pack(st0), 0.0, T,
                         IntegratorConfig(rtol=1e-12, atol=1e-12, h_min=1e-15),
                         sample_times=[T]).states[-1]
     errs = []

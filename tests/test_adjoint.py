@@ -18,7 +18,15 @@ from momenta_node.adjoint import (
 from momenta_node.benchmarks.stability import MODEL_SPECS, model_spec
 from momenta_node.field_net import FieldNet, init_field, params_to_vec
 from momenta_node.solver import IntegratorConfig, SolveStatus, solve_dopri45
-from reference import adjoint_rhs, central_differences_per_solve, gradcheck_args, node_rhs, solve_loss
+from reference import (
+    PackedState,
+    adjoint_rhs,
+    central_differences_per_solve,
+    gradcheck_args,
+    node_rhs,
+    pack,
+    solve_loss,
+)
 
 
 def tight():
@@ -26,7 +34,7 @@ def tight():
 
 
 def zero_field(state_dim, out_dim):
-    return FieldNet([np.zeros((out_dim, state_dim + 1))], [np.zeros(out_dim)])
+    return FieldNet([np.zeros((out_dim, state_dim + 1))], [np.zeros(out_dim)], "tanh")
 
 
 def run_forward_from(spec, field, y0, t1, cfg, sample_times=()):
@@ -54,15 +62,15 @@ def test_linear_field_adjoint_matches_matrix_exponential():
     # f = W h  (no bias update, a zero time column): a(t0) = expm(W^T (t1-t0)) a(t1).
     rng = np.random.default_rng(3)
     W = rng.normal(size=(3, 3)) * 0.5
-    field = FieldNet([np.hstack([W, np.zeros((3, 1))])], [np.zeros(3)])
+    field = FieldNet([np.hstack([W, np.zeros((3, 1))])], [np.zeros(3)], "tanh")
     spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
     t1 = 1.5
     fwd = run_forward(spec, field, rng.normal(size=3), t1, tight())
     aT = rng.normal(size=3)
     run = backward(fwd, aT, spec, field, tight())
     expected = expm(W.T * t1) @ aT
-    a0 = dyn.unpack(run.grad_initial_state, spec, 3)
-    np.testing.assert_allclose(a0.h, expected, rtol=1e-7, atol=1e-9)
+    a0 = dyn.blocks(spec, run.grad_initial_state, 3)
+    np.testing.assert_allclose(a0[0, 0], expected, rtol=1e-7, atol=1e-9)
 
 
 def test_heavy_ball_zero_field_closed_form():
@@ -71,14 +79,14 @@ def test_heavy_ball_zero_field_closed_form():
     spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
     field = zero_field(1, 1)
     T = 2.0
-    y0 = dyn.pack(dyn.PackedState(h=np.array([0.5]), m=np.array([0.8])))
+    y0 = pack(PackedState(h=np.array([0.5]), m=np.array([0.8])))
     fwd = run_forward_from(spec, field, y0, T, tight())
     p, q = 1.3, -0.7  # terminal cotangents for h and m
     run = backward(fwd, np.array([p, q]), spec, field, tight())
     a_m0 = (q + p / gamma) * np.exp(-gamma * T) - p / gamma
-    a0 = dyn.unpack(run.grad_initial_state, spec, 1)
-    np.testing.assert_allclose(a0.h, [p], rtol=1e-9)
-    np.testing.assert_allclose(a0.m, [a_m0], rtol=1e-7)
+    a0 = dyn.blocks(spec, run.grad_initial_state, 1)
+    np.testing.assert_allclose(a0[0, 0], [p], rtol=1e-9)
+    np.testing.assert_allclose(a0[1, 0], [a_m0], rtol=1e-7)
 
 
 def test_adam_zero_field_matches_quadrature():
@@ -87,7 +95,7 @@ def test_adam_zero_field_matches_quadrature():
     field = zero_field(1, 1)
     T = 2.0
     m0, v0 = 0.4, 1.0
-    y0 = dyn.pack(dyn.PackedState(h=np.array([0.2]), m=np.array([m0]), v=np.array([v0])))
+    y0 = pack(PackedState(h=np.array([0.2]), m=np.array([m0]), v=np.array([v0])))
     fwd = run_forward_from(spec, field, y0, T, tight())
     ah, am, av = 0.9, -0.5, 0.3
     run = backward(fwd, np.array([ah, am, av]), spec, field, tight())
@@ -97,9 +105,9 @@ def test_adam_zero_field_matches_quadrature():
     la = 1.0 - p.alpha
     integral, _ = quad(lambda u: np.exp(la * (0.0 - u)) * ah / np.sqrt(v(u) + p.epsilon), T, 0.0)
     expected_am0 = np.exp(la * (0.0 - T)) * am + integral
-    a0 = dyn.unpack(run.grad_initial_state, spec, 1)
-    np.testing.assert_allclose(a0.h, [ah], rtol=1e-9)
-    np.testing.assert_allclose(a0.m, [expected_am0], rtol=1e-6)
+    a0 = dyn.blocks(spec, run.grad_initial_state, 1)
+    np.testing.assert_allclose(a0[0, 0], [ah], rtol=1e-9)
+    np.testing.assert_allclose(a0[1, 0], [expected_am0], rtol=1e-6)
 
     # a_v via quadrature too: a_v' = -a_h m(t)/(2 (v+eps)^{3/2}) + (1-beta) a_v.
     m = lambda t: m0 * np.exp(-la * t)
@@ -107,12 +115,12 @@ def test_adam_zero_field_matches_quadrature():
     src = lambda u: -ah * m(u) / (2.0 * (v(u) + p.epsilon) ** 1.5)
     integral_v, _ = quad(lambda u: np.exp(lb * (0.0 - u)) * src(u), T, 0.0)
     expected_av0 = np.exp(lb * (0.0 - T)) * av + integral_v
-    np.testing.assert_allclose(a0.v, [expected_av0], rtol=1e-6)
+    np.testing.assert_allclose(a0[2, 0], [expected_av0], rtol=1e-6)
 
 
 ALL_SPECS = [
     dyn.DynamicsSpec(kind=dyn.VANILLA),
-    dyn.DynamicsSpec(kind=dyn.AUGMENTED, aug_width=1),
+    dyn.DynamicsSpec(kind=dyn.AUGMENTED),
     dyn.DynamicsSpec(kind=dyn.SECOND_ORDER),
     dyn.DynamicsSpec(kind=dyn.HEAVY_BALL),
     dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL),
@@ -157,7 +165,7 @@ def test_literal_variant_fails_where_exact_passes(monkeypatch):
 def _differenced_problem(kind):
     """gradcheck's problem at its CLI defaults and seed 0, and the
     per-solve central differences of its loss."""
-    spec = dyn.DynamicsSpec(kind=kind, aug_width=1 if kind == dyn.AUGMENTED else 0)
+    spec = dyn.DynamicsSpec(kind=kind)
     field = init_field(spec.field_in_dim(2), (8,), spec.width(2), seed=0)
     rng = np.random.default_rng(0)
     y0 = dyn.initial_state(spec, rng.normal(size=2))
@@ -184,28 +192,16 @@ def test_batched_differences_match_per_solve_differences(kind):
     np.testing.assert_allclose(base.y_final, lone.y_final, rtol=0, atol=1e-8)
 
 
-def _stack_moves(spec, field, y0, rhs_args, starts):
-    """Each batched solve's rows as moves off the base: one column per
-    entry in param_count order, then the initial-state entries."""
-    vec = params_to_vec(field)
-    width = y0.size // spec.n_blocks
-    out = []
-    for (row_spec, stacked, rows), start in zip(rhs_args, starts):
-        params = np.concatenate([W.reshape(rows, -1) for W in stacked.weights] + stacked.biases, axis=1)
-        parts = [params - vec]
-        if spec.extra_param_count:
-            parts.append(row_spec.hb.theta - spec.hb.theta)
-        states = start.reshape(spec.n_blocks, rows, width).transpose(1, 0, 2).reshape(rows, -1)
-        out.append(np.concatenate(parts + [states - y0], axis=1))
-    return out
-
-
 @pytest.mark.parametrize("kind", dyn.ALL_KINDS)
-def test_bounded_stacks_split_between_pairs(kind, monkeypatch):
-    problem, (g_fd, g0_fd) = _differenced_problem(kind)
-    spec, field, y0, delta = problem[0], problem[1], problem[2], problem[-1]
-    # Seven differenced entries per solve.
-    monkeypatch.setattr(adjoint, "FD_STACK_BYTES", 7 * 2 * 8 * field.n_params)
+def test_differences_are_one_solve_at_the_widest_d(kind, monkeypatch):
+    # gradcheck's problem at its widest --d, on a short horizon that keeps
+    # the solve cheap.
+    d, delta = 32, 1e-5
+    spec = dyn.DynamicsSpec(kind=kind)
+    field = init_field(spec.field_in_dim(d), (8,), spec.width(d), seed=0)
+    rng = np.random.default_rng(0)
+    y0 = dyn.initial_state(spec, rng.normal(size=d))
+    c = rng.normal(size=y0.size)
     starts, rhs_args = [], []
     solve, make_rhs = adjoint.solve_dopri45, dyn.make_node_rhs
 
@@ -219,24 +215,26 @@ def test_bounded_stacks_split_between_pairs(kind, monkeypatch):
 
     monkeypatch.setattr(adjoint, "solve_dopri45", recording_solve)
     monkeypatch.setattr(dyn, "make_node_rhs", recording_rhs)
-    batched, batched0, _ = adjoint.central_differences(*problem)
+    adjoint.central_differences(spec, field, y0, 0.01, c, tight(), delta)
+    assert len(starts) == len(rhs_args) == 1
+    (row_spec, stacked, rows), = rhs_args
     n_entries = param_count(spec, field) + y0.size
-    # Every solve is a stack: no scalar solve is left, not even for the damping.
-    assert len(starts) == len(rhs_args) == -(-n_entries // 7)
-    moves = _stack_moves(spec, field, y0, rhs_args, starts)
-    # The base row leads the first stack only, and moves nothing.
-    assert moves[0][0].tobytes() == np.zeros(n_entries).tobytes()
-    pairs = np.concatenate([moves[0][1:]] + moves[1:])
-    # Then rows 2k and 2k + 1 move entry k, the damping included, by
+    assert rows == 1 + 2 * n_entries
+    # Each row as moves off the base: one column per entry in param_count
+    # order (the damping column included), then the initial-state entries.
+    vec = params_to_vec(field)
+    parts = [np.concatenate([W.reshape(rows, -1) for W in stacked.weights] + stacked.biases, axis=1) - vec]
+    if spec.extra_param_count:
+        parts.append(row_spec.hb.theta - spec.hb.theta)
+    states = starts[0].reshape(spec.n_blocks, rows, -1).transpose(1, 0, 2).reshape(rows, -1)
+    moves = np.concatenate(parts + [states - y0], axis=1)
+    # The base row comes first and moves nothing.
+    assert moves[0].tobytes() == np.zeros(n_entries).tobytes()
+    # Then rows 2k + 1 and 2k + 2 move entry k, the damping included, by
     # +delta and -delta, and nothing else.
     want = np.zeros((2 * n_entries, n_entries))
     want[np.arange(2 * n_entries), np.arange(n_entries).repeat(2)] = np.tile([delta, -delta], n_entries)
-    np.testing.assert_allclose(pairs, want, rtol=0, atol=1e-15)
-    # Seven pairs to a stack, so no pair is split between two solves.
-    sizes = [m.shape[0] for m in moves]
-    assert sizes[:-1] == [15] + [14] * (len(sizes) - 2) and sizes[-1] % 2 == 0
-    assert _max_rel(batched, g_fd) < 1e-4
-    assert _max_rel(batched0, g0_fd) < 1e-4
+    np.testing.assert_allclose(moves[1:], want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
@@ -378,7 +376,7 @@ def test_negative_v_in_the_forward_record_fails_as_a_non_finite_state(monkeypatc
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     field = init_field(2, (5,), 2, seed=0)
     fwd = run_forward(spec, field, [0.4, -0.3], 1.0, tight())
-    dyn.unpack(fwd.step_states[-1], spec, 2).v[:] = -1.0
+    dyn.blocks(spec, fwd.step_states[-1], 2)[2] = -1.0
     reverse = []
 
     def spy(*args, **kw):
@@ -387,7 +385,7 @@ def test_negative_v_in_the_forward_record_fails_as_a_non_finite_state(monkeypatc
 
     monkeypatch.setattr(adjoint, "solve_dopri45", spy)
     with pytest.raises(BackwardSolveError) as err:
-        backward(fwd, loss_grad_from_h(spec, np.ones(2)), spec, field)
+        backward(fwd, loss_grad_from_h(spec, np.ones(2)), spec, field, IntegratorConfig())
     assert err.value.status is SolveStatus.NON_FINITE_STATE
     # log2(H_INIT / h_min) halvings, about 33, then the failure.
     assert reverse[0].accepted_steps == 0 and reverse[0].rejected_steps <= 40
@@ -399,7 +397,7 @@ def test_backward_rejects_failed_forward():
     fwd = run_forward(spec, field, [0.1], 1.0, tight())
     fwd.status = SolveStatus.STEP_UNDERFLOW
     with pytest.raises(ValueError):
-        backward(fwd, np.ones(1), spec, field)
+        backward(fwd, np.ones(1), spec, field, tight())
 
 
 def test_batched_backward_matches_per_sample_sum():
@@ -423,8 +421,8 @@ def test_batched_backward_matches_per_sample_sum():
         run_i = backward(fwd_i, loss_grad_from_h(spec, A[i]), spec, field, cfg)
         total += run_i.grad_params
         np.testing.assert_allclose(
-            dyn.unpack(run_b.grad_initial_state, spec, d, 3).h[i],
-            dyn.unpack(run_i.grad_initial_state, spec, d).h,
+            dyn.blocks(spec, run_b.grad_initial_state, d)[0, i],
+            dyn.blocks(spec, run_i.grad_initial_state, d)[0, 0],
             rtol=1e-6,
             atol=1e-10,
         )
@@ -437,7 +435,7 @@ RHS_D = 3
 
 
 def rhs_spec(kind):
-    return dyn.DynamicsSpec(kind=kind, aug_width=1 if kind == dyn.AUGMENTED else 0)
+    return dyn.DynamicsSpec(kind=kind)
 
 
 def rhs_field(spec, activation="tanh", seed=0):

@@ -750,21 +750,29 @@ SMALL_RUNS = {
     "train": {"epochs": "0"},
     "gradcheck": {},
 }
-FLOAT_KEYS = [(command, key) for command, rows in cli.PARAMS.items()
+# Each float key as the JSON integer 1 and the flag 1, and the trajectory
+# start as the JSON list [1, 1] and the flag 1,1.
+FLOAT_KEYS = [(command, key, 1, "1") for command, rows in cli.PARAMS.items()
               for key, _, rule, _ in rows if rule in ("positive", "nonnegative")]
+FLOAT_KEYS.append(("trajectory", "x0", [1, 1], "1,1"))
 
 
-@pytest.mark.parametrize("command,key", FLOAT_KEYS, ids=[f"{c}-{k}" for c, k in FLOAT_KEYS])
-def test_a_float_key_resolves_to_one_value_from_the_file_or_the_flag(tmp_path, monkeypatch, capsys, command, key):
-    # A JSON integer in --config and the same number as a flag are one
-    # float, echoed byte for byte alike.
+@pytest.mark.parametrize(
+    "command,key,in_file,flag_value", FLOAT_KEYS, ids=[f"{c}-{k}" for c, k, _, _ in FLOAT_KEYS]
+)
+def test_a_float_key_resolves_to_one_value_from_the_file_or_the_flag(
+    tmp_path, monkeypatch, capsys, command, key, in_file, flag_value
+):
+    # JSON integers in --config and the same numbers as a flag are one
+    # set of floats, echoed byte for byte alike.
     monkeypatch.chdir(tmp_path)
     small = [arg for flag, value in SMALL_RUNS[command].items() if flag != key for arg in (f"--{flag}", value)]
-    Path("cfg.json").write_text(json.dumps({key: 1}))
+    Path("cfg.json").write_text(json.dumps({key: in_file}))
     echoes = []
-    for source in (["--config", "cfg.json"], [f"--{key.replace('_', '-')}", "1"]):
+    for source in (["--config", "cfg.json"], [f"--{key.replace('_', '-')}", flag_value]):
         assert run_cli(command, *small, *source, "--out", "out") in (0, 1)
         echoes.append(Path("out", cli.RESOLVED).read_bytes())
     capsys.readouterr()
     assert echoes[0] == echoes[1]
-    assert type(json.loads(echoes[0])[key]) is float
+    echoed = json.loads(echoes[0])[key]
+    assert all(type(v) is float for v in (echoed if isinstance(echoed, list) else [echoed]))

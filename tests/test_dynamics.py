@@ -8,16 +8,24 @@ from momenta_node import field_net as fn
 from momenta_node.benchmarks.landscapes import LANDSCAPES
 from momenta_node.field_net import FieldNet, init_field
 from momenta_node.solver import IntegratorConfig, solve_dopri45
-from reference import adam_ode_rhs, discrete_adam_step, forward, gradient_flow_rhs, hb_ode_rhs
+from reference import (
+    PackedState,
+    adam_ode_rhs,
+    discrete_adam_step,
+    forward,
+    gradient_flow_rhs,
+    hb_ode_rhs,
+    pack,
+)
 
 
 def zero_field(d, out=None):
-    return FieldNet([np.zeros(((out or d), d + 1))], [np.zeros(out or d)])
+    return FieldNet([np.zeros(((out or d), d + 1))], [np.zeros(out or d)], "tanh")
 
 
 def test_adam_ode_rhs_hand_values():
     p = dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1e-5)
-    st = dyn.PackedState(h=np.array([0.0]), m=np.array([0.0]), v=np.array([0.0]))
+    st = PackedState(h=np.array([0.0]), m=np.array([0.0]), v=np.array([0.0]))
     out = adam_ode_rhs(0.0, st, lambda x: np.array([2.0]), p)
     np.testing.assert_allclose(out.h, [0.0])
     np.testing.assert_allclose(out.m, [0.2])
@@ -26,12 +34,12 @@ def test_adam_ode_rhs_hand_values():
 
 def test_adam_node_rhs_hand_values():
     # Constant field f = 1 via a bias-only affine layer.
-    f = FieldNet([np.zeros((1, 2))], [np.ones(1)])
+    f = FieldNet([np.zeros((1, 2))], [np.ones(1)], "tanh")
     spec = dyn.DynamicsSpec(kind=dyn.ADAM, adam=dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1.0))
-    out = dyn.unpack(dyn.make_node_rhs(spec, f, 1)(0.0, np.array([5.0, 1.0, 3.0])), spec, 1)
-    np.testing.assert_allclose(out.h, [-0.5])
-    np.testing.assert_allclose(out.m, [-0.2])
-    np.testing.assert_allclose(out.v, [-0.02])
+    out = dyn.blocks(spec, dyn.make_node_rhs(spec, f, 1)(0.0, np.array([5.0, 1.0, 3.0])), 1)[:, 0]
+    np.testing.assert_allclose(out[0], [-0.5])
+    np.testing.assert_allclose(out[1], [-0.2])
+    np.testing.assert_allclose(out[2], [-0.02])
 
 
 def test_heavy_ball_gamma_from_theta():
@@ -39,9 +47,9 @@ def test_heavy_ball_gamma_from_theta():
     np.testing.assert_allclose(hb.gamma, 0.04742587317756678, rtol=1e-12)
     f = zero_field(1)
     spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
-    out = dyn.unpack(dyn.make_node_rhs(spec, f, 1)(0.0, np.array([0.0, 2.0])), spec, 1)
-    np.testing.assert_allclose(out.h, [-2.0])
-    np.testing.assert_allclose(out.m, [-2.0 * hb.gamma])
+    out = dyn.blocks(spec, dyn.make_node_rhs(spec, f, 1)(0.0, np.array([0.0, 2.0])), 1)[:, 0]
+    np.testing.assert_allclose(out[0], [-2.0])
+    np.testing.assert_allclose(out[1], [-2.0 * hb.gamma])
 
 
 def test_generalized_heavy_ball_hand_values(monkeypatch):
@@ -50,9 +58,10 @@ def test_generalized_heavy_ball_hand_values(monkeypatch):
     hb = dyn.HeavyBallParams(theta=-3.0)
     spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb)
     m = np.array([2.0, -3.0, 0.5])
-    out = dyn.unpack(dyn.make_node_rhs(spec, zero_field(3), 3)(0.0, np.concatenate([np.zeros(3), m])), spec, 3)
-    np.testing.assert_allclose(out.h, [-1.5, 1.5, -0.5])
-    np.testing.assert_allclose(out.m, -hb.gamma * m)
+    y = np.concatenate([np.zeros(3), m])
+    out = dyn.blocks(spec, dyn.make_node_rhs(spec, zero_field(3), 3)(0.0, y), 3)[:, 0]
+    np.testing.assert_allclose(out[0], [-1.5, 1.5, -0.5])
+    np.testing.assert_allclose(out[1], -hb.gamma * m)
 
 
 def test_heavy_ball_momentum_decay_closed_form():
@@ -61,7 +70,7 @@ def test_heavy_ball_momentum_decay_closed_form():
     spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
     f = zero_field(1)
     rhs = dyn.make_node_rhs(spec, f, 1)
-    y0 = dyn.pack(dyn.PackedState(h=np.array([1.0]), m=np.array([2.0])))
+    y0 = pack(PackedState(h=np.array([1.0]), m=np.array([2.0])))
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_min=1e-14)
     res = solve_dopri45(rhs, y0, 0.0, 3.0, cfg, sample_times=[3.0])
     m_final = res.states[-1][1]
@@ -76,7 +85,7 @@ def test_second_order_pair_matches_scalar_reduction():
     field = init_field(1, (6,), 1, seed=3)
     spec = dyn.DynamicsSpec(kind=dyn.HEAVY_BALL, hb=hb)
     rhs_pair = dyn.make_node_rhs(spec, field, 1)
-    y0 = dyn.pack(dyn.PackedState(h=np.array([0.3]), m=np.array([0.7])))
+    y0 = pack(PackedState(h=np.array([0.3]), m=np.array([0.7])))
 
     def rhs_scalar(t, y):
         h, w = y[:1], y[1:]
@@ -151,7 +160,7 @@ def test_v_block_stays_nonnegative():
         field = init_field(d, (6,), d, seed=int(rng.integers(1 << 30)))
         rhs = dyn.make_node_rhs(spec, field, d)
         h0 = rng.normal(size=d)
-        y0 = dyn.pack(dyn.PackedState(h=h0, m=np.zeros(d), v=np.full(d, v0)))
+        y0 = pack(PackedState(h=h0, m=np.zeros(d), v=np.full(d, v0)))
         res = solve_dopri45(rhs, y0, 0.0, 5.0, cfg, sample_times=np.linspace(0.0, 5.0, 51))
         assert res.ok
         v_samples = res.states[:, 2 * d :]
@@ -172,15 +181,15 @@ def test_discrete_adam_approaches_continuous_limit():
     p = dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1e-5)
     grad = lambda x: x.copy()  # quadratic bowl F = x^2/2
     T = 2.0
-    st0 = dyn.PackedState(h=np.array([1.5]), m=np.array([0.0]), v=np.array([1.0]))
+    st0 = PackedState(h=np.array([1.5]), m=np.array([0.0]), v=np.array([1.0]))
 
     def flow_rhs(t, y):
-        st = dyn.PackedState(h=y[:1], m=y[1:2], v=y[2:])
+        st = PackedState(h=y[:1], m=y[1:2], v=y[2:])
         out = adam_ode_rhs(t, st, grad, p)
         return np.concatenate([out.h, out.m, out.v])
 
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_min=1e-15)
-    ref = solve_dopri45(flow_rhs, dyn.pack(st0), 0.0, T, cfg, sample_times=[T]).states[-1]
+    ref = solve_dopri45(flow_rhs, pack(st0), 0.0, T, cfg, sample_times=[T]).states[-1]
 
     errs = []
     for s in (1e-2, 1e-3, 1e-4):
@@ -196,42 +205,43 @@ def test_discrete_adam_approaches_continuous_limit():
 @pytest.mark.parametrize("kind", dyn.ALL_KINDS)
 @pytest.mark.parametrize("d", [1, 2, 7])
 def test_pack_unpack_round_trip(kind, d):
-    spec = dyn.DynamicsSpec(kind=kind, aug_width=2 if kind == dyn.AUGMENTED else 0)
+    spec = dyn.DynamicsSpec(kind=kind)
     rng = np.random.default_rng(d)
     w = spec.width(d)
-    st = dyn.PackedState(
+    st = PackedState(
         h=rng.normal(size=w),
         m=rng.normal(size=w) if spec.has_m else None,
         v=np.abs(rng.normal(size=w)) if spec.has_v else None,
     )
-    flat = dyn.pack(st)
+    flat = pack(st)
     assert flat.shape == (spec.state_dim(d),)
-    back = dyn.unpack(flat, spec, d)
-    np.testing.assert_array_equal(back.h, st.h)
+    back = dyn.blocks(spec, flat, d)
+    assert back.shape == (spec.n_blocks, 1, w) and np.shares_memory(back, flat)
+    np.testing.assert_array_equal(back[0, 0], st.h)
     if spec.has_m:
-        np.testing.assert_array_equal(back.m, st.m)
+        np.testing.assert_array_equal(back[1, 0], st.m)
     if spec.has_v:
-        np.testing.assert_array_equal(back.v, st.v)
+        np.testing.assert_array_equal(back[2, 0], st.v)
 
 
 def test_pack_unpack_batched():
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     rng = np.random.default_rng(0)
-    st = dyn.PackedState(h=rng.normal(size=(4, 3)), m=rng.normal(size=(4, 3)), v=np.ones((4, 3)))
-    flat = dyn.pack(st)
-    back = dyn.unpack(flat, spec, 3, batch=4)
-    np.testing.assert_array_equal(back.h, st.h)
-    np.testing.assert_array_equal(back.v, st.v)
+    st = PackedState(h=rng.normal(size=(4, 3)), m=rng.normal(size=(4, 3)), v=np.ones((4, 3)))
+    flat = pack(st)
+    back = dyn.blocks(spec, flat, 3)
+    np.testing.assert_array_equal(back[0], st.h)
+    np.testing.assert_array_equal(back[2], st.v)
     with pytest.raises(ValueError):
-        dyn.unpack(flat[:-1], spec, 3, batch=4)
+        dyn.blocks(spec, flat[:-1], 3)
 
 
 def test_initial_state_fills():
     spec = dyn.DynamicsSpec(kind=dyn.ADAM)
     y0 = dyn.initial_state(spec, np.array([2.0, -1.0]))
     np.testing.assert_array_equal(y0, [2.0, -1.0, 0.0, 0.0, 1.0, 1.0])
-    aug = dyn.DynamicsSpec(kind=dyn.AUGMENTED, aug_width=2)
-    np.testing.assert_array_equal(dyn.initial_state(aug, np.array([3.0])), [3.0, 0.0, 0.0])
+    aug = dyn.DynamicsSpec(kind=dyn.AUGMENTED)
+    np.testing.assert_array_equal(dyn.initial_state(aug, np.array([3.0])), [3.0, 0.0])
 
 
 # Damping and adaptive-moment constants for the flow tests that pin none of their own.
@@ -259,9 +269,9 @@ def _array_flow_rhs(flow, grad, gamma, p):
             return gradient_flow_rhs(t, y, grad)
         if flow == "hbode":
             d = y.size // 2
-            return dyn.pack(hb_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d:]), grad, gamma))
+            return pack(hb_ode_rhs(t, PackedState(h=y[:d], m=y[d:]), grad, gamma))
         d = y.size // 3
-        return dyn.pack(adam_ode_rhs(t, dyn.PackedState(h=y[:d], m=y[d : 2 * d], v=y[2 * d :]), grad, p))
+        return pack(adam_ode_rhs(t, PackedState(h=y[:d], m=y[d : 2 * d], v=y[2 * d :]), grad, p))
 
     return rhs
 

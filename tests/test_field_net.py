@@ -73,7 +73,7 @@ def test_single_affine_layer():
     # A zero time column: the layer ignores t.
     W = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 0.0]])
     b = np.array([0.5, 0.0])
-    net = FieldNet([W], [b])
+    net = FieldNet([W], [b], "tanh")
     np.testing.assert_allclose(forward(net, np.array([1.0, 1.0]), 0.0), [3.5, -1.0])
 
 
@@ -187,7 +187,7 @@ def _z(*shape):
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        FieldNet([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)])
+        FieldNet([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)], "tanh")
     net = init_field(3, (4,), 2, seed=0)
     with pytest.raises(ValueError):
         forward(net, np.zeros(5), 0.0)
@@ -196,7 +196,7 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         vec_to_params(net, np.zeros((2, 2, net.n_params)))
     # Stacked parameters: every layer (R, out, in) with (R, out) biases.
-    assert FieldNet([_z(5, 4, 3), _z(5, 2, 4)], [_z(5, 4), _z(5, 2)]).param_rows == 5
+    assert FieldNet([_z(5, 4, 3), _z(5, 2, 4)], [_z(5, 4), _z(5, 2)], "tanh").param_rows == 5
     refused = [
         ([_z(5, 2, 3), _z(2, 4)], [_z(5, 2), _z(4)]),  # one layer stacked, one not
         ([_z(5, 2, 3), _z(6, 4, 2)], [_z(5, 2), _z(6, 4)]),  # two stack heights
@@ -208,7 +208,7 @@ def test_shape_validation():
     ]
     for weights, biases in refused:
         with pytest.raises(ValueError):
-            FieldNet(weights, biases)
+            FieldNet(weights, biases, "tanh")
 
 
 def test_stacked_forward_matches_each_row_and_has_no_vjp():
@@ -225,7 +225,7 @@ def test_stacked_forward_matches_each_row_and_has_no_vjp():
         alone = forward(vec_to_params(net, vecs[r]), h[r], 0.4)
         np.testing.assert_allclose(f[r], alone, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="stacked"):
-        vjp_from_cache(stacked, cache, np.ones((6, 2)))
+        vjp_from_cache(stacked, cache, np.ones((6, 2)), out=np.empty(net.n_params))
     for wrong in (h[:5], h[0]):
         with pytest.raises(ValueError):
             eval_cached(stacked, wrong, 0.4)

@@ -22,7 +22,9 @@ def tight(**kw):
 
 
 def test_constant_rhs_is_exact():
-    res = solve_dopri45(lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, sample_times=[0.25, 0.5, 1.0])
+    res = solve_dopri45(
+        lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, IntegratorConfig(), sample_times=[0.25, 0.5, 1.0]
+    )
     assert res.ok
     np.testing.assert_allclose(res.states[:, 0], [0.25, 0.5, 1.0], rtol=0.0, atol=1e-14)
     assert abs(res.y_final[0] - 1.0) < 1e-14
@@ -54,7 +56,7 @@ def test_rk4_fourth_order_convergence():
     # Halving the step should shrink the final error by roughly 2^4.
     errs = []
     for n in (8, 16, 32, 64):
-        res = solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, n)
+        res = solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, n, ())
         errs.append(abs(res.y_final[0] - np.e))
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     for r in ratios:
@@ -74,7 +76,7 @@ def test_nfe_matches_external_counter():
     assert res.nfe == 1 + 6 * (res.accepted_steps + res.rejected_steps)
 
     calls["n"] = 0
-    res4 = solve_rk4(rhs, np.array([0.3, -0.2]), 0.0, 3.0, 57)
+    res4 = solve_rk4(rhs, np.array([0.3, -0.2]), 0.0, 3.0, 57, ())
     assert res4.nfe == calls["n"] == 4 * 57
 
 
@@ -179,7 +181,9 @@ def test_signed_zero_start_comes_back_bit_exact(t0, t1):
     # theta = 0.  Forward, that dense output adds +0.0 and turns -0.0 into
     # +0.0; reverse (h < 0) it adds -0.0, which keeps the sign.
     y0 = np.array([-0.0, 1.0, -0.0])
-    res = solve_dopri45(lambda t, y: np.array([1.0, -y[1], 0.0]), y0, t0, t1, sample_times=[t0, t1])
+    res = solve_dopri45(
+        lambda t, y: np.array([1.0, -y[1], 0.0]), y0, t0, t1, IntegratorConfig(), sample_times=[t0, t1]
+    )
     assert res.ok and res.accepted_steps >= 2
     for y in (res.states[0], res.dense_state(t0), res.step_states[0]):
         assert y.tobytes() == y0.tobytes()
@@ -189,7 +193,7 @@ def test_failure_before_any_accepted_step_still_emits_the_start():
     # Every stage past t0 is non-finite, so no step is ever accepted.
     rhs = lambda t, y: y if t == 0.0 else np.full_like(y, np.nan)
     y0 = np.array([2.0, -0.0])
-    res = solve_dopri45(rhs, y0, 0.0, 1.0, sample_times=[0.0, 0.5, 1.0])
+    res = solve_dopri45(rhs, y0, 0.0, 1.0, IntegratorConfig(), sample_times=[0.0, 0.5, 1.0])
     assert res.status is SolveStatus.NON_FINITE_STATE
     assert res.accepted_steps == 0 and res.t_final == 0.0
     assert res.ts.tolist() == [0.0]
@@ -268,7 +272,7 @@ def test_non_finite_stage_7_alone_is_rejected():
             return np.full(1, np.nan)
         return -y
 
-    res = solve_dopri45(rhs, np.ones(1), 0.0, 1.0)
+    res = solve_dopri45(rhs, np.ones(1), 0.0, 1.0, IntegratorConfig())
     assert res.status is SolveStatus.NON_FINITE_STATE
     assert res.rejected_steps == nan_attempts > 1
     assert 0.5 - 1e-9 < res.t_final <= 0.5
@@ -279,7 +283,7 @@ def test_overflowing_candidate_with_finite_stages_is_rejected():
     # From the largest float, any step of a large finite slope overflows
     # the candidate state, while every stage the RHS returns stays finite.
     y0 = np.full(1, np.finfo(float).max)
-    res = solve_dopri45(lambda t, y: np.full(1, 1e308), y0, 0.0, 1.0)
+    res = solve_dopri45(lambda t, y: np.full(1, 1e308), y0, 0.0, 1.0, IntegratorConfig())
     assert res.status is SolveStatus.NON_FINITE_STATE
     assert res.accepted_steps == 0
     assert res.rejected_steps > 1
@@ -307,17 +311,17 @@ def test_step_underflow_on_unresolvable_discontinuity():
 
 def test_precondition_errors():
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.ones(1), 1.0, 1.0)
+        solve_dopri45(lambda t, y: y, np.ones(1), 1.0, 1.0, IntegratorConfig())
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.array([np.nan]), 0.0, 1.0)
+        solve_dopri45(lambda t, y: y, np.array([np.nan]), 0.0, 1.0, IntegratorConfig())
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, sample_times=[0.2, 1.5])
+        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, IntegratorConfig(), sample_times=[0.2, 1.5])
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, sample_times=[0.5, 0.2])
+        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, IntegratorConfig(), sample_times=[0.5, 0.2])
     with pytest.raises(ValueError):
         IntegratorConfig(h_min=10.0 * H_INIT).validate()
     with pytest.raises(ValueError):
-        solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 0)
+        solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 0, ())
 
 
 def _first_attempt(h_init, t0=0.0, t1=1.0):
@@ -329,7 +333,7 @@ def _first_attempt(h_init, t0=0.0, t1=1.0):
         times.append(t)
         return -y
 
-    solve_dopri45(rhs, np.ones(1), t0, t1, h_init=h_init)
+    solve_dopri45(rhs, np.ones(1), t0, t1, IntegratorConfig(), h_init=h_init)
     return times[6] - t0
 
 
@@ -341,7 +345,7 @@ def test_first_attempted_step_is_h_init_capped_by_the_interval(h_init):
 
 def test_h_init_defaults_to_h_init_constant():
     assert _first_attempt(H_INIT) == H_INIT
-    default = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0)
+    default = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0, IntegratorConfig())
     assert default.step_sizes[0] == H_INIT
 
 
@@ -365,7 +369,7 @@ def test_h_next_lies_in_the_step_limits(rhs, t1, cfg):
 def test_h_next_is_the_controller_proposal_after_the_last_step():
     # A constant right-hand side has zero error, so the controller
     # proposes H_MAX after the landing step, whatever that step's size.
-    res = solve_dopri45(lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0)
+    res = solve_dopri45(lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, IntegratorConfig())
     assert res.step_sizes == [H_INIT, 1.0 - H_INIT]
     assert res.h_next == H_MAX
 
@@ -394,7 +398,7 @@ def test_h_init_outside_the_step_limits_is_refused(h_init):
 
 
 def test_rk4_result_has_no_step_record():
-    res = solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 4)
+    res = solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 4, ())
     assert res.h_next is None
     with pytest.raises(ValueError, match="kept no step record"):
         res.dense_state(0.5)
@@ -464,14 +468,14 @@ def test_rk4_hands_the_rhs_a_list_of_floats():
         seen.append(type(y) is list and all(type(v) is float for v in y))
         return (-y[0], 1.0)
 
-    res = solve_rk4(rhs, np.array([1.0, 0.0]), 0.0, 1.0, 5)
+    res = solve_rk4(rhs, np.array([1.0, 0.0]), 0.0, 1.0, 5, ())
     assert res.ok and res.nfe == len(seen) == 20 and all(seen)
     assert isinstance(res.y_final, np.ndarray) and res.y_final.shape == (2,)
 
 
 def test_rk4_rejects_an_rhs_of_the_wrong_length():
     with pytest.raises(ValueError, match="returned 3 values, expected 2"):
-        solve_rk4(lambda t, y: [0.0, 0.0, 0.0], np.zeros(2), 0.0, 1.0, 4)
+        solve_rk4(lambda t, y: [0.0, 0.0, 0.0], np.zeros(2), 0.0, 1.0, 4, ())
 
 
 def test_rk4_checks_the_length_of_every_stage():
@@ -483,10 +487,10 @@ def test_rk4_checks_the_length_of_every_stage():
         return (0.0, 0.0, 0.0) if len(calls) == 7 else (-y[0], -y[1])
 
     with pytest.raises(ValueError, match=r"^rhs returned 3 values, expected 2$"):
-        solve_rk4(rhs, np.ones(2), 0.0, 1.0, 4)
+        solve_rk4(rhs, np.ones(2), 0.0, 1.0, 4, ())
     assert len(calls) == 7
     # Tuples of the right length are accepted.
-    res = solve_rk4(lambda t, y: (-y[0], -y[1]), np.ones(2), 0.0, 1.0, 4)
+    res = solve_rk4(lambda t, y: (-y[0], -y[1]), np.ones(2), 0.0, 1.0, 4, ())
     assert res.ok and res.nfe == 16
 
 
@@ -509,6 +513,6 @@ def test_rk4_against_dopri_cross_check():
 
     y0 = np.array([0.5, 0.0])
     a = solve_dopri45(rhs, y0, 0.0, 10.0, tight())
-    b = solve_rk4(rhs, y0, 0.0, 10.0, 20000)
+    b = solve_rk4(rhs, y0, 0.0, 10.0, 20000, ())
     assert a.ok and b.ok
     np.testing.assert_allclose(a.y_final, b.y_final, rtol=0.0, atol=1e-9)
