@@ -131,27 +131,10 @@ class EfficacyRecord:
 
 
 @dataclass
-class TrainConfig:
-    """One training run's settings, as the ``train`` command checked them:
-    ``epochs`` and ``seed`` at least 0, ``batch_size`` at least 1, ``lr``,
-    ``rtol`` and ``atol`` finite and above 0, and ``dataset`` a key of
-    :data:`DATASETS`."""
-
-    epochs: int
-    lr: float
-    batch_size: int
-    seed: int
-    rtol: float
-    atol: float
-    dataset: str
-
-
-@dataclass
 class ClassificationRun:
     records: list
     diverged: bool
     diverged_at: int | None
-    param_count: int
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
@@ -164,7 +147,7 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     loss = -float(np.mean(np.log(probs[np.arange(n), labels] + eps)))
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n, probs
+    return loss, grad / n
 
 
 class ODEClassifier:
@@ -178,55 +161,39 @@ class ODEClassifier:
     same field, so each starts where the last one left off.
     """
 
-    def __init__(self, spec: DynamicsSpec, cfg: TrainConfig):
+    def __init__(self, spec: DynamicsSpec, seed: int, rtol: float, atol: float):
         self.spec = spec
-        self.solver_cfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol, h_min=TRAIN_H_MIN, max_steps=40_000)
+        self.solver_cfg = IntegratorConfig(rtol=rtol, atol=atol, h_min=TRAIN_H_MIN, max_steps=40_000)
         self.first_step = {"train": H_INIT, "eval": H_INIT, "backward": H_INIT}
-        rng = np.random.default_rng(cfg.seed)
-        self.field = init_field(
-            spec.field_in_dim(TRAIN_D),
-            TRAIN_HIDDEN,
-            spec.width(TRAIN_D),
-            activation=TRAIN_ACTIVATION,
-            seed=cfg.seed,
-        )
-        w = spec.width(TRAIN_D)
-        self.embed = LinearStateMap(
-            W=rng.uniform(-1.0, 1.0, size=(TRAIN_D, 2)) / np.sqrt(2.0), b=np.zeros(TRAIN_D)
-        )
-        # Zero readout: the untrained model emits identical logits, so its
+        rng = np.random.default_rng(seed)
+        self.field = init_field(spec.field_in_dim(TRAIN_D), TRAIN_HIDDEN, spec.width(TRAIN_D),
+                                activation=TRAIN_ACTIVATION, seed=seed)
+        embed_W = rng.uniform(-1.0, 1.0, size=(TRAIN_D, 2)) / np.sqrt(2.0)
+        # The embed's bias and the whole readout start at zero.  A zero
+        # readout makes the untrained model emit identical logits, so its
         # accuracy is exactly the test split's class balance.
-        self.readout = LinearStateMap(W=np.zeros((2, w)), b=np.zeros(2))
-
-    # -- flat parameter plumbing ------------------------------------
-    @property
-    def n_params(self) -> int:
-        return (
-            self.field.n_params
-            + self.spec.extra_param_count
-            + self.embed.W.size + self.embed.b.size
-            + self.readout.W.size + self.readout.b.size
-        )
-
-    def get_params(self) -> np.ndarray:
-        parts = [params_to_vec(self.field)]
-        if self.spec.extra_param_count:
-            parts.append(np.array([self.spec.hb.theta]))
-        parts += [self.embed.W.ravel(), self.embed.b, self.readout.W.ravel(), self.readout.b]
-        return np.concatenate(parts)
+        self.set_params(np.concatenate([
+            params_to_vec(self.field),
+            [spec.hb.theta] if spec.extra_param_count else [],
+            embed_W.ravel(),
+            np.zeros(TRAIN_D + 2 * spec.width(TRAIN_D) + 2),
+        ]))
 
     def set_params(self, vec: np.ndarray) -> None:
-        i = self.field.n_params
-        self.field = vec_to_params(self.field, vec[:i])
+        """Make ``vec`` the parameters: the field's in :func:`params_to_vec`
+        order, the damping parameter if the dynamics have one, then the
+        embed's and the readout's weights and biases."""
+        self.params = vec
+        n_field = self.field.n_params
+        self.field = vec_to_params(self.field, vec[:n_field])
+        rest = vec[n_field:]
         if self.spec.extra_param_count:
-            self.spec = replace(self.spec, hb=HeavyBallParams(theta=float(vec[i])))
-            i += 1
-        for mapping in (self.embed, self.readout):
-            nw, nb = mapping.W.size, mapping.b.size
-            mapping.W = vec[i : i + nw].reshape(mapping.W.shape)
-            i += nw
-            mapping.b = vec[i : i + nb].copy()
-            i += nb
+            self.spec = replace(self.spec, hb=HeavyBallParams(theta=float(rest[0])))
+            rest = rest[1:]
+        w = self.spec.width(TRAIN_D)
+        embed_W, embed_b, readout_W, readout_b = np.split(rest, np.cumsum([2 * TRAIN_D, TRAIN_D, 2 * w]))
+        self.embed = LinearStateMap(W=embed_W.reshape(TRAIN_D, 2), b=embed_b)
+        self.readout = LinearStateMap(W=readout_W.reshape(2, w), b=readout_b)
 
     # -- forward / backward ------------------------------------------
     def forward(self, x: np.ndarray, role: str):
@@ -255,7 +222,7 @@ class ODEClassifier:
         """
         h_T, res = self.forward(x, "train")
         logits = self.readout.apply(h_T)
-        loss, dlogits, _ = _softmax_ce(logits, labels)
+        loss, dlogits = _softmax_ce(logits, labels)
 
         grad_h_T, grad_readout = self.readout.vjp(h_T, dlogits)
         run = backward(res, loss_grad_from_h(self.spec, grad_h_T), self.spec, self.field,
@@ -267,24 +234,20 @@ class ODEClassifier:
         return loss, grad, res.nfe, run.backward_nfe
 
     def predict(self, x: np.ndarray):
+        """Logits of an evaluation solve, and its nfe."""
         h_T, res = self.forward(x, "eval")
-        logits = self.readout.apply(h_T)
-        return np.argmax(logits, axis=1), res.nfe
-
-    def eval_loss(self, x: np.ndarray, labels: np.ndarray):
-        h_T, res = self.forward(x, "eval")
-        logits = self.readout.apply(h_T)
-        loss, _, _ = _softmax_ce(logits, labels)
-        return loss, res.nfe
+        return self.readout.apply(h_T), res.nfe
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator | None):
+def _batches(n: int, batch: int, rng: np.random.Generator | None):
     idx = np.arange(n) if rng is None else rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield idx[start : start + batch_size]
+    for start in range(0, n, batch):
+        yield idx[start : start + batch]
 
 
-def run_classification(spec: DynamicsSpec, cfg: TrainConfig) -> ClassificationRun:
+def run_classification(
+    spec: DynamicsSpec, *, epochs: int, lr: float, batch: int, seed: int, rtol: float, atol: float, dataset: str
+) -> ClassificationRun:
     """Train one model and emit one record per epoch (plus epoch 0).
 
     Record 0 is the untrained network evaluated on both splits; each
@@ -293,10 +256,11 @@ def run_classification(spec: DynamicsSpec, cfg: TrainConfig) -> ClassificationRu
     mean forward (resp. backward) NFE per solve; epoch 0 has no
     backward solves, so its efficacy_bwd is 0 by convention.  On
     divergence (non-finite loss or a failed solve) the records so far
-    are returned with the divergence epoch flagged.  ``cfg`` is taken as
-    the ``train`` command checked it; nothing here checks it again.
+    are returned with the divergence epoch flagged.  The arguments are
+    the ``train`` command's parameters of the same names, as it checked
+    them; nothing here checks them again.
     """
-    xs, ys = DATASETS[cfg.dataset](n=N_POINTS, seed=cfg.seed)
+    xs, ys = DATASETS[dataset](n=N_POINTS, seed=seed)
     # Stratified 80/20 split keeps the test set class-balanced, so the
     # zero-readout baseline sits exactly at chance.
     train_sel, test_sel = [], []
@@ -310,74 +274,48 @@ def run_classification(spec: DynamicsSpec, cfg: TrainConfig) -> ClassificationRu
     x_train, y_train = xs[train_sel], ys[train_sel]
     x_test, y_test = xs[test_sel], ys[test_sel]
 
-    model = ODEClassifier(spec, cfg)
-    opt = AdamOptimizer(model.n_params, lr=cfg.lr)
-
-    fwd_total = 0
-    bwd_total = 0
+    model = ODEClassifier(spec, seed, rtol, atol)
+    opt = AdamOptimizer(model.params.size, lr=lr)
+    fwd_total = bwd_total = 0
     records: list[EfficacyRecord] = []
-
-    def evaluate():
-        nonlocal fwd_total
-        correct = 0
-        solves = 0
-        for sel in _batches(len(x_test), cfg.batch_size, rng=None):
-            pred, nfe = model.predict(x_test[sel])
-            correct += int(np.sum(pred == y_test[sel]))
-            fwd_total += nfe
-            solves += 1
-        return correct / len(x_test), solves
-
-    def record_epoch(epoch, train_loss, fwd_start, fwd_solves, bwd_start, bwd_solves):
-        acc, eval_solves = evaluate()
-        fwd_solves += eval_solves
-        mean_fwd = (fwd_total - fwd_start) / fwd_solves
-        eff_fwd = acc / mean_fwd
-        if bwd_solves:
-            mean_bwd = (bwd_total - bwd_start) / bwd_solves
-            eff_bwd = acc / mean_bwd
-        else:
-            eff_bwd = 0.0
-        records.append(
-            EfficacyRecord(epoch, train_loss, acc, fwd_total, bwd_total, eff_fwd, eff_bwd)
-        )
-
-    # Divergence anywhere (a training batch or the post-epoch evaluation)
+    # Divergence anywhere (a training batch or the test evaluation)
     # returns the records collected so far instead of raising.
     epoch = 0
     try:
-        # Epoch 0: untrained baseline; train loss measured without updates.
-        fwd_start = fwd_total
-        loss0 = 0.0
-        solves0 = 0
-        for sel in _batches(len(x_train), cfg.batch_size, rng=None):
-            loss, nfe = model.eval_loss(x_train[sel], y_train[sel])
-            loss0 += loss * len(sel)
-            fwd_total += nfe
-            solves0 += 1
-        record_epoch(0, loss0 / len(x_train), fwd_start, solves0, bwd_total, 0)
+        for epoch in range(epochs + 1):
+            fwd_start, bwd_start = fwd_total, bwd_total
+            loss_sum = 0.0
+            train_solves = 0
+            # Epoch 0 measures the untrained model's train loss, batch by
+            # batch in order; every later epoch trains on a fresh shuffle.
+            rng = np.random.default_rng((seed, epoch)) if epoch else None
+            for sel in _batches(len(x_train), batch, rng):
+                if epoch:
+                    loss, grad, nfe, nfe_b = model.loss_and_grad(x_train[sel], y_train[sel])
+                    if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+                        raise TrainingDiverged("non-finite loss or gradient")
+                    bwd_total += nfe_b
+                    model.set_params(opt.step(model.params, grad))
+                else:
+                    logits, nfe = model.predict(x_train[sel])
+                    loss = _softmax_ce(logits, y_train[sel])[0]
+                fwd_total += nfe
+                loss_sum += loss * len(sel)
+                train_solves += 1
 
-        for epoch in range(1, cfg.epochs + 1):
-            rng = np.random.default_rng((cfg.seed, epoch))
-            fwd_start = fwd_total
-            bwd_start = bwd_total
-            epoch_loss = 0.0
-            n_seen = 0
-            solves = 0
-            for sel in _batches(len(x_train), cfg.batch_size, rng):
-                loss, grad, nfe_f, nfe_b = model.loss_and_grad(x_train[sel], y_train[sel])
-                if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    raise TrainingDiverged("non-finite loss or gradient")
-                fwd_total += nfe_f
-                bwd_total += nfe_b
-                solves += 1
-                epoch_loss += loss * len(sel)
-                n_seen += len(sel)
-                model.set_params(opt.step(model.get_params(), grad))
-            record_epoch(epoch, epoch_loss / n_seen, fwd_start, solves, bwd_start, solves)
+            correct = 0
+            test_solves = 0
+            for sel in _batches(len(x_test), batch, rng=None):
+                logits, nfe = model.predict(x_test[sel])
+                correct += int(np.sum(np.argmax(logits, axis=1) == y_test[sel]))
+                fwd_total += nfe
+                test_solves += 1
+            acc = correct / len(x_test)
+            eff_fwd = acc / ((fwd_total - fwd_start) / (train_solves + test_solves))
+            eff_bwd = acc / ((bwd_total - bwd_start) / train_solves) if epoch else 0.0
+            records.append(
+                EfficacyRecord(epoch, loss_sum / len(x_train), acc, fwd_total, bwd_total, eff_fwd, eff_bwd)
+            )
     except (TrainingDiverged, BackwardSolveError, FloatingPointError):
-        return ClassificationRun(records, diverged=True, diverged_at=epoch,
-                                 param_count=model.n_params)
-
-    return ClassificationRun(records, diverged=False, diverged_at=None,
-                             param_count=model.n_params)
+        return ClassificationRun(records, diverged=True, diverged_at=epoch)
+    return ClassificationRun(records, diverged=False, diverged_at=None)

@@ -190,17 +190,17 @@ def run_stability_probe(
         y0 = initial_state(spec, h0)
         res = solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=grid)
         w = spec.width(d)
-        if len(res.states) > 0:
-            states = np.asarray(res.states)
-            # Norms of huge-but-finite states can overflow to inf; they
-            # are filtered out just below like any other lost sample.
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms = np.linalg.norm(states[:, :w], axis=1)
-        else:
-            norms = np.array([])
-        norms = norms[np.isfinite(norms)]
-        if norms.size == 0:
-            norms = np.array([float(np.linalg.norm(h0))])
+        # Norms of huge-but-finite states can overflow to inf; they are
+        # filtered out like any other lost sample.  The start's norm, kept
+        # when no sample is left, can overflow too, and is kept as inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(res.states) > 0:
+                norms = np.linalg.norm(np.asarray(res.states)[:, :w], axis=1)
+                norms = norms[np.isfinite(norms)]
+            else:
+                norms = np.array([])
+            if norms.size == 0:
+                norms = np.array([float(np.linalg.norm(h0))])
         curve = np.empty(grid.size)
         n_have = min(norms.size, grid.size)
         curve[:n_have] = norms[:n_have]

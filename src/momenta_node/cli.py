@@ -32,7 +32,7 @@ from pathlib import Path
 
 from momenta_node import csv_formats, svg
 from momenta_node.adjoint import BackwardSolveError, ForwardSolveError, gradcheck
-from momenta_node.benchmarks.classify import TrainConfig, run_classification
+from momenta_node.benchmarks.classify import run_classification
 from momenta_node.benchmarks.landscapes import LANDSCAPES
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
@@ -356,19 +356,12 @@ def cmd_stability(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _checked("train", args)
-    train_cfg = TrainConfig(
-        epochs=cfg["epochs"],
-        lr=cfg["lr"],
-        batch_size=cfg["batch"],
-        seed=cfg["seed"],
-        rtol=cfg["rtol"],
-        atol=cfg["atol"],
-        dataset=cfg["dataset"],
-    )
     out_dir = Path(cfg["out"])
     _emit_resolved(out_dir / RESOLVED, "train", cfg)
 
-    run = run_classification(model_spec(cfg["model"]), train_cfg)
+    run = run_classification(
+        model_spec(cfg["model"]), **{key: value for key, value in cfg.items() if key not in ("out", "model")}
+    )
     csv_formats.write_efficacy_csv(out_dir / "efficacy.csv", run.records)
     if run.records:
         cols = {

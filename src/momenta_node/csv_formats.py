@@ -16,8 +16,10 @@ reruns are byte-identical:
   then one row of finite values per sample, times strictly increasing.
 
 All four readers share one table reader: blank lines are skipped, ``#``
-lines are comments, the header must match exactly, and an empty body is
-refused, so a mismatched file fails loudly instead of plotting garbage.
+lines are comments, the header must match exactly, an empty body is
+refused, and so is a non-finite value in the first column (the ``t`` or
+``epoch`` axis), so a mismatched file fails loudly instead of plotting
+garbage.  Other columns may hold ``nan`` and ``inf``, which plots leave out.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ def _parse_table(path, header, n_numeric):
     Blank lines are skipped.  ``comments`` holds ``(lineno, fields)`` for
     each ``#`` line, its text split on commas.  The first other line must
     equal ``header`` and at least one row must follow; every row needs
-    ``len(header)`` fields whose first ``n_numeric`` parse as floats.
-    ``rows`` holds ``(lineno, numbers, rest)`` per row.  A missing header
-    or body is reported at the line after the last, and text that is not
-    UTF-8 at the line of its first bad byte.
+    ``len(header)`` fields whose first ``n_numeric`` parse as floats, the
+    first of them finite.  ``rows`` holds ``(lineno, numbers, rest)`` per
+    row.  A missing header or body is reported at the line after the last,
+    and text that is not UTF-8 at the line of its first bad byte.
     """
     comments, rows, found = [], [], None
     lineno = 0
@@ -103,6 +105,8 @@ def _parse_table(path, header, n_numeric):
                 numbers = [float(value) for value in row[:n_numeric]]
             except ValueError as exc:
                 raise CsvFormatError("non-numeric value", lineno) from exc
+            if not math.isfinite(numbers[0]):
+                raise CsvFormatError(f"non-finite {header[0]}", lineno)
             rows.append((lineno, numbers, row[n_numeric:]))
     if found is None:
         raise CsvFormatError("no header row found", lineno + 1)
@@ -135,6 +139,8 @@ def read_trajectory_csv(path):
                 mx, my = (float(v) for v in parts[1:])
             except ValueError:
                 raise CsvFormatError("malformed minimizer comment", lineno) from None
+            if not (math.isfinite(mx) and math.isfinite(my)):
+                raise CsvFormatError("malformed minimizer comment: not finite", lineno)
             minimizer = np.array([mx, my])
     if minimizer is None:
         raise CsvFormatError("missing '# minimizer' comment", None)
@@ -173,6 +179,8 @@ def read_stability_csv(path):
                 blowups[name] = float(t_blow)
             except ValueError:
                 raise CsvFormatError("malformed blowup_at comment", lineno) from None
+            if not math.isfinite(blowups[name]):
+                raise CsvFormatError("malformed blowup_at comment: not finite", lineno)
     series: dict[str, list] = {}
     for _, numbers, (name,) in rows:
         series.setdefault(name, []).append(numbers)
@@ -202,15 +210,15 @@ def write_efficacy_csv(path, records) -> None:
 
 
 def read_efficacy_csv(path):
-    """Returns a dict of column arrays keyed by the header names."""
+    """Returns a dict of column arrays keyed by the header names; the
+    ``epoch`` and NFE columns must hold whole numbers, read as int64."""
     _, rows = _parse_table(path, EFFICACY_HEADER, len(EFFICACY_HEADER))
-    table = np.asarray([numbers for _, numbers, _ in rows])
-    out = {}
-    for i, name in enumerate(EFFICACY_HEADER):
-        arr = table[:, i]
-        if name in ("epoch", "forward_nfe", "backward_nfe"):
-            arr = arr.astype(int)
-        out[name] = arr
+    out = dict(zip(EFFICACY_HEADER, np.asarray([numbers for _, numbers, _ in rows]).T))
+    for name in ("epoch", "forward_nfe", "backward_nfe"):
+        whole = (np.abs(out[name]) < 2.0**63) & (np.floor(out[name]) == out[name])
+        if not whole.all():
+            raise CsvFormatError(f"{name} is not a whole number below 2**63", rows[np.argmin(whole)][0])
+        out[name] = out[name].astype(int)
     return out
 
 

@@ -6,8 +6,8 @@ the forward map, the module provides exact reverse-mode contractions
 (vector-Jacobian products) against the input and against the parameters;
 those are the only derivatives the adjoint machinery needs.
 
-Inputs may be single vectors ``(n,)`` or batches ``(B, n)``.  Every
-network is time-conditioned: the scalar time is appended as one extra
+Inputs are batches of rows ``(B, n)``.  Every network is
+time-conditioned: the scalar time is appended as one extra
 input coordinate, and its cotangent slot is dropped again on the way back.
 
 A network's parameters may also be stacked: every weight ``(R, out, in)``
@@ -122,24 +122,21 @@ def init_field(
 def eval_cached(net: FieldNet, h: np.ndarray, t: float):
     """Forward pass returning ``(f, cache)`` for later VJP sweeps.
 
-    ``h`` is one state ``(n,)`` or a batch of rows ``(B, n)``; the first
-    layer reads a fresh ``(B, n + 1)`` copy of the rows with ``t`` in the
-    last column.  A stacked network
-    takes ``(R, n)``, one row per parameter set, and its cache holds each
-    layer as ``(R, 1, width)``.
+    ``h`` is a batch of rows ``(B, n)``; the first layer reads a fresh
+    ``(B, n + 1)`` copy of the rows with ``t`` in the last column.  A
+    stacked network takes ``(R, n)``, one row per parameter set, and its
+    cache holds each layer as ``(R, 1, width)``.
     """
-    squeeze = h.ndim == 1
-    n = h.shape[-1]
+    rows, n = h.shape
     if n != net.state_dim:
         raise ValueError(f"input width {n} != expected {net.state_dim}")
-    rows = 1 if squeeze else h.shape[0]
     u = np.empty((rows, n + 1))
     u[:, :n] = h
     u[:, n] = t
     biases = net.biases
     stacked = net.param_rows is not None
     if stacked:
-        if squeeze or rows != net.param_rows:
+        if rows != net.param_rows:
             raise ValueError(f"a stack of {net.param_rows} parameter sets needs that many input rows")
         # Row r becomes a one-row batch against weight r.
         u = u[:, None]
@@ -158,24 +155,22 @@ def eval_cached(net: FieldNet, h: np.ndarray, t: float):
             layer_in.append(x)
         else:
             x = z
-    out = x[:, 0] if stacked else (x[0] if squeeze else x)
-    return out, (layer_in, pre, squeeze)
+    return (x[:, 0] if stacked else x), (layer_in, pre)
 
 
 def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray):
-    """Reverse sweep: returns ``(a^T df/dh, a^T df/dtheta)`` for cotangent ``a``.
+    """Reverse sweep: returns ``(a^T df/dh, a^T df/dtheta)`` for the
+    ``(B, out_dim)`` cotangent ``a``.
 
     The parameter contraction is summed over the batch and flattened in
     :func:`params_to_vec` order into ``out``, a ``(n_params,)`` array,
     which is the second value returned.
     """
-    layer_in, pre, squeeze = cache
+    layer_in, pre = cache
     if layer_in[0].ndim != 2:
         raise ValueError("a stacked forward pass has no vector-Jacobian product")
     _, dact = ACTIVATIONS[net.activation]
     g = np.asarray(a, dtype=float)
-    if g.ndim == 1:
-        g = g.reshape(1, -1)
     if g.shape != (layer_in[0].shape[0], net.out_dim):
         raise ValueError("cotangent shape does not match the cached forward pass")
     grads_W = [None] * len(net.weights)
@@ -187,10 +182,7 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray):
         if l > 0:
             d = dact(pre[l - 1])
             g = np.multiply(g, d, out=d)
-    grad_h = g[:, : net.state_dim]
-    if squeeze:
-        grad_h = grad_h[0]
-    return grad_h, np.concatenate([W.ravel() for W in grads_W] + grads_b, out=out)
+    return g[:, : net.state_dim], np.concatenate([W.ravel() for W in grads_W] + grads_b, out=out)
 
 
 def params_to_vec(net: FieldNet) -> np.ndarray:
@@ -237,16 +229,6 @@ class LinearStateMap:
         return h @ self.W.T + self.b
 
     def vjp(self, h: np.ndarray, a: np.ndarray):
-        """Returns ``(a^T dout/dh, flat a^T dout/dparams)`` summed over any batch."""
-        h2 = h.reshape(1, -1) if h.ndim == 1 else h
-        a2 = a.reshape(1, -1) if a.ndim == 1 else a
-        grad_h = a2 @ self.W
-        grad_W = a2.T @ h2
-        grad_b = a2.sum(axis=0)
-        if h.ndim == 1:
-            grad_h = grad_h[0]
-        return grad_h, np.concatenate([grad_W.ravel(), grad_b])
-
-    @property
-    def n_params(self) -> int:
-        return self.W.size + self.b.size
+        """Returns ``(a^T dout/dh, flat a^T dout/dparams)`` for a batch
+        ``h`` of rows and its cotangent ``a``, the second summed over it."""
+        return a @ self.W, np.concatenate([(a.T @ h).ravel(), a.sum(axis=0)])

@@ -44,7 +44,6 @@ _A = (
     np.array([9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0]),
     np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]),
 )
-_B5 = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0])
 # Difference between the 5th-order propagated weights and the embedded
 # 4th-order weights; h * (E @ K) is the local error estimate.
 _E = np.array([
@@ -101,8 +100,8 @@ class IntegratorConfig:
         Budget of accepted plus rejected step attempts.
     """
 
-    rtol: float = 1e-6
-    atol: float = 1e-6
+    rtol: float
+    atol: float
     h_min: float = 1e-12
     max_steps: int = 100_000
 

@@ -22,6 +22,11 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62.0, 18.0, 36.0, 48.0
 N_TICKS = 5
 LINE_WIDTH = 1.5
 STAR_OUTER, STAR_INNER = 8.0, 3.2
+# Bounds that keep every number written finite, however large the data: an
+# axis range is clipped to +-RANGE_LIMIT, so its span and its ticks stay
+# finite, and a pixel coordinate to +-PIXEL_LIMIT as it is written.
+RANGE_LIMIT = 1e300
+PIXEL_LIMIT = 1e9
 
 PALETTE = [
     "#1f66ad",
@@ -36,6 +41,8 @@ PALETTE = [
 
 
 def _fmt(v: float) -> str:
+    if not -PIXEL_LIMIT < v < PIXEL_LIMIT:
+        v = math.copysign(PIXEL_LIMIT, v)
     out = f"{v:.2f}"
     return "0.00" if out == "-0.00" else out
 
@@ -48,21 +55,28 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _axis_range(lo: float, hi: float) -> tuple:
+    """``[lo, hi]`` clipped to +-RANGE_LIMIT; an empty range is widened by
+    1, or by ``|lo|`` where adding 1 would not change it."""
+    lo, hi = (min(max(v, -RANGE_LIMIT), RANGE_LIMIT) for v in (lo, hi))
+    if hi <= lo:
+        hi = lo + 1.0 if lo + 1.0 > lo else lo + abs(lo)
+    return lo, hi
+
+
 class _Canvas:
     """Linear data-to-pixel mapping over the fixed plot box."""
 
     def __init__(self, x_range, y_range):
-        self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
-        if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 <= self.y0:
-            self.y1 = self.y0 + 1.0
+        self.x0, self.x1 = _axis_range(*x_range)
+        self.y0, self.y1 = _axis_range(*y_range)
         self.px0 = MARGIN_L
         self.px1 = WIDTH - MARGIN_R
         self.py0 = HEIGHT - MARGIN_B
         self.py1 = MARGIN_T
 
+    # ``v`` is a Python float: a numpy scalar would warn where the mapping
+    # of a value far outside the range overflows.
     def x(self, v: float) -> float:
         return self.px0 + (v - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
 
@@ -71,15 +85,21 @@ class _Canvas:
 
 
 def _ticks(lo: float, hi: float):
-    """Round tick positions covering [lo, hi], about N_TICKS of them; deterministic."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        return [lo]
+    """Round tick positions covering [lo, hi], about N_TICKS of them; deterministic.
+
+    A range too narrow for round ticks to be told apart at its magnitude
+    gets the one tick ``lo``.
+    """
     raw = (hi - lo) / (N_TICKS - 1)
+    if raw <= 0.0:
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
             step = mag * mult
             break
+    if step < math.ulp(max(abs(lo), abs(hi))):
+        return [lo]
     start = math.ceil(lo / step) * step
     out = []
     v = start
@@ -186,7 +206,9 @@ def render_trajectory_svg(minimizer, series) -> str:
     reach = 1.0
     for _, xs in series.values():
         if len(xs):
-            reach = max(reach, float(np.linalg.norm(np.asarray(xs[0]) - minimizer)))
+            # The distance from a huge-but-finite start overflows to inf.
+            with np.errstate(over="ignore"):
+                reach = max(reach, float(np.linalg.norm(np.asarray(xs[0]) - minimizer)))
     window = 4.0 * reach
     pts_x = [mx]
     pts_y = [my]
@@ -240,7 +262,7 @@ def render_stability_svg(series, blowups) -> str:
     for i, (name, (ts, v)) in enumerate(series.items()):
         v = np.asarray(v, dtype=float)
         keep = np.isfinite(v)
-        pix = [(canvas.x(t), canvas.y(val)) for t, val in zip(np.asarray(ts)[keep], v[keep])]
+        pix = [(canvas.x(t), canvas.y(val)) for t, val in zip(np.asarray(ts)[keep].tolist(), v[keep].tolist())]
         if pix:
             parts.append(_polyline(pix, _color(i)))
         if name in blowups:
@@ -285,17 +307,20 @@ def render_efficacy_svg(cols) -> str:
         ("test_accuracy", np.asarray(cols["test_accuracy"], dtype=float)),
     ]
     vals = np.concatenate([v for _, v in series])
+    vals = vals[np.isfinite(vals)]
     canvas = _Canvas(
         (float(epochs.min()), float(epochs.max()) or 1.0),
-        (0.0, float(vals.max()) * 1.1 or 1.0),
+        (0.0, float(vals.max()) * 1.1 if vals.size else 1.0),
     )
     parts = []
     _frame(parts, canvas, "training efficacy", "epoch", "value")
     entries = []
     for i, (name, v) in enumerate(series):
-        pix = [(canvas.x(e), canvas.y(val)) for e, val in zip(epochs, v)]
-        dash = "5,4" if name == "test_accuracy" else None
-        parts.append(_polyline(pix, _color(i), dash=dash))
+        keep = np.isfinite(v)
+        pix = [(canvas.x(e), canvas.y(val)) for e, val in zip(epochs[keep].tolist(), v[keep].tolist())]
+        if pix:
+            dash = "5,4" if name == "test_accuracy" else None
+            parts.append(_polyline(pix, _color(i), dash=dash))
         entries.append((name, _color(i)))
     _legend(parts, entries, canvas.px0 + 10, canvas.py1 + 14)
     return _document(parts)

@@ -32,7 +32,6 @@ from momenta_node import cli
 from momenta_node import dynamics as dyn
 from momenta_node import field_net as fn
 from momenta_node.adjoint import ForwardSolveError
-from momenta_node.benchmarks.classify import TrainConfig
 from momenta_node.benchmarks.stability import _field_param_count
 from momenta_node.dynamics import AdamParams, GradFn
 from momenta_node.field_net import ACTIVATIONS, FieldNet, eval_cached, vjp_from_cache
@@ -58,11 +57,10 @@ def trajectory_args(**overrides) -> dict:
                 cfg=IntegratorConfig(rtol=p["rtol"], atol=p["atol"]))
 
 
-def train_config(**overrides) -> TrainConfig:
-    """The ``TrainConfig`` the ``train`` command builds; ``overrides`` use the command's keys."""
+def train_config(**overrides) -> dict:
+    """The keyword arguments ``run_classification`` gets from the ``train`` command."""
     p = cli_defaults("train", **overrides)
-    return TrainConfig(epochs=p["epochs"], lr=p["lr"], batch_size=p["batch"], seed=p["seed"],
-                       rtol=p["rtol"], atol=p["atol"], dataset=p["dataset"])
+    return {key: p[key] for key in ("epochs", "lr", "batch", "seed", "rtol", "atol", "dataset")}
 
 
 @dataclass
@@ -129,22 +127,22 @@ def discrete_adam_step(
 
 
 def forward(net: FieldNet, h: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate ``f(h, t)``."""
-    out, _ = eval_cached(net, h, t)
-    return out
+    """Evaluate ``f(h, t)`` at one state ``h`` ``(n,)``."""
+    out, _ = eval_cached(net, h[None], t)
+    return out[0]
 
 
 def vjp_input(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
-    """Contraction ``a^T df/dh`` at ``(h, t)``; time slot dropped."""
-    _, cache = eval_cached(net, h, t)
-    grad_h, _ = vjp_from_cache(net, cache, a, out=np.empty(net.n_params))
-    return grad_h
+    """Contraction ``a^T df/dh`` at one state ``(h, t)``; time slot dropped."""
+    _, cache = eval_cached(net, h[None], t)
+    grad_h, _ = vjp_from_cache(net, cache, a[None], out=np.empty(net.n_params))
+    return grad_h[0]
 
 
 def vjp_params(net: FieldNet, h: np.ndarray, t: float, a: np.ndarray) -> np.ndarray:
-    """Contraction ``a^T df/dtheta`` at ``(h, t)`` as a flat vector."""
-    _, cache = eval_cached(net, h, t)
-    _, grad_theta = vjp_from_cache(net, cache, a, out=np.empty(net.n_params))
+    """Contraction ``a^T df/dtheta`` at one state ``(h, t)`` as a flat vector."""
+    _, cache = eval_cached(net, h[None], t)
+    _, grad_theta = vjp_from_cache(net, cache, a[None], out=np.empty(net.n_params))
     return grad_theta
 
 

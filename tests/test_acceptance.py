@@ -137,7 +137,7 @@ def test_solver_battery():
         counter["n"] += 1
         return y
 
-    res = solve_dopri45(counted, np.ones(1), 0.0, 1.0, IntegratorConfig())
+    res = solve_dopri45(counted, np.ones(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     checks["nfe_dopri45"] = res.nfe == counter["n"]
     counter["n"] = 0
     res = solve_rk4(counted, np.ones(1), 0.0, 1.0, 25, ())
@@ -185,7 +185,7 @@ def test_dynamics_invariants():
         return out
 
     y0 = dyn.initial_state(spec, np.array([0.4, -0.2]))
-    res = solve_dopri45(instrumented, y0, 0.0, 5.0, IntegratorConfig())
+    res = solve_dopri45(instrumented, y0, 0.0, 5.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     ghb_ok = res.ok and peak["v"] <= 1.0 + 1e-12
 
     # Discrete adaptive-moment iterates approach the continuous flow as the
@@ -223,8 +223,8 @@ def test_training_efficacy_direction():
     t0 = time.perf_counter()
     accs, eff_adam, eff_node = [], [], []
     for seed in (0, 1, 2):
-        run_a = run_classification(MODEL_SPECS["adamnode"], train_config(seed=seed))
-        run_n = run_classification(MODEL_SPECS["node"], train_config(seed=seed))
+        run_a = run_classification(MODEL_SPECS["adamnode"], **train_config(seed=seed))
+        run_n = run_classification(MODEL_SPECS["node"], **train_config(seed=seed))
         assert not run_a.diverged and not run_n.diverged
         accs.append(run_a.records[-1].test_accuracy)
         eff_adam.append(run_a.records[-1].efficacy_fwd)

@@ -385,7 +385,7 @@ def test_negative_v_in_the_forward_record_fails_as_a_non_finite_state(monkeypatc
 
     monkeypatch.setattr(adjoint, "solve_dopri45", spy)
     with pytest.raises(BackwardSolveError) as err:
-        backward(fwd, loss_grad_from_h(spec, np.ones(2)), spec, field, IntegratorConfig())
+        backward(fwd, loss_grad_from_h(spec, np.ones(2)), spec, field, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert err.value.status is SolveStatus.NON_FINITE_STATE
     # log2(H_INIT / h_min) halvings, about 33, then the failure.
     assert reverse[0].accepted_steps == 0 and reverse[0].rejected_steps <= 40

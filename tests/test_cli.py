@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -650,12 +654,134 @@ def test_plot_kind_mismatch_and_empty_body_exit_2(tmp_path, capsys):
     ("trajectory", "# minimizer,1.0\nt,x,y,dynamics\n0.0,1.0,2.0,ode\n"),
     ("stability", "t,log10_norm,model\n0.0,1.0,node\n# blowup_at,soon,node\n"),
     ("stability", "t,log10_norm,model\n0.0,1.0,node\n# blowup_at,1.0\n"),
-], ids=["minimizer-value", "minimizer-count", "blowup-value", "blowup-count"])
+    ("trajectory", "# minimizer,nan,1.0\nt,x,y,dynamics\n0.0,1.0,2.0,ode\n"),
+    ("stability", "t,log10_norm,model\n0.0,1.0,node\n# blowup_at,inf,node\n"),
+], ids=["minimizer-value", "minimizer-count", "blowup-value", "blowup-count", "minimizer-nan", "blowup-inf"])
 def test_plot_malformed_comment_exits_2(tmp_path, capsys, kind, text):
     path = tmp_path / "in.csv"
     path.write_text(text)
     assert run_cli("plot", "--in", str(path), "--kind", kind, "--out", str(tmp_path / "x.svg")) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def program_csvs(tmp_path_factory):
+    """One CSV of each ``plot`` kind as the program writes it: ``{kind: path}``."""
+    root = tmp_path_factory.mktemp("program_csvs")
+    runs = {
+        "trajectory": ("trajectory", "--T", "1"),
+        "stability": ("stability", "--t1", "2", "--models", "adamnode"),
+        "efficacy": ("train", "--epochs", "2"),
+    }
+    with contextlib.redirect_stdout(io.StringIO()):
+        for kind, argv in runs.items():
+            assert run_cli(*argv, "--out", str(root / kind)) == 0
+    names = {"trajectory": "trajectory.csv", "stability": "stability.csv", "efficacy": "efficacy.csv"}
+    return {kind: root / kind / name for kind, name in names.items()}
+
+
+def _edited(path, edits) -> str:
+    """``path``'s text with cell ``(row, column)`` of its table, rows
+    counted from the first data row, set to each value in ``edits``."""
+    lines = path.read_text().splitlines(keepends=True)
+    data = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")][1:]
+    for (row, col), value in edits.items():
+        i = data[row if row >= 0 else len(data) + row]
+        cells = lines[i].rstrip("\n").split(",")
+        cells[col] = value
+        lines[i] = ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+# Per kind: the axis column, one value column, and the columns that count.
+PLOT_COLUMNS = {
+    "trajectory": (0, 1, ()),
+    "stability": (0, 1, ()),
+    "efficacy": (0, EFFICACY_HEADER.index("efficacy_fwd"),
+                 (EFFICACY_HEADER.index("forward_nfe"), EFFICACY_HEADER.index("backward_nfe"))),
+}
+
+
+def _plot_edits():
+    """``(kind, edits, exit code)`` cases."""
+    cases = []
+    for kind, (axis, value, counts) in PLOT_COLUMNS.items():
+        for col in (axis, value, *counts):
+            for row in (0, 1):
+                for token in ("nan", "inf", "-inf") + (("1.5",) if col in counts else ()):
+                    # A value column takes any float, and the drawing leaves
+                    # the non-finite ones out; an axis or a count refuses them.
+                    cases.append((kind, {(row, col): token}, 0 if col == value else 2))
+        for col in (axis, value):
+            for top in ("1e308", repr(sys.float_info.max)):
+                # Any finite value is drawn, but an epoch must fit an int64.
+                refused = kind == "efficacy" and col == axis
+                cases.append((kind, {(0, col): "-1e308", (-1, col): top}, 2 if refused else 0))
+    # A time span from 0 to the smallest float: a quarter of it rounds to 0.
+    cases.append(("stability", {(-1, 0): "5e-324"}, 0))
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plot_of_a_non_finite_or_huge_cell_exits_0_with_finite_svg_or_2(tmp_path, capsys, program_csvs):
+    # Redrawn, or refused with nothing written: never a traceback, a
+    # warning, or nan or inf where the SVG wants a number.
+    broken = []
+    for i, (kind, edits, expected) in enumerate(_plot_edits()):
+        src = tmp_path / f"{i}.csv"
+        src.write_text(_edited(program_csvs[kind], edits))
+        out = tmp_path / f"plot{i}" / "x.svg"
+        try:
+            code = run_cli("plot", "--in", str(src), "--kind", kind, "--out", str(out))
+        except Exception as exc:  # an exit 1, with a traceback
+            broken.append((kind, edits, repr(exc)))
+            continue
+        capsys.readouterr()
+        if code != expected:
+            broken.append((kind, edits, f"exit {code}"))
+        elif code == 2 and out.parent.exists():
+            broken.append((kind, edits, "refused, but wrote files"))
+        elif code == 0:
+            doc = out.read_text()
+            ET.fromstring(doc)
+            if re.search(r"\b(nan|inf)\b", doc, re.IGNORECASE):
+                broken.append((kind, edits, "nan or inf in the SVG"))
+    assert not broken
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plot_redraws_the_programs_inf_norm_stability_csv_byte_for_byte(tmp_path):
+    # Probe outputs of 1e308 give a start whose norm overflows: the curves
+    # hold inf, which the plot leaves out, as the command itself does.
+    series = tmp_path / "series.csv"
+    series.write_text("t,input,output\n" + "".join(f"{i!r},0.0,1e308\n" for i in range(4)))
+    out = tmp_path / "st"
+    assert run_cli("stability", "--t1", "2", "--probe", f"csv:{series}", "--models", "node,adamnode",
+                   "--out", str(out)) == 0
+    assert ",inf," in (out / "stability.csv").read_text()
+    replot = tmp_path / "replot.svg"
+    assert run_cli("plot", "--in", str(out / "stability.csv"), "--kind", "stability", "--out", str(replot)) == 0
+    assert replot.read_bytes() == (out / "stability.svg").read_bytes()
+
+
+def test_plot_of_a_span_of_one_float_spacing_ends(tmp_path):
+    # At 1e20 floats are 16384 apart, finer than any round tick step of a
+    # span that narrow.  The plot runs in a child process whose address
+    # space is capped, so a tick loop that never ends fails fast.
+    src = tmp_path / "in.csv"
+    src.write_text("t,log10_norm,model\n1e20,0.5,node\n100000000000000016384,0.7,node\n")
+    out = tmp_path / "x.svg"
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from momenta_node.cli import main\n"
+        f"sys.exit(main(['plot', '--in', {str(src)!r}, '--kind', 'stability', '--out', {str(out)!r}]))\n"
+    )
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src_dir})
+    assert done.returncode == 0, done.stderr
+    assert not re.search(r"\b(nan|inf)\b", out.read_text(), re.IGNORECASE)
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -143,7 +143,7 @@ def test_ghb_saturation_bound_is_never_exceeded():
         return out
 
     y0 = dyn.initial_state(spec, np.array([0.4, -0.2]))
-    res = solve_dopri45(instrumented, y0, 0.0, 5.0, IntegratorConfig())
+    res = solve_dopri45(instrumented, y0, 0.0, 5.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert res.ok
     assert seen["max"] <= 1.0 + 1e-12
 
@@ -379,7 +379,7 @@ def test_flows_descend_on_quadratic():
 def test_stationary_at_minimizer():
     # Starting at the minimizer with zero momentum, every flow stays put.
     grad = lambda x: x.copy()
-    cfg = IntegratorConfig()
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6)
     for flow in ("ode", "hbode", "adamode"):
         rhs, init = dyn.make_flow_rhs(flow, grad, **FLOW_CONSTANTS)
         res = solve_dopri45(rhs, init(np.zeros(2)), 0.0, 10.0, cfg, sample_times=[10.0])

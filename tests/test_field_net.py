@@ -81,7 +81,7 @@ def test_batched_forward_matches_loop():
     net = init_field(4, (6,), 3, seed=3)
     rng = np.random.default_rng(0)
     H = rng.normal(size=(5, 4))
-    out = forward(net, H, 0.7)
+    out, _ = eval_cached(net, H, 0.7)
     assert out.shape == (5, 3)
     for i in range(5):
         np.testing.assert_allclose(out[i], forward(net, H[i], 0.7), atol=1e-14)
@@ -100,7 +100,7 @@ def test_vjps_match_finite_differences(act, tol):
         t = float(rng.uniform(0, 1))
         if act == "relu":
             # Stay away from the activation's kink, where the derivative jumps.
-            _, cache = eval_cached(net, h, t)
+            _, cache = eval_cached(net, h[None], t)
             pre = cache[1]
             margins = [np.min(np.abs(z)) for z in pre[:-1]]
             if margins and min(margins) < 1e-3:
@@ -234,17 +234,17 @@ def test_stacked_forward_matches_each_row_and_has_no_vjp():
 def test_linear_state_map_and_vjp():
     rng = np.random.default_rng(8)
     m = LinearStateMap(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
-    h = rng.normal(size=3)
-    a = rng.normal(size=2)
-    np.testing.assert_allclose(m.apply(h), m.W @ h + m.b)
+    h = rng.normal(size=(4, 3))
+    a = rng.normal(size=(4, 2))
+    np.testing.assert_allclose(m.apply(h), [m.W @ row + m.b for row in h])
     grad_h, grad_p = m.vjp(h, a)
-    fd_h = np.zeros(3)
-    for i in range(3):
+    fd_h = np.zeros(h.shape)
+    for i in np.ndindex(h.shape):
         hp = h.copy()
         hm = h.copy()
         hp[i] += 1e-6
         hm[i] -= 1e-6
-        fd_h[i] = a @ (m.apply(hp) - m.apply(hm)) / 2e-6
+        fd_h[i] = np.sum(a * (m.apply(hp) - m.apply(hm))) / 2e-6
     np.testing.assert_allclose(grad_h, fd_h, atol=1e-6)
-    np.testing.assert_allclose(grad_p, np.concatenate([np.outer(a, h).ravel(), a]))
-    assert grad_p.shape == (m.n_params,)
+    outer = sum(np.outer(a_r, h_r) for a_r, h_r in zip(a, h))
+    np.testing.assert_allclose(grad_p, np.concatenate([outer.ravel(), a.sum(axis=0)]))

@@ -23,7 +23,7 @@ def tight(**kw):
 
 def test_constant_rhs_is_exact():
     res = solve_dopri45(
-        lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, IntegratorConfig(), sample_times=[0.25, 0.5, 1.0]
+        lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=[0.25, 0.5, 1.0]
     )
     assert res.ok
     np.testing.assert_allclose(res.states[:, 0], [0.25, 0.5, 1.0], rtol=0.0, atol=1e-14)
@@ -70,7 +70,7 @@ def test_nfe_matches_external_counter():
         calls["n"] += 1
         return np.sin(y) + t
 
-    res = solve_dopri45(rhs, np.array([0.3, -0.2]), 0.0, 3.0, IntegratorConfig())
+    res = solve_dopri45(rhs, np.array([0.3, -0.2]), 0.0, 3.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert res.ok
     assert res.nfe == calls["n"]
     assert res.nfe == 1 + 6 * (res.accepted_steps + res.rejected_steps)
@@ -116,7 +116,7 @@ def test_backward_then_forward_round_trip():
 
 
 def test_backward_sampling_monotone_decreasing():
-    cfg = IntegratorConfig()
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6)
     res = solve_dopri45(lambda t, y: y, np.ones(1), 1.0, 0.0, cfg, sample_times=[1.0, 0.5, 0.0])
     assert res.ok
     assert np.all(np.diff(res.ts) < 0.0)
@@ -126,11 +126,11 @@ def test_backward_sampling_monotone_decreasing():
 def test_dense_sample_at_step_endpoint_is_bit_exact():
     rhs = lambda t, y: np.array([y[1], -y[0]])
     y0 = np.array([1.0, 0.0])
-    first = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig())
+    first = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert first.ok and first.accepted_steps >= 4
     idx = len(first.step_ts) // 2
     t_mid = first.step_ts[idx]
-    again = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig(), sample_times=[t_mid])
+    again = solve_dopri45(rhs, y0, 0.0, 5.0, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=[t_mid])
     assert again.ok
     assert np.array_equal(again.states[0], first.step_states[idx])
 
@@ -182,7 +182,7 @@ def test_signed_zero_start_comes_back_bit_exact(t0, t1):
     # +0.0; reverse (h < 0) it adds -0.0, which keeps the sign.
     y0 = np.array([-0.0, 1.0, -0.0])
     res = solve_dopri45(
-        lambda t, y: np.array([1.0, -y[1], 0.0]), y0, t0, t1, IntegratorConfig(), sample_times=[t0, t1]
+        lambda t, y: np.array([1.0, -y[1], 0.0]), y0, t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=[t0, t1]
     )
     assert res.ok and res.accepted_steps >= 2
     for y in (res.states[0], res.dense_state(t0), res.step_states[0]):
@@ -193,7 +193,7 @@ def test_failure_before_any_accepted_step_still_emits_the_start():
     # Every stage past t0 is non-finite, so no step is ever accepted.
     rhs = lambda t, y: y if t == 0.0 else np.full_like(y, np.nan)
     y0 = np.array([2.0, -0.0])
-    res = solve_dopri45(rhs, y0, 0.0, 1.0, IntegratorConfig(), sample_times=[0.0, 0.5, 1.0])
+    res = solve_dopri45(rhs, y0, 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=[0.0, 0.5, 1.0])
     assert res.status is SolveStatus.NON_FINITE_STATE
     assert res.accepted_steps == 0 and res.t_final == 0.0
     assert res.ts.tolist() == [0.0]
@@ -213,9 +213,9 @@ def test_dense_interpolant_accuracy_between_steps():
 
 def test_sampling_does_not_change_step_sequence():
     rhs = lambda t, y: np.array([np.sin(3.0 * t) * y[0]])
-    bare = solve_dopri45(rhs, np.ones(1), 0.0, 2.0, IntegratorConfig())
+    bare = solve_dopri45(rhs, np.ones(1), 0.0, 2.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     sampled = solve_dopri45(
-        rhs, np.ones(1), 0.0, 2.0, IntegratorConfig(), sample_times=np.linspace(0.0, 2.0, 101)
+        rhs, np.ones(1), 0.0, 2.0, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=np.linspace(0.0, 2.0, 101)
     )
     assert bare.nfe == sampled.nfe
     assert bare.accepted_steps == sampled.accepted_steps
@@ -231,7 +231,7 @@ def test_rk4_dense_between_nodes():
 
 def test_step_budget_exhausted():
     # Three attempts cover at most H_INIT plus two steps of H_MAX = 10.
-    cfg = IntegratorConfig(max_steps=3)
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=3)
     res = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 100.0, cfg)
     assert res.status is SolveStatus.STEP_BUDGET_EXHAUSTED
     assert res.accepted_steps + res.rejected_steps == 3
@@ -246,7 +246,7 @@ def test_non_finite_state_on_overflow():
         np.ones(1),
         0.0,
         10.0,
-        IntegratorConfig(max_steps=100_000),
+        IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=100_000),
         sample_times=np.linspace(0.0, 10.0, 21),
     )
     assert res.status is SolveStatus.NON_FINITE_STATE
@@ -272,7 +272,7 @@ def test_non_finite_stage_7_alone_is_rejected():
             return np.full(1, np.nan)
         return -y
 
-    res = solve_dopri45(rhs, np.ones(1), 0.0, 1.0, IntegratorConfig())
+    res = solve_dopri45(rhs, np.ones(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert res.status is SolveStatus.NON_FINITE_STATE
     assert res.rejected_steps == nan_attempts > 1
     assert 0.5 - 1e-9 < res.t_final <= 0.5
@@ -283,7 +283,7 @@ def test_overflowing_candidate_with_finite_stages_is_rejected():
     # From the largest float, any step of a large finite slope overflows
     # the candidate state, while every stage the RHS returns stays finite.
     y0 = np.full(1, np.finfo(float).max)
-    res = solve_dopri45(lambda t, y: np.full(1, 1e308), y0, 0.0, 1.0, IntegratorConfig())
+    res = solve_dopri45(lambda t, y: np.full(1, 1e308), y0, 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert res.status is SolveStatus.NON_FINITE_STATE
     assert res.accepted_steps == 0
     assert res.rejected_steps > 1
@@ -294,7 +294,7 @@ def test_overflowing_candidate_with_finite_stages_is_rejected():
 def test_underflow_on_polynomial_blow_up():
     # dy/dt = y^2 from y(0)=1 diverges at t=1; error control drives the
     # step below h_min before the state itself overflows.
-    res = solve_dopri45(lambda t, y: y**2, np.ones(1), 0.0, 2.0, IntegratorConfig())
+    res = solve_dopri45(lambda t, y: y**2, np.ones(1), 0.0, 2.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert res.status in (SolveStatus.STEP_UNDERFLOW, SolveStatus.NON_FINITE_STATE)
     assert res.t_final <= 1.01
 
@@ -311,15 +311,15 @@ def test_step_underflow_on_unresolvable_discontinuity():
 
 def test_precondition_errors():
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.ones(1), 1.0, 1.0, IntegratorConfig())
+        solve_dopri45(lambda t, y: y, np.ones(1), 1.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.array([np.nan]), 0.0, 1.0, IntegratorConfig())
+        solve_dopri45(lambda t, y: y, np.array([np.nan]), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, IntegratorConfig(), sample_times=[0.2, 1.5])
+        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=[0.2, 1.5])
     with pytest.raises(ValueError):
-        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, IntegratorConfig(), sample_times=[0.5, 0.2])
+        solve_dopri45(lambda t, y: y, np.ones(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6), sample_times=[0.5, 0.2])
     with pytest.raises(ValueError):
-        IntegratorConfig(h_min=10.0 * H_INIT).validate()
+        IntegratorConfig(rtol=1e-6, atol=1e-6, h_min=10.0 * H_INIT).validate()
     with pytest.raises(ValueError):
         solve_rk4(lambda t, y: y, np.ones(1), 0.0, 1.0, 0, ())
 
@@ -333,7 +333,7 @@ def _first_attempt(h_init, t0=0.0, t1=1.0):
         times.append(t)
         return -y
 
-    solve_dopri45(rhs, np.ones(1), t0, t1, IntegratorConfig(), h_init=h_init)
+    solve_dopri45(rhs, np.ones(1), t0, t1, IntegratorConfig(rtol=1e-6, atol=1e-6), h_init=h_init)
     return times[6] - t0
 
 
@@ -345,18 +345,18 @@ def test_first_attempted_step_is_h_init_capped_by_the_interval(h_init):
 
 def test_h_init_defaults_to_h_init_constant():
     assert _first_attempt(H_INIT) == H_INIT
-    default = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0, IntegratorConfig())
+    default = solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert default.step_sizes[0] == H_INIT
 
 
 @pytest.mark.parametrize(
     "rhs, t1, cfg",
     [
-        (lambda t, y: -y, 1.0, IntegratorConfig()),
-        (lambda t, y: -y, -3.0, IntegratorConfig()),
-        (lambda t, y: np.ones(1), 1.0, IntegratorConfig()),  # zero error: H_MAX
-        (lambda t, y: -y, 100.0, IntegratorConfig(max_steps=3)),
-        (lambda t, y: 100.0 * y, 10.0, IntegratorConfig()),  # non-finite
+        (lambda t, y: -y, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6)),
+        (lambda t, y: -y, -3.0, IntegratorConfig(rtol=1e-6, atol=1e-6)),
+        (lambda t, y: np.ones(1), 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6)),  # zero error: H_MAX
+        (lambda t, y: -y, 100.0, IntegratorConfig(rtol=1e-6, atol=1e-6, max_steps=3)),
+        (lambda t, y: 100.0 * y, 10.0, IntegratorConfig(rtol=1e-6, atol=1e-6)),  # non-finite
         (lambda t, y: np.array([0.0 if t < 0.505 else 1e6]), 1.0,
          IntegratorConfig(rtol=1e-12, atol=1e-12, h_min=H_INIT)),  # underflow
     ],
@@ -369,7 +369,7 @@ def test_h_next_lies_in_the_step_limits(rhs, t1, cfg):
 def test_h_next_is_the_controller_proposal_after_the_last_step():
     # A constant right-hand side has zero error, so the controller
     # proposes H_MAX after the landing step, whatever that step's size.
-    res = solve_dopri45(lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, IntegratorConfig())
+    res = solve_dopri45(lambda t, y: np.ones(1), np.zeros(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6))
     assert res.step_sizes == [H_INIT, 1.0 - H_INIT]
     assert res.h_next == H_MAX
 
@@ -394,7 +394,7 @@ def test_continuation_from_h_next_first_tries_exactly_h_next():
 @pytest.mark.parametrize("h_init", [0.0, -H_INIT, math.nan, math.inf, 1e-13, 2.0 * H_MAX])
 def test_h_init_outside_the_step_limits_is_refused(h_init):
     with pytest.raises(ValueError, match="h_init"):
-        solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0, IntegratorConfig(h_min=1e-12), h_init=h_init)
+        solve_dopri45(lambda t, y: -y, np.ones(1), 0.0, 1.0, IntegratorConfig(rtol=1e-6, atol=1e-6, h_min=1e-12), h_init=h_init)
 
 
 def test_rk4_result_has_no_step_record():
