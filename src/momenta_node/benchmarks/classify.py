@@ -54,6 +54,10 @@ N_POINTS = 256
 SPIRAL_TURNS = 1.0
 SPIRAL_NOISE = 0.06
 MOONS_NOISE = 0.08
+# Share of each class the stratified split trains on.  Each dataset draws
+# N_POINTS // 2 points of each class, so training sees N_TRAIN points.
+TRAIN_SHARE = 0.8
+N_TRAIN = 2 * round(TRAIN_SHARE * (N_POINTS // 2))
 
 
 def two_spirals(n: int, seed: int):
@@ -266,7 +270,7 @@ def run_classification(
     train_sel, test_sel = [], []
     for label in np.unique(ys):
         members = np.flatnonzero(ys == label)
-        cut = int(round(0.8 * len(members)))
+        cut = int(round(TRAIN_SHARE * len(members)))
         train_sel.append(members[:cut])
         test_sel.append(members[cut:])
     train_sel = np.concatenate(train_sel)

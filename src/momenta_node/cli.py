@@ -32,7 +32,7 @@ from pathlib import Path
 
 from momenta_node import csv_formats, svg
 from momenta_node.adjoint import BackwardSolveError, ForwardSolveError, gradcheck
-from momenta_node.benchmarks.classify import run_classification
+from momenta_node.benchmarks.classify import N_TRAIN, run_classification
 from momenta_node.benchmarks.landscapes import LANDSCAPES
 from momenta_node.benchmarks.stability import (
     MODEL_SPECS,
@@ -159,9 +159,12 @@ PARAMS = {
         ("out", "out/train", "string", "output directory"),
         ("dataset", "spirals", ("spirals", "moons"), None),
         ("model", "adamnode", _MODELS, None),
-        ("epochs", 100, "natural", None),
+        # An epoch takes 13-43 ms at --batch 32 and up to 0.7 s at --batch 1
+        # (ghbnode), so 1000 epochs end within about 45 s and 12 min.
+        ("epochs", 100, range(1001), None),
         ("lr", 1e-3, "positive", None),
-        ("batch", 32, "count", None),
+        # A batch above the N_TRAIN training rows is the whole split, as N_TRAIN is.
+        ("batch", 32, range(1, N_TRAIN + 1), None),
         ("seed", 0, "natural", None),
         ("rtol", 1e-3, "positive", None),
         ("atol", 1e-6, "positive", None),

@@ -15,11 +15,13 @@ reruns are byte-identical:
 * series (stability probe input, read only): a ``t,input,output`` header,
   then one row of finite values per sample, times strictly increasing.
 
-All four readers share one table reader: blank lines are skipped, ``#``
-lines are comments, the header must match exactly, an empty body is
-refused, and so is a non-finite value in the first column (the ``t`` or
-``epoch`` axis), so a mismatched file fails loudly instead of plotting
-garbage.  Other columns may hold ``nan`` and ``inf``, which plots leave out.
+The three writers share one row writer, and all four readers one table
+reader: blank lines are skipped, ``#`` lines are comments, the header must
+match exactly, an empty body is refused, and so is a non-finite value in
+the first column (the ``t`` or ``epoch`` axis), so a mismatched file fails
+loudly instead of plotting garbage.  Other columns may hold ``nan`` and
+``inf``, which plots leave out.  A ``dynamics`` or ``model`` name becomes
+an SVG label, so one holding a character XML 1.0 forbids is refused.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class CsvFormatError(ValueError):
 # The stand-ins ``errors="surrogateescape"`` decodes bytes that are not
 # UTF-8 to; an ASCII line, as the program writes them, cannot hold one.
 _UNDECODED = re.compile("[\udc80-\udcff]")
+# The characters XML 1.0 forbids, which a series name, drawn as an SVG
+# label, must not hold; it holds no surrogate, which is not UTF-8 text.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 def _fmt(x) -> str:
@@ -115,98 +120,98 @@ def _parse_table(path, header, n_numeric):
     return comments, rows
 
 
+def _write_table(path, before, header, columns, after) -> None:
+    """Write ``header`` and a row per entry of the equal-length ``columns``
+    to ``path`` as CSV, with the ``#`` lines ``before`` above them and
+    ``after`` below.  A numpy column is written through ``tolist()``, so
+    each float reaches ``csv`` as a Python float, which it writes as its
+    ``repr``; a list column (of names) is written as it is."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in before)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+        fh.writelines(line + "\n" for line in after)
+
+
+def _keyed_comments(comments, key, n_numbers, n_names) -> list:
+    """``(numbers, names)`` of each ``# key,...`` comment, in file order:
+    ``n_numbers`` finite floats, then ``n_names`` strings; raises
+    CsvFormatError on any other such comment."""
+    out = []
+    for lineno, parts in comments:
+        if parts[0].strip() != key:
+            continue
+        try:
+            if len(parts) != 1 + n_numbers + n_names:
+                raise ValueError
+            numbers = [float(v) for v in parts[1 : 1 + n_numbers]]
+        except ValueError:
+            raise CsvFormatError(f"malformed {key} comment", lineno) from None
+        if not all(map(math.isfinite, numbers)):
+            raise CsvFormatError(f"malformed {key} comment: not finite", lineno)
+        out.append((numbers, parts[1 + n_numbers :]))
+    return out
+
+
+def _by_name(rows) -> dict:
+    """Rows whose one non-numeric cell names their series, grouped:
+    ``{name: array of the rows' numbers}``; a name holding a character
+    XML 1.0 forbids raises CsvFormatError at its line."""
+    series: dict[str, list] = {}
+    for lineno, numbers, (name,) in rows:
+        if _XML_FORBIDDEN.search(name):
+            raise CsvFormatError(f"name {name!r} holds a character XML 1.0 forbids", lineno)
+        series.setdefault(name, []).append(numbers)
+    return {name: np.asarray(pts) for name, pts in series.items()}
+
+
 # ----------------------------------------------------------------- trajectory
 
 def write_trajectory_csv(path, experiment) -> None:
     """Serialize a trajectory experiment (see ``benchmarks.trajectories``)."""
     mx, my = experiment.landscape.minimizer
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# minimizer,{_fmt(mx)},{_fmt(my)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for name, run in experiment.runs.items():
-            for t, (x, y) in zip(run.ts.tolist(), run.xs.tolist()):
-                writer.writerow([_fmt(t), _fmt(x), _fmt(y), name])
+    runs = experiment.runs
+    xs = np.concatenate([run.xs for run in runs.values()])
+    names = [name for name, run in runs.items() for _ in range(len(run.ts))]
+    columns = [np.concatenate([run.ts for run in runs.values()]), xs[:, 0], xs[:, 1], names]
+    _write_table(path, [f"# minimizer,{_fmt(mx)},{_fmt(my)}"], TRAJECTORY_HEADER, columns, [])
 
 
 def read_trajectory_csv(path):
     """Returns ``(minimizer, {dynamics: (ts, xs)})``; raises CsvFormatError."""
     comments, rows = _parse_table(path, TRAJECTORY_HEADER, 3)
-    minimizer = None
-    for lineno, parts in comments:
-        if parts[0].strip() == "minimizer":
-            try:
-                mx, my = (float(v) for v in parts[1:])
-            except ValueError:
-                raise CsvFormatError("malformed minimizer comment", lineno) from None
-            if not (math.isfinite(mx) and math.isfinite(my)):
-                raise CsvFormatError("malformed minimizer comment: not finite", lineno)
-            minimizer = np.array([mx, my])
-    if minimizer is None:
+    minimizers = _keyed_comments(comments, "minimizer", 2, 0)
+    if not minimizers:
         raise CsvFormatError("missing '# minimizer' comment", None)
-    series: dict[str, list] = {}
-    for _, numbers, (name,) in rows:
-        series.setdefault(name, []).append(numbers)
-    out = {}
-    for name, pts in series.items():
-        arr = np.asarray(pts)
-        out[name] = (arr[:, 0], arr[:, 1:])
-    return minimizer, out
+    series = _by_name(rows)
+    return np.array(minimizers[-1][0]), {name: (arr[:, 0], arr[:, 1:]) for name, arr in series.items()}
 
 
 # ------------------------------------------------------------------ stability
 
 def write_stability_csv(path, result) -> None:
     """Serialize a stability probe result (see ``benchmarks.stability``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STABILITY_HEADER)
-        for name in result.log10_norms:
-            for t, v in zip(result.grid, result.log10_norms[name]):
-                writer.writerow([_fmt(t), _fmt(v), name])
-        for name, t_blow in result.blowup_at.items():
-            fh.write(f"# blowup_at,{_fmt(t_blow)},{name}\n")
+    curves = result.log10_norms
+    names = [name for name in curves for _ in range(len(result.grid))]
+    columns = [np.tile(result.grid, len(curves)), np.concatenate(list(curves.values())), names]
+    after = [f"# blowup_at,{_fmt(t_blow)},{name}" for name, t_blow in result.blowup_at.items()]
+    _write_table(path, [], STABILITY_HEADER, columns, after)
 
 
 def read_stability_csv(path):
     """Returns ``({model: (ts, log10_norms)}, {model: blowup_t})``."""
     comments, rows = _parse_table(path, STABILITY_HEADER, 2)
-    blowups = {}
-    for lineno, parts in comments:
-        if parts[0].strip() == "blowup_at":
-            try:
-                _, t_blow, name = parts
-                blowups[name] = float(t_blow)
-            except ValueError:
-                raise CsvFormatError("malformed blowup_at comment", lineno) from None
-            if not math.isfinite(blowups[name]):
-                raise CsvFormatError("malformed blowup_at comment: not finite", lineno)
-    series: dict[str, list] = {}
-    for _, numbers, (name,) in rows:
-        series.setdefault(name, []).append(numbers)
-    out = {name: (np.asarray(p)[:, 0], np.asarray(p)[:, 1]) for name, p in series.items()}
-    return out, blowups
+    blowups = {name: t_blow for (t_blow,), (name,) in _keyed_comments(comments, "blowup_at", 1, 1)}
+    return {name: (arr[:, 0], arr[:, 1]) for name, arr in _by_name(rows).items()}, blowups
 
 
 # ------------------------------------------------------------------- efficacy
 
 def write_efficacy_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(EFFICACY_COMMENT + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(EFFICACY_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    _fmt(r.train_loss),
-                    _fmt(r.test_accuracy),
-                    r.forward_nfe,
-                    r.backward_nfe,
-                    _fmt(r.efficacy_fwd),
-                    _fmt(r.efficacy_bwd),
-                ]
-            )
+    columns = [np.array([getattr(r, name) for r in records]) for name in EFFICACY_HEADER]
+    _write_table(path, [EFFICACY_COMMENT], EFFICACY_HEADER, columns, [])
 
 
 def read_efficacy_csv(path):

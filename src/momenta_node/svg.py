@@ -5,7 +5,9 @@ fixed coordinate formatting (two decimals), no timestamps and no
 randomness, so identical inputs produce byte-identical files.  Three
 figure kinds match the three CSV schemas: landscape trajectories
 (paths toward a starred minimizer), stability curves (log10 norm vs
-time), and training efficacy (per-epoch quotients).
+time), and training efficacy (per-epoch quotients), with training loss
+drawn from the efficacy columns too.  Each figure only sets its axis
+ranges and its series; one chart routine draws them.
 """
 
 from __future__ import annotations
@@ -115,12 +117,14 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _frame(parts, canvas, title, xlabel, ylabel):
-    parts.append(
+def _frame(canvas, title, xlabel, ylabel) -> list:
+    """The plot box, both axes' ticks and tick labels, the title and the
+    axis titles: a list of SVG elements."""
+    parts = [
         f'<rect x="{_fmt(canvas.px0)}" y="{_fmt(canvas.py1)}" '
         f'width="{_fmt(canvas.px1 - canvas.px0)}" height="{_fmt(canvas.py0 - canvas.py1)}" '
         'fill="none" stroke="#444444" stroke-width="1"/>'
-    )
+    ]
     for v in _ticks(canvas.x0, canvas.x1):
         px = canvas.x(v)
         parts.append(
@@ -141,36 +145,24 @@ def _frame(parts, canvas, title, xlabel, ylabel):
             f'<text x="{_fmt(canvas.px0 - 7)}" y="{_fmt(py + 3.5)}" font-size="11" '
             f'text-anchor="end" fill="#333333">{_esc(_tick_label(v))}</text>'
         )
+    mid_x, mid_y = _fmt((canvas.px0 + canvas.px1) / 2), _fmt((canvas.py0 + canvas.py1) / 2)
     parts.append(
-        f'<text x="{_fmt((canvas.px0 + canvas.px1) / 2)}" y="22" font-size="14" '
+        f'<text x="{mid_x}" y="22" font-size="14" '
         f'text-anchor="middle" fill="#111111">{_esc(title)}</text>'
     )
     parts.append(
-        f'<text x="{_fmt((canvas.px0 + canvas.px1) / 2)}" y="{_fmt(HEIGHT - 10)}" font-size="12" '
+        f'<text x="{mid_x}" y="{_fmt(HEIGHT - 10)}" font-size="12" '
         f'text-anchor="middle" fill="#333333">{_esc(xlabel)}</text>'
     )
     parts.append(
-        f'<text x="16" y="{_fmt((canvas.py0 + canvas.py1) / 2)}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt((canvas.py0 + canvas.py1) / 2)})" fill="#333333">{_esc(ylabel)}</text>'
+        f'<text x="16" y="{mid_y}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mid_y})" fill="#333333">{_esc(ylabel)}</text>'
     )
+    return parts
 
 
-def _polyline(pts, color, dash=None):
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{LINE_WIDTH}"{extra}/>'
-
-
-def _legend(parts, entries, x, y):
-    for i, (label, color) in enumerate(entries):
-        yy = y + 16 * i
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(yy)}" x2="{_fmt(x + 22)}" y2="{_fmt(yy)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x + 27)}" y="{_fmt(yy + 3.5)}" font-size="11" fill="#333333">{_esc(label)}</text>'
-        )
+def _points(pts) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
 
 
 def _star(cx, cy):
@@ -179,11 +171,38 @@ def _star(cx, cy):
         r = STAR_OUTER if k % 2 == 0 else STAR_INNER
         ang = -math.pi / 2 + k * math.pi / 5
         pts.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-    return f'<polygon points="{coords}" fill="#d4a017" stroke="#7a5c00" stroke-width="1"/>'
+    return f'<polygon points="{_points(pts)}" fill="#d4a017" stroke="#7a5c00" stroke-width="1"/>'
 
 
-def _document(parts) -> str:
+def _chart(canvas, titles, series, overlay) -> str:
+    """One figure's SVG document.
+
+    ``titles`` is ``(title, x label, y label)``.  Each of ``series`` is
+    ``(label, colour, pixel points, dash, marks)``: its polyline is drawn
+    where it has points, dashed by ``dash`` unless that is None, and its
+    marks, SVG elements, follow it.  The elements of ``overlay`` come
+    after every series, and a legend of the labels closes the figure.
+    """
+    parts = _frame(canvas, *titles)
+    for _, color, pts, dash, marks in series:
+        if pts:
+            extra = f' stroke-dasharray="{dash}"' if dash else ""
+            parts.append(
+                f'<polyline points="{_points(pts)}" fill="none" stroke="{color}" '
+                f'stroke-width="{LINE_WIDTH}"{extra}/>'
+            )
+        parts.extend(marks)
+    parts.extend(overlay)
+    x, y = canvas.px0 + 10, canvas.py1 + 14
+    for i, (label, color, *_) in enumerate(series):
+        yy = y + 16 * i
+        parts.append(
+            f'<line x1="{_fmt(x)}" y1="{_fmt(yy)}" x2="{_fmt(x + 22)}" y2="{_fmt(yy)}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(x + 27)}" y="{_fmt(yy + 3.5)}" font-size="11" fill="#333333">{_esc(label)}</text>'
+        )
     body = "\n".join(parts)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -191,6 +210,12 @@ def _document(parts) -> str:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n'
         f"{body}\n</svg>\n"
     )
+
+
+def _padded(lo: float, hi: float) -> tuple:
+    """``[lo, hi]`` widened at each end by 6% of its span, or of 1 if it is empty."""
+    pad = 0.06 * (hi - lo or 1.0)
+    return lo - pad, hi + pad
 
 
 def render_trajectory_svg(minimizer, series) -> str:
@@ -203,48 +228,30 @@ def render_trajectory_svg(minimizer, series) -> str:
     """
     minimizer = np.asarray(minimizer, dtype=float)
     mx, my = minimizer.tolist()
-    reach = 1.0
-    for _, xs in series.values():
-        if len(xs):
-            # The distance from a huge-but-finite start overflows to inf.
-            with np.errstate(over="ignore"):
-                reach = max(reach, float(np.linalg.norm(np.asarray(xs[0]) - minimizer)))
+    paths = {name: np.asarray(xs, dtype=float) for name, (_, xs) in series.items()}
+    # A diverged path can hold huge-but-finite points whose distance
+    # overflows to inf; a point's distance is inf where it is not finite,
+    # so it fails every window test below.
+    reach, dist = 1.0, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, xs in paths.items():
+            if len(xs):
+                reach = max(reach, float(np.linalg.norm(xs[0] - minimizer)))
+            norms = np.linalg.norm(xs - minimizer, axis=1)
+            dist[name] = np.where(np.isfinite(xs).all(axis=1), norms, np.inf)
     window = 4.0 * reach
-    pts_x = [mx]
-    pts_y = [my]
-    for _, xs in series.values():
-        xs = np.asarray(xs, dtype=float)
-        keep = np.isfinite(xs).all(axis=1)
-        # A diverged path can hold huge-but-finite points whose squared
-        # norm overflows; inf just fails the window test below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            keep &= np.linalg.norm(xs - minimizer, axis=1) <= window
-        pts_x.extend(xs[keep, 0].tolist())
-        pts_y.extend(xs[keep, 1].tolist())
-    x_lo, x_hi = min(pts_x), max(pts_x)
-    y_lo, y_hi = min(pts_y), max(pts_y)
-    pad_x = 0.06 * (x_hi - x_lo or 1.0)
-    pad_y = 0.06 * (y_hi - y_lo or 1.0)
-    canvas = _Canvas((x_lo - pad_x, x_hi + pad_x), (y_lo - pad_y, y_hi + pad_y))
-
-    parts = []
-    _frame(parts, canvas, "landscape trajectories", "x", "y")
-    entries = []
-    for i, (name, (ts, xs)) in enumerate(series.items()):
-        xs = np.asarray(xs, dtype=float)
-        keep = np.isfinite(xs).all(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            keep &= np.linalg.norm(xs - minimizer, axis=1) <= window * 1.5
-        pix = [(canvas.x(x), canvas.y(y)) for x, y in xs[keep].tolist()]
-        if pix:
-            parts.append(_polyline(pix, _color(i)))
-            parts.append(
-                f'<circle cx="{_fmt(pix[0][0])}" cy="{_fmt(pix[0][1])}" r="3.5" fill="{_color(i)}"/>'
-            )
-        entries.append((name, _color(i)))
-    parts.append(_star(canvas.x(mx), canvas.y(my)))
-    _legend(parts, entries, canvas.px0 + 10, canvas.py1 + 14)
-    return _document(parts)
+    in_view = [xs[dist[name] <= window] for name, xs in paths.items()]
+    view = np.concatenate([minimizer[None], *in_view])
+    view_x, view_y = view[:, 0].tolist(), view[:, 1].tolist()
+    canvas = _Canvas(_padded(min(view_x), max(view_x)), _padded(min(view_y), max(view_y)))
+    lines = []
+    for i, (name, xs) in enumerate(paths.items()):
+        pts = [(canvas.x(x), canvas.y(y)) for x, y in xs[dist[name] <= window * 1.5].tolist()]
+        marks = []
+        if pts:
+            marks.append(f'<circle cx="{_fmt(pts[0][0])}" cy="{_fmt(pts[0][1])}" r="3.5" fill="{_color(i)}"/>')
+        lines.append((name, _color(i), pts, None, marks))
+    return _chart(canvas, ("landscape trajectories", "x", "y"), lines, [_star(canvas.x(mx), canvas.y(my))])
 
 
 def render_stability_svg(series, blowups) -> str:
@@ -255,72 +262,52 @@ def render_stability_svg(series, blowups) -> str:
     vals = vals[np.isfinite(vals)]
     v_lo, v_hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 1.0)
     canvas = _Canvas((t_lo, t_hi), (v_lo - 0.5, v_hi + 0.5))
-
-    parts = []
-    _frame(parts, canvas, "hidden-state norm growth", "t", "log10 ||h(t)||")
-    entries = []
+    lines = []
     for i, (name, (ts, v)) in enumerate(series.items()):
         v = np.asarray(v, dtype=float)
         keep = np.isfinite(v)
-        pix = [(canvas.x(t), canvas.y(val)) for t, val in zip(np.asarray(ts)[keep].tolist(), v[keep].tolist())]
-        if pix:
-            parts.append(_polyline(pix, _color(i)))
+        pts = [(canvas.x(t), canvas.y(val)) for t, val in zip(np.asarray(ts)[keep].tolist(), v[keep].tolist())]
+        marks = []
         if name in blowups:
             bx = canvas.x(blowups[name])
-            by = pix[-1][1] if pix else canvas.y(v_hi)
-            parts.append(
+            by = pts[-1][1] if pts else canvas.y(v_hi)
+            marks.append(
                 f'<path d="M {_fmt(bx - 5)} {_fmt(by - 5)} L {_fmt(bx + 5)} {_fmt(by + 5)} '
                 f'M {_fmt(bx - 5)} {_fmt(by + 5)} L {_fmt(bx + 5)} {_fmt(by - 5)}" '
                 f'stroke="{_color(i)}" stroke-width="2" fill="none"/>'
             )
-            entries.append((f"{name} (blow-up)", _color(i)))
-        else:
-            entries.append((name, _color(i)))
-    _legend(parts, entries, canvas.px0 + 10, canvas.py1 + 14)
-    return _document(parts)
+            name = f"{name} (blow-up)"
+        lines.append((name, _color(i), pts, None, marks))
+    return _chart(canvas, ("hidden-state norm growth", "t", "log10 ||h(t)||"), lines, [])
+
+
+def _per_epoch_svg(cols, titles, names, y_range) -> str:
+    """The columns ``names`` of efficacy CSV columns ``cols`` over the
+    epochs, ``test_accuracy`` dashed; ``y_range`` maps the finite values
+    drawn to the y axis's range."""
+    epochs = np.asarray(cols["epoch"], dtype=float)
+    columns = [np.asarray(cols[name], dtype=float) for name in names]
+    vals = np.concatenate(columns)
+    canvas = _Canvas((float(epochs.min()), float(epochs.max()) or 1.0), y_range(vals[np.isfinite(vals)]))
+    lines = []
+    for i, (name, v) in enumerate(zip(names, columns)):
+        keep = np.isfinite(v)
+        pts = [(canvas.x(e), canvas.y(val)) for e, val in zip(epochs[keep].tolist(), v[keep].tolist())]
+        lines.append((name, _color(i), pts, "5,4" if name == "test_accuracy" else None, []))
+    return _chart(canvas, titles, lines, [])
 
 
 def render_loss_svg(cols) -> str:
     """Train loss per epoch from efficacy CSV columns."""
-    epochs = np.asarray(cols["epoch"], dtype=float)
-    loss = np.asarray(cols["train_loss"], dtype=float)
-    keep = np.isfinite(loss)
-    lo = float(loss[keep].min()) if keep.any() else 0.0
-    hi = float(loss[keep].max()) if keep.any() else 1.0
-    pad = 0.06 * (hi - lo or 1.0)
-    canvas = _Canvas((float(epochs.min()), float(epochs.max()) or 1.0), (lo - pad, hi + pad))
-    parts = []
-    _frame(parts, canvas, "training loss", "epoch", "train_loss")
-    pix = [(canvas.x(e), canvas.y(v)) for e, v in zip(epochs[keep], loss[keep])]
-    if pix:
-        parts.append(_polyline(pix, _color(0)))
-    _legend(parts, [("train_loss", _color(0))], canvas.px0 + 10, canvas.py1 + 14)
-    return _document(parts)
+    return _per_epoch_svg(
+        cols, ("training loss", "epoch", "train_loss"), ("train_loss",),
+        lambda vals: _padded(float(vals.min()), float(vals.max())) if vals.size else _padded(0.0, 1.0),
+    )
 
 
 def render_efficacy_svg(cols) -> str:
     """Efficacy quotients and test accuracy per epoch from efficacy CSV columns."""
-    epochs = np.asarray(cols["epoch"], dtype=float)
-    series = [
-        ("efficacy_fwd", np.asarray(cols["efficacy_fwd"], dtype=float)),
-        ("efficacy_bwd", np.asarray(cols["efficacy_bwd"], dtype=float)),
-        ("test_accuracy", np.asarray(cols["test_accuracy"], dtype=float)),
-    ]
-    vals = np.concatenate([v for _, v in series])
-    vals = vals[np.isfinite(vals)]
-    canvas = _Canvas(
-        (float(epochs.min()), float(epochs.max()) or 1.0),
-        (0.0, float(vals.max()) * 1.1 if vals.size else 1.0),
+    return _per_epoch_svg(
+        cols, ("training efficacy", "epoch", "value"), ("efficacy_fwd", "efficacy_bwd", "test_accuracy"),
+        lambda vals: (0.0, float(vals.max()) * 1.1 if vals.size else 1.0),
     )
-    parts = []
-    _frame(parts, canvas, "training efficacy", "epoch", "value")
-    entries = []
-    for i, (name, v) in enumerate(series):
-        keep = np.isfinite(v)
-        pix = [(canvas.x(e), canvas.y(val)) for e, val in zip(epochs[keep].tolist(), v[keep].tolist())]
-        if pix:
-            dash = "5,4" if name == "test_accuracy" else None
-            parts.append(_polyline(pix, _color(i), dash=dash))
-        entries.append((name, _color(i)))
-    _legend(parts, entries, canvas.px0 + 10, canvas.py1 + 14)
-    return _document(parts)

@@ -350,6 +350,14 @@ def test_datasets_are_balanced_and_deterministic():
         np.testing.assert_array_equal(ys, ys2)
 
 
+def test_n_train_is_the_training_split_of_each_dataset():
+    # `train --batch` stops at N_TRAIN, the rows the stratified split trains on.
+    for maker in (two_spirals, two_moons):
+        _, ys = maker(n=classify.N_POINTS, seed=0)
+        per_class = [round(classify.TRAIN_SHARE * np.count_nonzero(ys == label)) for label in np.unique(ys)]
+        assert sum(per_class) == classify.N_TRAIN == 204
+
+
 def test_untrained_model_sits_exactly_at_chance(small_training):
     run = run_classification(DynamicsSpec(kind=VANILLA), **train_config(epochs=0))
     assert not run.diverged

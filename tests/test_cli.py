@@ -135,6 +135,27 @@ PINNED_GRADCHECK_0 = {
     "adamnode": "c1a8c88532066530315e93277393ce481a2af5b1526aae24db91c9c303fac36f",
 }
 PINNED_STABILITY_T64 = "87dc69e8cf052bf376b27237dd9603285e04c51d8b92ff9a8a59afba666cb6fc"
+# sha256 of the figures the same runs draw: `train --epochs 5 --seed 0`'s
+# efficacy.svg and loss.svg for every model, and `stability --t1 64 --seed
+# 0`'s stability.svg, as the four renderers wrote them before they shared
+# one chart routine.  Like every pin here they hold on the CPU kernels they
+# were made on (ROADMAP item 10): numpy 2.4's AVX-512 loops and OpenBLAS's
+# SkylakeX kernel.
+PINNED_TRAIN_SVG_5 = {
+    "node": ("f1175ccfa360b321138436dcab41c8d1a23a2248ebebb894e2e938a5e8346df2",
+             "bc068b2691738f3938a4b1f457eaf351d28e9ef71483b9092e566ae6d6f6ce66"),
+    "anode": ("3130bdd1b29919550ee2cd86a67bf10da471552a6787e7e6a378afdfe9298435",
+              "1a75c3af8a41cfe8c2d682654ec53f806d889c1d09113e4710653009edb1f9a8"),
+    "sonode": ("25629b08a85d96b4d9192c7354374ec36c6f5d876c29e86ab67c3850d024784a",
+               "da5007d0397e6dc826663a9350c5abd6ff482e12b8224b7e71b8d772e7d06a0b"),
+    "hbnode": ("2a60072c6c800d92b5bfbcd06a4fbd3ff2e5fc03df509b9baeb5cbc55ed77ef1",
+               "7afa2e75a1b346397549bb49f95eedf309873a9b685cab0474580e283cd5652c"),
+    "ghbnode": ("2a60072c6c800d92b5bfbcd06a4fbd3ff2e5fc03df509b9baeb5cbc55ed77ef1",
+                "7afa2e75a1b346397549bb49f95eedf309873a9b685cab0474580e283cd5652c"),
+    "adamnode": ("390e627c935ae02dbc0f8e0f7dff5a118d720276197ac14eaf4cc7a345beb102",
+                 "180c28c837f5484a0a215f076826d670cd0a2abc097829afd88521922bcab57e"),
+}
+PINNED_STABILITY_SVG_T64 = "173c8855ffb5a58d70d2ca87e566ffa736f864f93d5953400944a049c13ee281"
 
 
 def sha256_of(path):
@@ -147,6 +168,8 @@ def test_train_and_gradcheck_outputs_match_pinned_hashes(tmp_path, model, capsys
     assert run_cli("gradcheck", "--seed", "0", "--model", model, "--out", str(tmp_path / "g")) == 0
     capsys.readouterr()
     assert sha256_of(tmp_path / "t" / "efficacy.csv") == PINNED_EFFICACY_5[model]
+    assert (sha256_of(tmp_path / "t" / "efficacy.svg"), sha256_of(tmp_path / "t" / "loss.svg")) == \
+        PINNED_TRAIN_SVG_5[model]
     assert sha256_of(tmp_path / "g" / "gradcheck_report.json") == PINNED_GRADCHECK_0[model]
 
 
@@ -154,6 +177,7 @@ def test_stability_output_matches_pinned_hash(tmp_path, capsys):
     assert run_cli("stability", "--t1", "64", "--seed", "0", "--out", str(tmp_path)) == 0
     capsys.readouterr()
     assert sha256_of(tmp_path / "stability.csv") == PINNED_STABILITY_T64
+    assert sha256_of(tmp_path / "stability.svg") == PINNED_STABILITY_SVG_T64
 
 
 def test_trajectory_summary_is_strict_json_when_a_flow_diverges(tmp_path):
@@ -434,6 +458,8 @@ def test_bad_numeric_parameter_in_config_exits_2(tmp_path, capsys, cmd, key, kin
     ("stability", "--d", "300"),  # the probe series has 256 samples
     ("gradcheck", "--d", "0"),
     ("gradcheck", "--d", "33"),  # above the ceiling the step record's memory sets
+    ("train", "--epochs", "1001"),  # above the ceiling an epoch's wall time sets
+    ("train", "--batch", "205"),  # above the 204 training rows
     ("gradcheck", "--seed", "-1"),
     ("gradcheck", "--delta", "inf"),
     ("train", "--seed", "-1"),

@@ -1,14 +1,17 @@
 """The exit-code contract over drawn inputs, not only the listed ones.
 
-Both tests draw a command and its keys from ``cli.PARAMS``, the one table
-of each command's parameters.  An invalid value, given through
+The first two tests draw a command and its keys from ``cli.PARAMS``, the
+one table of each command's parameters.  An invalid value, given through
 ``--config`` and, where a flag can carry it, as the flag, must exit 2 and
 write nothing.  Valid values at small sizes must exit 0, 1, 3 or 4; every
 CSV written must read back through its reader, every SVG parse as XML and
-every JSON file be strict JSON, and ``plot`` must redraw every CSV.
+every JSON file be strict JSON, and ``plot`` must redraw every CSV.  The
+third edits the cells and lines of program-written CSVs and a probe series
+and feeds them to the four readers: each must exit 0 with an SVG whose
+every number is finite, or 2 writing nothing.
 
-The examples are derandomized and bounded in number; the two tests take
-about 4 s together on 2 CPUs, within a budget of 15 s.
+The examples are derandomized and bounded in number; the three tests take
+about 5 s together on 2 CPUs, within a budget of 15 s.
 """
 
 import contextlib
@@ -139,6 +142,8 @@ def _rule(command, key):
 @example(case=("trajectory", "T"), value=10**400, pick=0)
 @example(case=("gradcheck", "d"), value=10**400, pick=0)
 @example(case=("gradcheck", "d"), value=33, pick=0)
+@example(case=("train", "epochs"), value=1001, pick=0)
+@example(case=("train", "batch"), value=205, pick=0)
 def test_invalid_value_exits_2_and_writes_nothing(case, value, pick):
     command, key = case
     rule = _rule(command, key)
@@ -264,3 +269,119 @@ def test_valid_small_runs_exit_in_contract_and_write_valid_files(command, data):
             assert code in (0, 1, 3, 4), (replot, err)
         if Path("replot").exists():
             _check_files(Path("replot"))
+
+
+# ------------------------------------------------------- edited program CSVs
+
+# Cells drawn into the files below: non-finite, huge, tiny, signed and
+# padded numbers, integers about 2**63, spellings float() may or may not
+# take, an empty cell, quotes, an embedded comma and stray names; then
+# names built from characters XML needs escaped and those XML 1.0 forbids.
+EDGE_CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "5e-324", "-5e-324", "2.2e-308", "-0.0", "0",
+              str(2**63 - 1), str(2**63), str(2**63 + 1), "1.5", " 1.0", "1.0 ", "+1", "-1", "0x10", "1_000",
+              "\u0661", "", "\x00", '"', '""', '"1,0"', "1,0", "node", "adamnode", "ode", "minimizer",
+              "blowup_at", "# minimizer", "t"]
+XML_FORBIDDEN = [chr(c) for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF)]
+CELLS = st.sampled_from(EDGE_CELLS) | st.text(
+    st.sampled_from(list("ode1 .<&]>\"\u2028\r\n") + XML_FORBIDDEN), min_size=1, max_size=4)
+# Drop line i, duplicate it, or swap it with line j.
+LINE_EDITS = st.tuples(st.sampled_from(["drop", "dup", "swap"]), st.integers(0, 99), st.integers(0, 99))
+ROWS_PER_SERIES = 3
+
+
+def _few_rows(text: str) -> str:
+    """``text`` with at most ROWS_PER_SERIES data rows per series (the
+    rows sharing a last cell); comments and the header are kept."""
+    kept, seen, header = [], {}, False
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            if header:
+                key = line.rsplit(",", 1)[-1]
+                seen[key] = seen.get(key, 0) + 1
+                if seen[key] > ROWS_PER_SERIES:
+                    continue
+            header = True
+        kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+@pytest.fixture(scope="module")
+def program_csvs(tmp_path_factory):
+    """Few-row CSVs for each reader, ``{reader: [text, ...]}``: the program's
+    trajectory, stability (one run with finite curves, one whose huge probe
+    blows every model up at once) and efficacy files, and a probe series."""
+    root = tmp_path_factory.mktemp("program_csvs")
+    (root / "huge.csv").write_text("t,input,output\n" + "".join(f"{i!r},0.0,1e308\n" for i in range(4)))
+    runs = {
+        "trajectory": ["trajectory", "--T", "0.01"],
+        "stability": ["stability", "--t1", "2", "--models", "node,adamnode"],
+        "blowup": ["stability", "--t1", "2", "--models", "node,adamnode", f"--probe=csv:{root / 'huge.csv'}"],
+        "efficacy": ["train", "--epochs", "2"],
+    }
+    for name, argv in runs.items():
+        assert _run([*argv, "--out", str(root / name)])[0] == 0
+    read = {name: _few_rows(next((root / name).glob("*.csv")).read_text()) for name in runs}
+    series = "t,input,output\n0.0,0.0,0.5\n1.0,0.0,-0.25\n2.0,0.0,1.0\n"
+    return {"trajectory": [read["trajectory"]], "stability": [read["stability"], read["blowup"]],
+            "efficacy": [read["efficacy"]], "series": [series]}
+
+
+def _edit(text: str, line_edits, cell_edits) -> str:
+    lines = text.splitlines()
+    for op, i, j in line_edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    for row, col, value in cell_edits:
+        if lines:
+            cells = lines[row % len(lines)].split(",")
+            cells[col % len(cells)] = value
+            lines[row % len(lines)] = ",".join(cells)
+    return "".join(line + "\n" for line in lines)
+
+
+def _finite_attributes(svg_path: Path) -> bool:
+    """Whether every number in the SVG's attributes is finite; raises if it is not XML."""
+    for element in ET.parse(svg_path).iter():
+        for value in element.attrib.values():
+            for token in value.replace(",", " ").replace("(", " ").replace(")", " ").split():
+                try:
+                    number = float(token)
+                except ValueError:
+                    continue
+                if not math.isfinite(number):
+                    return False
+    return True
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(reader=st.sampled_from(["trajectory", "stability", "efficacy", "series"]), pick=st.integers(0, 1),
+       line_edits=st.lists(LINE_EDITS, max_size=3), cell_edits=st.lists(st.tuples(
+           st.integers(0, 99), st.integers(0, 9), CELLS), max_size=2))
+@example(reader="trajectory", pick=0, line_edits=[], cell_edits=[(2, 3, "od\x01e")])
+@example(reader="stability", pick=1, line_edits=[], cell_edits=[(1, 2, "\ufffe")])
+@example(reader="trajectory", pick=0, line_edits=[], cell_edits=[(2, 3, "lone"), (2, 1, "nan")])
+def test_edited_program_csvs_redraw_as_well_formed_svg_or_exit_2(program_csvs, reader, pick, line_edits,
+                                                                   cell_edits):
+    seeds = program_csvs[reader]
+    text = _edit(seeds[pick % len(seeds)], line_edits, cell_edits)
+    with _fresh_dir():
+        Path("in.csv").write_text(text, encoding="utf-8")
+        if reader == "series":
+            argv = ["stability", "--t1", "0.5", "--models", "node", "--d", "1", "--probe=csv:in.csv", "--out", "out"]
+            svg_path = Path("out/stability.svg")
+        else:
+            argv = ["plot", "--in", "in.csv", "--kind", reader, "--out", "out/x.svg"]
+            svg_path = Path("out/x.svg")
+        code, err = _run(argv)
+        assert code in (0, 2), (text, err)
+        if code == 0:
+            assert _finite_attributes(svg_path), text
+        else:
+            assert os.listdir() == ["in.csv"], text

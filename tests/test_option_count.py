@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-MAX_OPTIONS = 20
+MAX_OPTIONS = 19
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
