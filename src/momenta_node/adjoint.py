@@ -58,10 +58,11 @@ class ForwardSolveError(RuntimeError):
 class AdjointRun:
     """Gradients and bookkeeping from one backward pass.
 
-    ``grad_params`` follows :func:`momenta_node.field_net.params_to_vec`
-    order, with the scalar damping gradient appended for the heavy-ball
-    family.  ``grad_initial_state`` is the cotangent at ``t0``, flat in the
-    state's own layout (:func:`momenta_node.dynamics.blocks` views it).
+    ``grad_params`` follows the field's flat vector
+    (:func:`momenta_node.field_net.param_layout`), with the scalar damping
+    gradient appended for the heavy-ball family.  ``grad_initial_state`` is
+    the cotangent at ``t0``, flat in the state's own layout
+    (:func:`momenta_node.dynamics.blocks` views it).
     ``h_next`` is the reverse solve's :attr:`SolveResult.h_next`.
     """
 
@@ -264,8 +265,7 @@ def central_differences(spec, field, y0, t1, c, cfg, delta):
     # The solver's batched layout: block by block, each (rows, width).
     shape = (spec.n_blocks, rows, spec.width(d))
     states = (y0 + moves[:, n_par:]).reshape(rows, shape[0], shape[2]).transpose(1, 0, 2)
-    vec = fn.params_to_vec(field)
-    rhs = dyn.make_node_rhs(row_spec, fn.vec_to_params(field, vec + moves[:, :n_field]), d, batch=rows)
+    rhs = dyn.make_node_rhs(row_spec, replace(field, vec=field.vec + moves[:, :n_field]), d)
     res = solve_dopri45(rhs, states.ravel(), 0.0, t1, cfg)
     if res.status is not SolveStatus.SUCCESS:
         raise ForwardSolveError(res.status)

@@ -209,7 +209,7 @@ class ODEClassifier:
         """
         h0 = self.embed.apply(x)
         y0 = initial_state(self.spec, h0)
-        rhs = make_node_rhs(self.spec, self.field, TRAIN_D, batch=x.shape[0])
+        rhs = make_node_rhs(self.spec, self.field, TRAIN_D)
         res = solve_dopri45(rhs, y0, 0.0, TRAIN_T1, self.solver_cfg, h_init=self.first_step[role])
         self.first_step[role] = res.h_next
         if not res.ok:

@@ -36,7 +36,7 @@ from momenta_node.dynamics import (
     initial_state,
     make_node_rhs,
 )
-from momenta_node.field_net import FieldNet, init_field
+from momenta_node.field_net import init_field, param_layout
 from momenta_node.solver import IntegratorConfig, solve_dopri45
 
 
@@ -107,10 +107,9 @@ def model_spec(name: str) -> DynamicsSpec:
 
 
 def _field_param_count(spec: DynamicsSpec, d: int, hidden: int) -> int:
-    w_in = spec.field_in_dim(d) + 1
-    w_out = spec.width(d)
-    n_field = w_in * hidden + hidden * w_out + hidden + w_out
-    return n_field + spec.extra_param_count
+    """Trainable parameters of ``spec``'s model with one hidden layer of width ``hidden``."""
+    widths = (spec.field_in_dim(d) + 1, hidden, spec.width(d))
+    return param_layout(widths)[1] + spec.extra_param_count
 
 
 def fair_hidden_widths(specs: dict[str, DynamicsSpec], d: int, base_hidden: int) -> dict[str, int]:
@@ -139,15 +138,6 @@ def fair_hidden_widths(specs: dict[str, DynamicsSpec], d: int, base_hidden: int)
             f"cannot match parameter counts within {WIDTH_TOLERANCE:.0%}: {counts} (spread {spread:.1%})"
         )
     return widths
-
-
-def _scaled_field(spec: DynamicsSpec, d: int, hidden: int, seed: int) -> FieldNet:
-    base = init_field(spec.field_in_dim(d), (hidden,), spec.width(d), activation=ACTIVATION, seed=seed)
-    return FieldNet(
-        weights=[GAIN * W for W in base.weights],
-        biases=[b.copy() for b in base.biases],
-        activation=base.activation,
-    )
 
 
 @dataclass
@@ -185,7 +175,8 @@ def run_stability_probe(
     widths = fair_hidden_widths(models, d, BASE_HIDDEN)
 
     def run_one(name, spec):
-        fld = _scaled_field(spec, d, widths[name], seed)
+        fld = init_field(spec.field_in_dim(d), (widths[name],), spec.width(d), activation=ACTIVATION, seed=seed)
+        fld.vec *= GAIN
         rhs = make_node_rhs(spec, fld, d)
         y0 = initial_state(spec, h0)
         res = solve_dopri45(rhs, y0, 0.0, t1, cfg, sample_times=grid)

@@ -58,19 +58,14 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamParams:
-    """Rates and floor for the adaptive-moment dynamics."""
+    """Rates and floor for the adaptive-moment dynamics; frozen, since
+    every spec given none shares :data:`ADAM_RATES`."""
 
-    alpha: float = 0.9
-    beta: float = 0.99
-    epsilon: float = 1e-5
-
-    def validate(self):
-        if not (0.0 <= self.alpha < 1.0 and 0.0 <= self.beta < 1.0):
-            raise ValueError("alpha and beta must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+    alpha: float
+    beta: float
+    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,18 @@ class HeavyBallParams:
     broadcasts over each row's width.
     """
 
-    theta: float | np.ndarray = -3.0
+    theta: float | np.ndarray
 
     @cached_property
     def gamma(self) -> float | np.ndarray:
         return sigmoid(self.theta)
 
+
+# The constants a DynamicsSpec fills in when it is given none: the
+# adaptive-moment rates and floor, and the damping pre-activation the
+# heavy-ball family starts from.
+ADAM_RATES = AdamParams(alpha=0.9, beta=0.99, epsilon=1e-5)
+THETA_INIT = -3.0
 
 # The zero channels augmented dynamics append to the h block.
 AUG_WIDTH = 1
@@ -108,11 +109,9 @@ class DynamicsSpec:
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
         if self.kind == ADAM and self.adam is None:
-            self.adam = AdamParams()
+            self.adam = ADAM_RATES
         if self.kind in (HEAVY_BALL, GENERALIZED_HEAVY_BALL) and self.hb is None:
-            self.hb = HeavyBallParams()
-        if self.adam is not None:
-            self.adam.validate()
+            self.hb = HeavyBallParams(THETA_INIT)
 
     @property
     def aug_width(self) -> int:
@@ -220,25 +219,25 @@ def derivative(spec: DynamicsSpec, field: fn.FieldNet, t: float, s: np.ndarray, 
         np.multiply(1.0 - p.beta, f * f - s[2], out=out[2])
 
 
-def make_node_rhs(
-    spec: DynamicsSpec, field: fn.FieldNet, d: int, batch: int = 1
-) -> Callable[[float, np.ndarray], np.ndarray]:
+def make_node_rhs(spec: DynamicsSpec, field: fn.FieldNet, d: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Adapt a trainable formulation to the solver's flat-vector interface.
 
-    Each call returns a fresh flat array, so a solver may keep it across
-    later calls.
+    The batch is the state's size over ``spec.state_dim(d)``.  Each call
+    returns a fresh flat array, so a solver may keep it across later calls.
     """
     expected = spec.field_in_dim(d) + 1
-    if field.in_dim != expected:
-        raise ValueError(f"field consumes {field.in_dim} inputs, dynamics supply {expected}")
+    if field.widths[0] != expected:
+        raise ValueError(f"field consumes {field.widths[0]} inputs, dynamics supply {expected}")
     w = spec.width(d)
     if field.out_dim != w:
         raise ValueError(f"field emits {field.out_dim} outputs, dynamics need {w}")
-    shape = (spec.n_blocks, batch, w)
+    # The shape blocks() views the state in, with the batch left to the size.
+    shape = (spec.n_blocks, -1, w)
 
     def rhs(t, y):
-        out = np.empty(shape)
-        derivative(spec, field, t, y.reshape(shape), out)
+        s = y.reshape(shape)
+        out = np.empty(s.shape)
+        derivative(spec, field, t, s, out)
         return out.reshape(-1)
 
     return rhs

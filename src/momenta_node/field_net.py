@@ -10,8 +10,9 @@ Inputs are batches of rows ``(B, n)``.  Every network is
 time-conditioned: the scalar time is appended as one extra
 input coordinate, and its cotangent slot is dropped again on the way back.
 
-A network's parameters may also be stacked: every weight ``(R, out, in)``
-and every bias ``(R, out)``, so one forward pass evaluates input row ``r``
+A network's parameters are one flat vector (:func:`param_layout`), of
+which the per-layer weights and biases are views.  The vector may also be
+stacked, ``(R, n_params)``, so one forward pass evaluates input row ``r``
 with parameter set ``r`` (the finite-difference check of
 :func:`momenta_node.adjoint.gradcheck` solves all its perturbed parameter
 sets at once this way).  Stacked networks have a forward pass only.
@@ -46,57 +47,70 @@ ACTIVATIONS = {
 }
 
 
+def param_layout(widths) -> tuple[list, int]:
+    """Where a field's parameters sit in its flat vector.
+
+    ``widths`` are the layer widths: the first layer's input (the state,
+    then the time), each hidden layer, and the output.  Returns each
+    layer's ``(weight slice, (out, in), bias slice)`` and the vector's
+    length: every weight matrix in layer order, each row-major, then every
+    bias.  An array in place of one width gives an array of lengths.
+    """
+    pairs = list(zip(widths[:-1], widths[1:]))
+    w_pos, b_pos = 0, sum(n_in * n_out for n_in, n_out in pairs)
+    layers = []
+    for n_in, n_out in pairs:
+        layers.append((slice(w_pos, w_pos + n_out * n_in), (n_out, n_in), slice(b_pos, b_pos + n_out)))
+        w_pos += n_out * n_in
+        b_pos += n_out
+    return layers, b_pos
+
+
 @dataclass
 class FieldNet:
-    """A dense network ``f(h, t)`` with explicit weights and biases.
+    """A dense network ``f(h, t)`` held as one flat parameter vector.
 
-    ``weights[l]`` has shape ``(out_l, in_l)`` and ``biases[l]``
-    ``(out_l,)``; consecutive layers must chain.  A stacked network gives
-    every layer the same leading row axis, ``(R, out_l, in_l)`` and
-    ``(R, out_l)``.  ``activation`` applies to every layer except the last.
-    The first layer's last input is the time.
+    ``vec`` is the ``(n_params,)`` vector of a network of layer widths
+    ``widths`` (:func:`param_layout`), or a stack ``(R, n_params)`` of
+    parameter sets.  ``layers`` holds each layer's slices of it, and
+    ``weights[l]`` ``(out_l, in_l)`` and ``biases[l]`` ``(out_l,)`` are
+    views of it, with a leading ``R`` axis for a stack, so writing to them
+    writes to ``vec``.  ``activation`` applies to every layer except the
+    last.
     """
 
-    weights: list
-    biases: list
+    widths: tuple
     activation: str
+    vec: np.ndarray
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be non-empty parallel lists")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        lead = self.weights[0].shape[:-2]
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim not in (2, 3) or W.shape[:-2] != lead or b.shape != W.shape[:-1]:
-                raise ValueError(f"layer {l}: weight/bias shapes are inconsistent")
-            if l > 0 and W.shape[-1] != self.weights[l - 1].shape[-2]:
-                raise ValueError(f"layer {l}: input width does not chain")
+        self.layers, n = param_layout(self.widths)
+        if self.vec.ndim not in (1, 2) or self.vec.shape[-1] != n:
+            raise ValueError(f"expected {n} parameters per row, got shape {self.vec.shape}")
+        lead = self.vec.shape[:-1]
+        self.weights = [self.vec[..., w].reshape(lead + shape) for w, shape, _ in self.layers]
+        self.biases = [self.vec[..., b] for _, _, b in self.layers]
 
     @property
     def param_rows(self) -> int | None:
         """Number of stacked parameter sets, or None for one shared set."""
-        W = self.weights[0]
-        return W.shape[0] if W.ndim == 3 else None
-
-    @property
-    def in_dim(self) -> int:
-        """First-layer input width, the time slot included."""
-        return self.weights[0].shape[-1]
+        return self.vec.shape[0] if self.vec.ndim == 2 else None
 
     @property
     def state_dim(self) -> int:
-        """Width of the state input ``h`` (time slot excluded)."""
-        return self.in_dim - 1
+        """Width of the state input ``h`` (the first layer's input but the time)."""
+        return self.widths[0] - 1
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[-2]
+        return self.widths[-1]
 
     @property
     def n_params(self) -> int:
         """Parameters of one set (one row of a stacked network)."""
-        return sum(W.shape[-2] * W.shape[-1] for W in self.weights) + sum(b.shape[-1] for b in self.biases)
+        return self.vec.shape[-1]
 
 
 def init_field(
@@ -109,14 +123,12 @@ def init_field(
 ) -> FieldNet:
     """Build a field with weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
-    widths = [state_dim + 1, *hidden, out_dim]
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return FieldNet(weights, biases, activation=activation)
+    widths = (state_dim + 1, *hidden, out_dim)
+    net = FieldNet(widths, activation, np.zeros(param_layout(widths)[1]))
+    for W in net.weights:
+        bound = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return net
 
 
 def eval_cached(net: FieldNet, h: np.ndarray, t: float):
@@ -162,9 +174,9 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray):
     """Reverse sweep: returns ``(a^T df/dh, a^T df/dtheta)`` for the
     ``(B, out_dim)`` cotangent ``a``.
 
-    The parameter contraction is summed over the batch and flattened in
-    :func:`params_to_vec` order into ``out``, a ``(n_params,)`` array,
-    which is the second value returned.
+    The parameter contraction is summed over the batch and written in
+    the field's :func:`param_layout` into ``out``, a contiguous
+    ``(n_params,)`` array, which is the second value returned.
     """
     layer_in, pre = cache
     if layer_in[0].ndim != 2:
@@ -173,45 +185,29 @@ def vjp_from_cache(net: FieldNet, cache, a: np.ndarray, out: np.ndarray):
     g = np.asarray(a, dtype=float)
     if g.shape != (layer_in[0].shape[0], net.out_dim):
         raise ValueError("cotangent shape does not match the cached forward pass")
-    grads_W = [None] * len(net.weights)
-    grads_b = [None] * len(net.weights)
-    for l in range(len(net.weights) - 1, -1, -1):
-        grads_W[l] = g.T @ layer_in[l]
-        grads_b[l] = g.sum(axis=0)
+    for l in range(len(net.layers) - 1, -1, -1):
+        w, shape, b = net.layers[l]
+        np.matmul(g.T, layer_in[l], out=out[w].reshape(shape))
+        g.sum(axis=0, out=out[b])
         g = g @ net.weights[l]
         if l > 0:
             d = dact(pre[l - 1])
             g = np.multiply(g, d, out=d)
-    return g[:, : net.state_dim], np.concatenate([W.ravel() for W in grads_W] + grads_b, out=out)
+    return g[:, : net.state_dim], out
 
 
 def params_to_vec(net: FieldNet) -> np.ndarray:
-    """Flatten all parameters: every weight matrix in layer order, then every bias."""
-    return np.concatenate([W.ravel() for W in net.weights] + [b.copy() for b in net.biases])
+    """A copy of the field's flat parameter vector (:func:`param_layout` order)."""
+    return net.vec.copy()
 
 
 def vec_to_params(net: FieldNet, vec: np.ndarray) -> FieldNet:
-    """Rebuild a field of ``net``'s layer widths from a flat parameter vector.
+    """A field of ``net``'s layer widths on a copy of the flat vector ``vec``.
 
     A matrix ``(R, n_params)`` gives a stacked field whose parameter set
     ``r`` is row ``r``.
     """
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim not in (1, 2) or vec.shape[-1] != net.n_params:
-        raise ValueError(f"expected {net.n_params} parameters per row, got {vec.shape}")
-    lead = vec.shape[:-1]
-    weights = []
-    biases = []
-    pos = 0
-    for W in net.weights:
-        size = W.shape[-2] * W.shape[-1]
-        weights.append(vec[..., pos : pos + size].reshape(lead + W.shape[-2:]).copy())
-        pos += size
-    for b in net.biases:
-        size = b.shape[-1]
-        biases.append(vec[..., pos : pos + size].copy())
-        pos += size
-    return replace(net, weights=weights, biases=biases)
+    return replace(net, vec=np.array(vec, dtype=float))
 
 
 @dataclass

@@ -24,7 +24,7 @@ from momenta_node.csv_formats import (
     STABILITY_HEADER,
     TRAJECTORY_HEADER,
 )
-from momenta_node.field_net import FieldNet, init_field
+from momenta_node.field_net import init_field, params_to_vec, vec_to_params
 from momenta_node.solver import IntegratorConfig, solve_dopri45, solve_rk4
 from reference import (
     PackedState,
@@ -171,11 +171,9 @@ def test_dynamics_invariants():
     hb = dyn.HeavyBallParams(theta=2.0)
     spec = dyn.DynamicsSpec(kind=dyn.GENERALIZED_HEAVY_BALL, hb=hb)
     field = init_field(2, (8,), 2, seed=7)
-    field = FieldNet(
-        weights=[W * (50.0 if i == len(field.weights) - 1 else 1.0)
-                 for i, W in enumerate(field.weights)],
-        biases=field.biases, activation=field.activation,
-    )
+    vec = params_to_vec(field)
+    vec[field.layers[-1][0]] *= 50.0  # the last layer's weights
+    field = vec_to_params(field, vec)
     rhs = dyn.make_node_rhs(spec, field, 2)
     peak = {"v": 0.0}
 

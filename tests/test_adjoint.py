@@ -34,7 +34,7 @@ def tight():
 
 
 def zero_field(state_dim, out_dim):
-    return FieldNet([np.zeros((out_dim, state_dim + 1))], [np.zeros(out_dim)], "tanh")
+    return FieldNet((state_dim + 1, out_dim), "tanh", np.zeros((state_dim + 2) * out_dim))
 
 
 def run_forward_from(spec, field, y0, t1, cfg, sample_times=()):
@@ -62,7 +62,7 @@ def test_linear_field_adjoint_matches_matrix_exponential():
     # f = W h  (no bias update, a zero time column): a(t0) = expm(W^T (t1-t0)) a(t1).
     rng = np.random.default_rng(3)
     W = rng.normal(size=(3, 3)) * 0.5
-    field = FieldNet([np.hstack([W, np.zeros((3, 1))])], [np.zeros(3)], "tanh")
+    field = FieldNet((4, 3), "tanh", np.concatenate([np.hstack([W, np.zeros((3, 1))]).ravel(), np.zeros(3)]))
     spec = dyn.DynamicsSpec(kind=dyn.VANILLA)
     t1 = 1.5
     fwd = run_forward(spec, field, rng.normal(size=3), t1, tight())
@@ -209,15 +209,16 @@ def test_differences_are_one_solve_at_the_widest_d(kind, monkeypatch):
         starts.append(start.copy())
         return solve(rhs, start, *args, **kwargs)
 
-    def recording_rhs(row_spec, stacked, d, batch):
-        rhs_args.append((row_spec, stacked, batch))
-        return make_rhs(row_spec, stacked, d, batch)
+    def recording_rhs(row_spec, stacked, d):
+        rhs_args.append((row_spec, stacked))
+        return make_rhs(row_spec, stacked, d)
 
     monkeypatch.setattr(adjoint, "solve_dopri45", recording_solve)
     monkeypatch.setattr(dyn, "make_node_rhs", recording_rhs)
     adjoint.central_differences(spec, field, y0, 0.01, c, tight(), delta)
     assert len(starts) == len(rhs_args) == 1
-    (row_spec, stacked, rows), = rhs_args
+    (row_spec, stacked), = rhs_args
+    rows = stacked.param_rows
     n_entries = param_count(spec, field) + y0.size
     assert rows == 1 + 2 * n_entries
     # Each row as moves off the base: one column per entry in param_count
@@ -410,7 +411,7 @@ def test_batched_backward_matches_per_sample_sum():
     A = rng.normal(size=(3, d))
     cfg = tight()
 
-    rhs_b = dyn.make_node_rhs(spec, field, d, batch=3)
+    rhs_b = dyn.make_node_rhs(spec, field, d)
     y0_b = dyn.initial_state(spec, H0)
     fwd_b = solve_dopri45(rhs_b, y0_b, 0.0, 1.0, cfg)
     run_b = backward(fwd_b, loss_grad_from_h(spec, A), spec, field, cfg)
@@ -472,7 +473,7 @@ def test_right_hand_sides_match_the_reference_bit_for_bit(kind, batch):
             n_par = param_count(spec, field)
             states = flat_states(spec, batch, rng)
             for y in states:
-                got = dyn.make_node_rhs(spec, field, RHS_D, batch)(0.3, y)
+                got = dyn.make_node_rhs(spec, field, RHS_D)(0.3, y)
                 assert got.tobytes() == node_rhs(spec, field, RHS_D, batch)(0.3, y).tobytes()
 
                 def forward_of_t(t):
@@ -498,7 +499,7 @@ def test_right_hand_sides_return_fresh_arrays(kind, batch):
     a = rng.normal(size=y.size)
     acc = np.zeros(param_count(spec, field))
     cases = [
-        (dyn.make_node_rhs(spec, field, RHS_D, batch), y),
+        (dyn.make_node_rhs(spec, field, RHS_D), y),
         (make_adjoint_rhs(spec, field, RHS_D, batch, lambda t: y), np.concatenate([a, acc])),
     ]
     for rhs, z in cases:

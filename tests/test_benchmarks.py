@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from momenta_node.adjoint import param_count
 from momenta_node.benchmarks import classify
 from momenta_node.benchmarks.classify import run_classification, two_moons, two_spirals
 from momenta_node.benchmarks.landscapes import LANDSCAPES
@@ -283,6 +284,23 @@ def test_fair_hidden_widths_match_the_scan_of_every_width():
     for d in range(1, 80):
         for base in range(1, 70):
             assert outcome(fair_hidden_widths, d, base) == outcome(fair_hidden_widths_scan, d, base), (d, base)
+
+
+@pytest.mark.parametrize("d", [1, 4, 64])
+def test_reported_param_counts_are_those_of_the_integrated_fields(monkeypatch, d):
+    # The closed-form count the widths are chosen by, against the fields the
+    # probe actually builds and integrates.
+    integrated = {}
+    make_rhs = stability.make_node_rhs
+
+    def recording_rhs(spec, field, d):
+        integrated[next(n for n, s in MODEL_SPECS.items() if s is spec)] = param_count(spec, field)
+        return make_rhs(spec, field, d)
+
+    monkeypatch.setattr(stability, "make_node_rhs", recording_rhs)
+    res = run_stability_probe(duffing_probe(0, d), 0.5, dict(MODEL_SPECS), 0, PROBE_SOLVER)
+    assert set(integrated) == set(MODEL_SPECS)
+    assert res.param_counts == integrated
 
 
 def test_zero_field_keeps_hidden_norm_constant(monkeypatch):

@@ -295,7 +295,15 @@ def test_stability_d_runs_from_one_probe_sample_to_the_whole_series(tmp_path, ca
         assert json.loads((tmp_path / d / "summary.json").read_text())["d"] == int(d)
     out = tmp_path / "257"
     assert run_cli("stability", "--t1", "1", "--d", "257", "--out", str(out)) == 2
-    assert "need at least d=257" in capsys.readouterr().err
+    assert "d must be an integer from 1 to 256, got 257" in capsys.readouterr().err
+    assert not out.exists()
+    # A longer CSV series is held to the synthetic series' length too.
+    series = tmp_path / "series300.csv"
+    series.write_text("t,input,output\n" + "".join(f"{0.1 * i!r},0.0,{float(np.sin(0.1 * i))!r}\n"
+                                                    for i in range(300)))
+    out = tmp_path / "300"
+    assert run_cli("stability", "--t1", "1", "--probe", f"csv:{series}", "--d", "300", "--out", str(out)) == 2
+    assert "d must be an integer from 1 to 256, got 300" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -590,6 +598,29 @@ def test_unusable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "tr.csv"]
     assert os.listdir("adir") == [] and Path("afile").read_text() == ""
+
+
+# Each command's fixed output names, and a short run that writes them all.
+OUTPUT_NAMES = {
+    ("trajectory", "--T", "0.05"): ("config.resolved.json", "trajectory.csv", "summary.json", "trajectory.svg"),
+    ("stability", "--t1", "2", "--models", "node"): ("config.resolved.json", "stability.csv", "summary.json",
+                                                     "stability.svg"),
+    ("train", "--epochs", "0"): ("config.resolved.json", "efficacy.csv", "efficacy.svg", "loss.svg"),
+    ("gradcheck", "--model", "node", "--d", "1"): ("config.resolved.json", "gradcheck_report.json"),
+}
+BLOCKED_OUTPUTS = [(argv, name) for argv, names in OUTPUT_NAMES.items() for name in names]
+
+
+@pytest.mark.parametrize("argv,name", BLOCKED_OUTPUTS, ids=[f"{a[0]}-{n}" for a, n in BLOCKED_OUTPUTS])
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv, name):
+    # A directory where one output file goes: one error line naming it, no
+    # traceback; the files written before it remain.
+    out = tmp_path / "occ"
+    (out / name).mkdir(parents=True)
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(out / name) in err
+    assert "Traceback" not in err
 
 
 def test_trajectory_refuses_more_rk4_steps_than_the_cap(tmp_path, monkeypatch, capsys):

@@ -144,6 +144,7 @@ def _rule(command, key):
 @example(case=("gradcheck", "d"), value=33, pick=0)
 @example(case=("train", "epochs"), value=1001, pick=0)
 @example(case=("train", "batch"), value=205, pick=0)
+@example(case=("stability", "d"), value=257, pick=0)
 def test_invalid_value_exits_2_and_writes_nothing(case, value, pick):
     command, key = case
     rule = _rule(command, key)

@@ -19,8 +19,8 @@ from reference import (
 )
 
 
-def zero_field(d, out=None):
-    return FieldNet([np.zeros(((out or d), d + 1))], [np.zeros(out or d)], "tanh")
+def zero_field(d):
+    return FieldNet((d + 1, d), "tanh", np.zeros((d + 2) * d))
 
 
 def test_adam_ode_rhs_hand_values():
@@ -33,8 +33,8 @@ def test_adam_ode_rhs_hand_values():
 
 
 def test_adam_node_rhs_hand_values():
-    # Constant field f = 1 via a bias-only affine layer.
-    f = FieldNet([np.zeros((1, 2))], [np.ones(1)], "tanh")
+    # Constant field f = 1 via a bias-only affine layer: weights, then bias.
+    f = FieldNet((2, 1), "tanh", np.array([0.0, 0.0, 1.0]))
     spec = dyn.DynamicsSpec(kind=dyn.ADAM, adam=dyn.AdamParams(alpha=0.9, beta=0.99, epsilon=1.0))
     out = dyn.blocks(spec, dyn.make_node_rhs(spec, f, 1)(0.0, np.array([5.0, 1.0, 3.0])), 1)[:, 0]
     np.testing.assert_allclose(out[0], [-0.5])
@@ -120,7 +120,7 @@ def test_a_damping_column_damps_each_row_as_its_scalar_spec(kind):
     column = dyn.DynamicsSpec(kind=kind, hb=dyn.HeavyBallParams(theta=thetas))
     # Momenta on both sides of the generalized form's saturation bound.
     y = 2.0 * rng.normal(size=(column.n_blocks, rows, d))
-    got = dyn.make_node_rhs(column, fn.vec_to_params(field, vecs), d, batch=rows)(0.3, y.ravel())
+    got = dyn.make_node_rhs(column, fn.vec_to_params(field, vecs), d)(0.3, y.ravel())
     got = got.reshape(y.shape)
     for r in range(rows):
         scalar = dyn.DynamicsSpec(kind=kind, hb=dyn.HeavyBallParams(theta=float(thetas[r, 0])))
@@ -245,7 +245,7 @@ def test_initial_state_fills():
 
 
 # Damping and adaptive-moment constants for the flow tests that pin none of their own.
-FLOW_CONSTANTS = dict(gamma=0.9, adam=dyn.AdamParams())
+FLOW_CONSTANTS = dict(gamma=0.9, adam=dyn.ADAM_RATES)
 
 
 def test_flow_builders():

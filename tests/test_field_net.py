@@ -70,10 +70,11 @@ def test_forward_matches_naive_evaluator():
 
 
 def test_single_affine_layer():
-    # A zero time column: the layer ignores t.
+    # The vector holds W row-major, then b; a zero time column: the layer ignores t.
     W = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 0.0]])
     b = np.array([0.5, 0.0])
-    net = FieldNet([W], [b], "tanh")
+    net = FieldNet((3, 2), "tanh", np.concatenate([W.ravel(), b]))
+    assert np.array_equal(net.weights[0], W) and np.array_equal(net.biases[0], b)
     np.testing.assert_allclose(forward(net, np.array([1.0, 1.0]), 0.0), [3.5, -1.0])
 
 
@@ -181,34 +182,59 @@ def test_time_slot_is_dropped_from_input_vjp():
     assert g.shape == (2,)
 
 
-def _z(*shape):
-    return np.zeros(shape)
-
-
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        FieldNet([np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(2), np.zeros(2)], "tanh")
     net = init_field(3, (4,), 2, seed=0)
     with pytest.raises(ValueError):
         forward(net, np.zeros(5), 0.0)
-    with pytest.raises(ValueError):
-        vec_to_params(net, np.zeros(3))
-    with pytest.raises(ValueError):
-        vec_to_params(net, np.zeros((2, 2, net.n_params)))
-    # Stacked parameters: every layer (R, out, in) with (R, out) biases.
-    assert FieldNet([_z(5, 4, 3), _z(5, 2, 4)], [_z(5, 4), _z(5, 2)], "tanh").param_rows == 5
+    # Widths (4, 4, 2): 4*4 + 4*2 weights, then 4 + 2 biases.
+    assert net.widths == (4, 4, 2) and net.n_params == 30
+    # A stack is one parameter set per row, each layer's view (R, out, in).
+    stacked = FieldNet(net.widths, "tanh", np.zeros((5, 30)))
+    assert stacked.param_rows == 5
+    assert [W.shape for W in stacked.weights] == [(5, 4, 4), (5, 2, 4)]
+    assert [b.shape for b in stacked.biases] == [(5, 4), (5, 2)]
     refused = [
-        ([_z(5, 2, 3), _z(2, 4)], [_z(5, 2), _z(4)]),  # one layer stacked, one not
-        ([_z(5, 2, 3), _z(6, 4, 2)], [_z(5, 2), _z(6, 4)]),  # two stack heights
-        ([_z(5, 2, 3)], [_z(2)]),  # stacked weight, shared bias
-        ([_z(2, 3)], [_z(5, 2)]),  # shared weight, stacked bias
-        ([_z(5, 2, 3)], [_z(4, 2)]),  # bias rows differ from weight rows
-        ([_z(5, 2, 3), _z(5, 4, 3)], [_z(5, 2), _z(5, 4)]),  # stacked layers that do not chain
-        ([_z(1, 5, 2, 3)], [_z(1, 5, 2)]),  # two leading axes
+        (np.zeros(29), "tanh"),  # one parameter short
+        (np.zeros((5, 31)), "tanh"),  # rows one too long
+        (np.zeros((2, 2, 30)), "tanh"),  # two leading axes
+        (np.zeros(()), "tanh"),  # no parameter axis
+        (np.zeros(30), "sigmoid"),  # an unknown activation
     ]
-    for weights, biases in refused:
+    for vec, activation in refused:
         with pytest.raises(ValueError):
-            FieldNet(weights, biases, "tanh")
+            FieldNet(net.widths, activation, vec)
+    for vec in (np.zeros(3), np.zeros((2, 2, net.n_params))):
+        with pytest.raises(ValueError):
+            vec_to_params(net, vec)
+
+
+def test_weights_and_biases_are_views_of_the_vector_in_layout_order():
+    net = init_field(3, (7, 5), 2, seed=13)
+    for W, b, (w, shape, bias) in zip(net.weights, net.biases, net.layers):
+        assert np.shares_memory(W, net.vec) and np.shares_memory(b, net.vec)
+        assert W.shape == shape
+        assert np.array_equal(W.ravel(), net.vec[w]) and np.array_equal(b, net.vec[bias])
+    # Every weight matrix in layer order, then every bias: nothing left over.
+    flat = np.concatenate([W.ravel() for W in net.weights] + net.biases)
+    assert flat.tobytes() == net.vec.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_vectors_in_and_out_share_no_memory(rows):
+    # The classifier keeps the vector it hands to vec_to_params and steps
+    # it later; a field sharing it would move with it.
+    net = init_field(3, (5,), 2, seed=1)
+    shape = (net.n_params,) if rows is None else (rows, net.n_params)
+    v = np.random.default_rng(0).normal(size=shape)
+    built = vec_to_params(net, v)
+    assert built.param_rows == rows
+    assert not np.shares_memory(built.vec, v)
+    assert not any(np.shares_memory(W, v) for W in built.weights + built.biases)
+    assert np.array_equal(built.vec, v)
+    out = params_to_vec(net)
+    assert not np.shares_memory(out, net.vec)
+    out += 1.0
+    assert not np.array_equal(out, net.vec)
 
 
 def test_stacked_forward_matches_each_row_and_has_no_vjp():
